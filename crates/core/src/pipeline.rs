@@ -134,7 +134,7 @@ impl PreparedBench {
         eval_machine.max_insts = budget::EVAL_MAX_SIM_INSTS;
         // The cooperative deadline: the simulator checks the cycle budget
         // every bundle, so even a low-IPC pathological schedule terminates
-        // deterministically — the evaluation service's primary hang bound.
+        // deterministically — the GP evaluation core's hang bound.
         eval_machine.max_cycles = budget::EVAL_MAX_SIM_CYCLES;
         let mut pb = PreparedBench {
             name: bench.name.to_string(),

@@ -12,31 +12,37 @@
 //! tie-broken by population index (see [`crate::pareto`]) so runs are
 //! bit-identical across thread counts.
 //!
-//! The engine deliberately does not touch the scalar engine's hot path:
-//! scalar single-plan mode stays byte-for-byte what it was. Plumbing the
-//! two search spaces together happens through two small traits —
-//! [`MultiEvaluator`] (objective vectors per `(plan, expr, case)`) and
-//! [`PlanSpace`] (plan seeds and genetic operators over canonical plan
-//! strings) — implemented by the `metaopt` core crate, keeping this crate
-//! free of a compiler dependency.
+//! Both loops run on one evaluation core (the crate-private `evaluate`
+//! module), generic over what an evaluation yields: a score for the scalar
+//! engine, an objective vector here. The core owns the `(genome, case)`
+//! memo, the persistent fitness store, transient retries, panic
+//! containment, the quarantine ledger, the counters, and the trace events
+//! and metrics, so a co-evolved run meets the scalar run's contracts on all
+//! of them. This module keeps NSGA-II and the plan half of the genome. The
+//! two search spaces meet through two small traits — [`MultiEvaluator`]
+//! (objective vectors per `(plan, expr, case)`) and [`PlanSpace`] (plan
+//! seeds and genetic operators over canonical plan strings) — implemented
+//! by the `metaopt` core crate, keeping this crate free of a compiler
+//! dependency.
 //!
-//! Determinism contract (mirrors the scalar engine):
+//! Determinism contract (shared with the scalar engine):
 //! - every RNG draw happens on the coordinating thread, in a fixed order;
-//! - the per-generation work list of uncached `(genome, case)` pairs is
-//!   computed serially, each unique pair is evaluated exactly once, and
-//!   worker threads only fill disjoint result slots;
+//! - each generation's evaluations form one wave of the core, which
+//!   evaluates each unique pair exactly once and folds all accounting
+//!   serially;
 //! - selection uses only integer objectives and index-stable tie-breaks.
 //!
 //! Checkpoints use format v3 (the population's plans ride in the `plans`
 //! section) under a fingerprint that embeds the objective mask and a
 //! co-evolution marker, so scalar and co-evolved runs can never resume
-//! each other's files. The persistent fitness store is shared machinery:
-//! keys extend to `plan|expr` and each objective lands in its own derived
-//! case slot, so a warm rerun skips straight past paid-for evaluations.
+//! each other's files. In the persistent fitness store keys extend to
+//! `plan|expr` and each objective lands in its own derived case slot, so a
+//! warm rerun skips straight past paid-for evaluations.
 
 use crate::checkpoint::{fingerprint, Checkpoint, CheckpointError};
 use crate::engine::{EvolutionResult, GenLog, GpParams};
-use crate::eval::{EvalError, EvalErrorKind, QuarantineRecord};
+use crate::eval::EvalError;
+use crate::evaluate::EvalCore;
 use crate::expr::Expr;
 use crate::features::FeatureSet;
 use crate::gen::random_expr;
@@ -49,10 +55,8 @@ use crate::store::FitnessStore;
 use metaopt_trace::{json::Value, Tracer};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::collections::HashSet;
+use std::path::PathBuf;
 
 /// One co-evolved genome: a pipeline plan (canonical textual form) joined
 /// with a priority-function expression.
@@ -143,13 +147,6 @@ pub fn parse_mask(text: &str) -> Option<[bool; NUM_OBJECTIVES]> {
 /// Objective sum marking a genome whose evaluation failed on some case:
 /// dominated by every clean genome, never on a reported front.
 const PENALTY_OBJECTIVES: [u64; NUM_OBJECTIVES] = [u64::MAX; NUM_OBJECTIVES];
-
-/// Per-case evaluation outcome kept in the run-lifetime memo.
-#[derive(Clone)]
-enum CaseOutcome {
-    Objectives([u64; NUM_OBJECTIVES]),
-    Failed,
-}
 
 /// A co-evolution run: NSGA-II over [`PlanGenome`]s.
 pub struct CoEvolution<'a, E: MultiEvaluator, P: PlanSpace> {
@@ -288,17 +285,6 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
         let mut pop: Vec<PlanGenome>;
         let mut log: Vec<GenLog>;
         let start_generation;
-        let mut state = EvalState {
-            memo: HashMap::new(),
-            ledger: Vec::new(),
-            seen: HashSet::new(),
-            evaluations: 0,
-            successes: 0,
-            failures: 0,
-            cache_hits: 0,
-            warm_hits: 0,
-            store,
-        };
 
         if let Some(ck) = &self.resume {
             ck.validate(&fp)?;
@@ -329,15 +315,6 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
             rng = StdRng::from_state(ck.rng_state);
             log = ck.log.clone();
             start_generation = ck.next_generation;
-            state.evaluations = ck.evaluations;
-            state.successes = ck.successes;
-            state.failures = ck.failures;
-            state.seen = ck
-                .quarantined
-                .iter()
-                .map(|r| (r.genome.clone(), r.case))
-                .collect();
-            state.ledger = ck.quarantined.clone();
         } else {
             rng = StdRng::seed_from_u64(p.seed);
             let seed_plans = self.plan_space.seed_plans();
@@ -362,33 +339,18 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
             log = Vec::with_capacity(p.generations);
             start_generation = 0;
         }
-
-        let run_span = self.tracer.begin();
-        if self.tracer.enabled() {
-            self.tracer.emit(
-                "evolution-start",
-                [
-                    ("population", Value::UInt(p.population as u64)),
-                    ("generations", Value::UInt(p.generations as u64)),
-                    ("start_gen", Value::UInt(start_generation as u64)),
-                    ("threads", Value::UInt(p.threads as u64)),
-                    ("resumed", Value::Bool(self.resume.is_some())),
-                ],
-            );
-        }
+        let mut core = EvalCore::start(p, store, &self.tracer, self.resume.as_ref());
 
         let mut final_front: Vec<ParetoPoint> = Vec::new();
         let mut best_genome = 0usize;
         let mut objs: Vec<[u64; NUM_OBJECTIVES]> = Vec::new();
 
         for generation in start_generation..p.generations {
-            let gen_span = self.tracer.begin();
-            let evals_before = state.evaluations;
-            let hits_before = state.cache_hits;
+            let mark = core.mark();
 
             // Evaluate everyone (fresh offspring pay, survivors hit the
             // memo), then truncate back to the configured population size.
-            let raw_objs = self.evaluate_population(&mut state, &pop, &all_cases, generation);
+            let raw_objs = self.summed_objectives(&mut core, &pop, &all_cases, generation);
             let (selected_pop, selected_objs, ranks, crowding) =
                 self.environmental_selection(pop, raw_objs, p.population);
             pop = selected_pop;
@@ -405,24 +367,8 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
             });
 
             final_front = self.front_points(&pop, &objs);
+            core.end_generation(log.last().expect("just pushed"), mark);
             if self.tracer.enabled() {
-                let gl = log.last().expect("just pushed");
-                self.tracer.emit(
-                    "generation",
-                    [
-                        ("gen", Value::UInt(generation as u64)),
-                        (
-                            "subset",
-                            Value::Arr(all_cases.iter().map(|&c| Value::UInt(c as u64)).collect()),
-                        ),
-                        ("evals", Value::UInt(state.evaluations - evals_before)),
-                        ("cache_hits", Value::UInt(state.cache_hits - hits_before)),
-                        ("best_fitness", Value::Num(gl.best_fitness)),
-                        ("mean_fitness", Value::Num(gl.mean_fitness)),
-                        ("best_size", Value::UInt(gl.best_size as u64)),
-                        ("dur_ns", Value::UInt(gen_span.dur_ns())),
-                    ],
-                );
                 self.emit_front(generation, &final_front);
             }
 
@@ -457,17 +403,15 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
             // Snapshot at the generation boundary: the μ+λ population and
             // the RNG state it was bred with.
             if let Some(path) = &self.checkpoint_path {
-                let ck_span = self.tracer.begin();
-                self.save_checkpoint(path, &fp, generation + 1, &rng, &pop, &log, &state)?;
-                if self.tracer.enabled() {
-                    self.tracer.emit(
-                        "checkpoint",
-                        [
-                            ("gen", Value::UInt((generation + 1) as u64)),
-                            ("dur_ns", Value::UInt(ck_span.dur_ns())),
-                        ],
-                    );
-                }
+                core.save_checkpoint(
+                    path,
+                    &Checkpoint {
+                        population: pop.iter().map(|g| g.expr.key()).collect(),
+                        plans: Some(pop.iter().map(|g| g.plan.clone()).collect()),
+                        log: log.clone(),
+                        ..core.checkpoint(&fp, generation + 1, &rng)
+                    },
+                )?;
             }
         }
 
@@ -476,211 +420,38 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
             .cloned()
             .unwrap_or_else(|| pop[0].clone());
         let best_fitness = objs.get(best_genome).map_or(f64::NAN, |o| o[0] as f64);
-        let result = EvolutionResult {
-            best: best.expr.clone(),
-            best_fitness,
-            log,
-            evaluations: state.evaluations,
-            successes: state.successes,
-            failures: state.failures,
-            quarantined: state.ledger,
-            cache_hits: state.cache_hits,
-            warm_hits: state.warm_hits,
-            front: final_front,
-        };
-        if self.tracer.enabled() {
-            self.tracer.emit(
-                "evolution-end",
-                [
-                    ("evaluations", Value::UInt(result.evaluations)),
-                    ("successes", Value::UInt(result.successes)),
-                    ("failures", Value::UInt(result.failures)),
-                    ("quarantined", Value::UInt(result.quarantined.len() as u64)),
-                    ("best_fitness", Value::Num(result.best_fitness)),
-                    ("best", Value::str(best.key().as_str())),
-                    ("dur_ns", Value::UInt(run_span.dur_ns())),
-                ],
-            );
-            self.tracer.flush();
-        }
-        Ok(result)
+        let best_key = best.key();
+        Ok(core.finish(best.expr, &best_key, best_fitness, log, final_front))
     }
 
-    /// Evaluate every genome on every case, answering from the memo (and
-    /// warm store) where possible; returns per-genome summed objective
-    /// vectors, with [`PENALTY_OBJECTIVES`] for genomes that failed a case.
-    ///
-    /// Determinism: the work list of unique uncached `(key, case)` pairs is
-    /// assembled serially in population order; workers race only over an
-    /// atomic index into disjoint result slots; all accounting happens
-    /// serially afterwards, again in work-list order.
-    fn evaluate_population(
+    /// Every genome's objective vector summed over `cases` (saturating),
+    /// or [`PENALTY_OBJECTIVES`] for a genome that failed on any case.
+    fn summed_objectives(
         &self,
-        state: &mut EvalState,
+        core: &mut EvalCore<[u64; NUM_OBJECTIVES]>,
         pop: &[PlanGenome],
         cases: &[usize],
-        generation: usize,
+        gen: usize,
     ) -> Vec<[u64; NUM_OBJECTIVES]> {
         let keys: Vec<String> = pop.iter().map(PlanGenome::key).collect();
-
-        // Serial pass 1: memo/warm-store lookups, then the deduplicated
-        // work list of pairs that genuinely need a compile-and-simulate.
-        let mut work: Vec<(usize, usize)> = Vec::new(); // (pop index, case)
-        let mut queued: HashSet<(&str, usize)> = HashSet::new();
-        for (g, key) in keys.iter().enumerate() {
-            for &case in cases {
-                if let Some(slots) = state.memo.get(key.as_str()) {
-                    if slots.get(case).is_some_and(Option::is_some) {
-                        state.cache_hits += 1;
-                        continue;
+        let items: Vec<(&str, &PlanGenome)> = keys.iter().map(String::as_str).zip(pop).collect();
+        core.wave(&items, cases, gen, |g: &PlanGenome, case, attempt| {
+            self.evaluator
+                .eval_objectives(&g.plan, &g.expr, case, attempt)
+        })
+        .into_iter()
+        .map(|outcomes| {
+            outcomes
+                .into_iter()
+                .try_fold([0u64; NUM_OBJECTIVES], |mut sum, o| {
+                    for (s, v) in sum.iter_mut().zip(o?) {
+                        *s = s.saturating_add(v);
                     }
-                }
-                if !queued.insert((key.as_str(), case)) {
-                    // Duplicate genome in this population: the first
-                    // occurrence evaluates, later ones count as hits.
-                    state.cache_hits += 1;
-                    continue;
-                }
-                if let Some(objectives) = state.warm_lookup(key, case) {
-                    state.record(key, case, CaseOutcome::Objectives(objectives), true);
-                    continue;
-                }
-                work.push((g, case));
-            }
-        }
-
-        // Parallel pass: each unique pair evaluated exactly once, into its
-        // own slot.
-        type Slot = Mutex<Option<Result<[u64; NUM_OBJECTIVES], EvalError>>>;
-        let results: Vec<Slot> = work.iter().map(|_| Mutex::new(None)).collect();
-        let threads = self.params.threads.max(1).min(work.len().max(1));
-        let next = AtomicUsize::new(0);
-        let eval_item = |i: usize| {
-            let (g, case) = work[i];
-            let r = self.eval_with_retries(&keys[g], &pop[g], case, generation);
-            *results[i].lock().unwrap() = Some(r);
-        };
-        if threads <= 1 {
-            for i in 0..work.len() {
-                eval_item(i);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        if i >= work.len() {
-                            break;
-                        }
-                        eval_item(i);
-                    });
-                }
-            });
-        }
-
-        // Serial pass 2: fold results into the memo, counters, ledger, and
-        // persistent store, in work-list order.
-        for (i, (g, case)) in work.iter().enumerate() {
-            let r = results[i]
-                .lock()
-                .unwrap()
-                .take()
-                .expect("every work slot is filled");
-            match r {
-                Ok(objectives) => {
-                    state.record(&keys[*g], *case, CaseOutcome::Objectives(objectives), false);
-                }
-                Err(error) => {
-                    state.record_failure(&keys[*g], *case, error);
-                }
-            }
-        }
-
-        // Sum per-case vectors per genome (saturating); any failed case
-        // poisons the genome to the penalty vector.
-        pop.iter()
-            .enumerate()
-            .map(|(g, _)| {
-                let slots = state
-                    .memo
-                    .get(keys[g].as_str())
-                    .expect("all genomes evaluated");
-                let mut sum = [0u64; NUM_OBJECTIVES];
-                for &case in cases {
-                    match slots.get(case).and_then(Option::as_ref) {
-                        Some(CaseOutcome::Objectives(o)) => {
-                            for k in 0..NUM_OBJECTIVES {
-                                sum[k] = sum[k].saturating_add(o[k]);
-                            }
-                        }
-                        Some(CaseOutcome::Failed) | None => return PENALTY_OBJECTIVES,
-                    }
-                }
-                sum
-            })
-            .collect()
-    }
-
-    /// One evaluation with the transient-retry policy: only `Timeout`
-    /// failures retry, up to `params.retries` extra attempts, with a
-    /// deterministic traced backoff.
-    fn eval_with_retries(
-        &self,
-        key: &str,
-        genome: &PlanGenome,
-        case: usize,
-        generation: usize,
-    ) -> Result<[u64; NUM_OBJECTIVES], EvalError> {
-        let mut attempt = 0u32;
-        loop {
-            let span = self.tracer.begin();
-            let r = self
-                .evaluator
-                .eval_objectives(&genome.plan, &genome.expr, case, attempt);
-            match &r {
-                Err(e) if e.kind == EvalErrorKind::Timeout && attempt < self.params.retries => {
-                    let backoff = crate::engine::backoff_ns(key, case, attempt);
-                    if self.tracer.enabled() {
-                        self.tracer.emit(
-                            "retry",
-                            [
-                                ("gen", Value::UInt(generation as u64)),
-                                ("genome", Value::str(key)),
-                                ("case", Value::UInt(case as u64)),
-                                ("attempt", Value::UInt(u64::from(attempt) + 1)),
-                                ("kind", Value::str(e.kind.label())),
-                                ("backoff_ns", Value::UInt(backoff)),
-                            ],
-                        );
-                    }
-                    attempt += 1;
-                    continue;
-                }
-                _ => {}
-            }
-            if self.tracer.enabled() {
-                let outcome = match &r {
-                    Ok(_) => "score",
-                    Err(e) => e.kind.label(),
-                };
-                let mut attrs = vec![
-                    ("gen", Value::UInt(generation as u64)),
-                    ("genome", Value::str(key)),
-                    ("case", Value::UInt(case as u64)),
-                    ("outcome", Value::str(outcome)),
-                    ("dur_ns", Value::UInt(span.dur_ns())),
-                ];
-                if let Ok(o) = &r {
-                    attrs.push(("score", Value::Num(o[0] as f64)));
-                    attrs.push((
-                        "objectives",
-                        Value::Arr(o.iter().map(|&x| Value::UInt(x)).collect()),
-                    ));
-                }
-                self.tracer.emit("eval", attrs);
-            }
-            return r;
-        }
+                    Some(sum)
+                })
+                .unwrap_or(PENALTY_OBJECTIVES)
+        })
+        .collect()
     }
 
     /// (μ+λ) environmental selection: non-dominated sort the combined
@@ -824,103 +595,6 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
             ],
         );
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn save_checkpoint(
-        &self,
-        path: &Path,
-        fp: &str,
-        next_generation: usize,
-        rng: &StdRng,
-        pop: &[PlanGenome],
-        log: &[GenLog],
-        state: &EvalState,
-    ) -> Result<(), CheckpointError> {
-        let ck = Checkpoint {
-            fingerprint: fp.to_string(),
-            next_generation,
-            rng_state: rng.state(),
-            population: pop.iter().map(|g| g.expr.key()).collect(),
-            plans: Some(pop.iter().map(|g| g.plan.clone()).collect()),
-            dss: None,
-            log: log.to_vec(),
-            evaluations: state.evaluations,
-            successes: state.successes,
-            failures: state.failures,
-            quarantined: state.ledger.clone(),
-            memo_entries: state.memo.len() as u64,
-        };
-        ck.save(path)
-    }
-}
-
-/// Run-lifetime evaluation state: the memo, counters, quarantine ledger,
-/// and optional persistent store. All mutation happens on the coordinating
-/// thread.
-struct EvalState {
-    /// `plan|expr` key → per-case outcomes (index = case).
-    memo: HashMap<String, Vec<Option<CaseOutcome>>>,
-    ledger: Vec<QuarantineRecord>,
-    seen: HashSet<(String, usize)>,
-    evaluations: u64,
-    successes: u64,
-    failures: u64,
-    cache_hits: u64,
-    warm_hits: u64,
-    store: Option<FitnessStore>,
-}
-
-impl EvalState {
-    /// Answer a pair from the warm persistent store, if every objective of
-    /// the case is present.
-    fn warm_lookup(&mut self, key: &str, case: usize) -> Option<[u64; NUM_OBJECTIVES]> {
-        let store = self.store.as_ref()?;
-        let mut objectives = [0u64; NUM_OBJECTIVES];
-        for (k, slot) in objectives.iter_mut().enumerate() {
-            let v = store.lookup(key, case * NUM_OBJECTIVES + k)?;
-            if !(v.is_finite() && v >= 0.0) {
-                return None;
-            }
-            *slot = v as u64;
-        }
-        Some(objectives)
-    }
-
-    /// Record a successful evaluation (or warm hit) for `(key, case)`.
-    fn record(&mut self, key: &str, case: usize, outcome: CaseOutcome, warm: bool) {
-        self.evaluations += 1;
-        self.successes += 1;
-        if warm {
-            self.warm_hits += 1;
-        } else if let (Some(store), CaseOutcome::Objectives(o)) = (&mut self.store, &outcome) {
-            for (k, &v) in o.iter().enumerate() {
-                store.append(key, case * NUM_OBJECTIVES + k, v as f64);
-            }
-        }
-        self.insert(key, case, outcome);
-    }
-
-    /// Record a failed evaluation: counters, deduplicated ledger, memo.
-    fn record_failure(&mut self, key: &str, case: usize, error: EvalError) {
-        self.evaluations += 1;
-        self.failures += 1;
-        if self.seen.insert((key.to_string(), case)) {
-            self.ledger.push(QuarantineRecord {
-                genome: key.to_string(),
-                case,
-                error,
-            });
-        }
-        self.insert(key, case, CaseOutcome::Failed);
-    }
-
-    fn insert(&mut self, key: &str, case: usize, outcome: CaseOutcome) {
-        let slots = self.memo.entry(key.to_string()).or_default();
-        if slots.len() <= case {
-            slots.resize(case + 1, None);
-        }
-        slots[case] = Some(outcome);
-    }
 }
 
 /// Index of the genome with the fewest summed cycles (objective 0), ties
@@ -965,7 +639,9 @@ pub fn front_is_mutually_non_dominated(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::EvalErrorKind;
     use crate::expr::Kind;
+    use std::collections::HashMap;
 
     /// Deterministic synthetic objective landscape with genuine trade-offs:
     /// plan `pN` costs more "compile"/"size" the larger N is, but scales
@@ -1224,5 +900,187 @@ mod tests {
         assert_eq!(parse_mask("compile, cycles"), Some([true, false, true]));
         assert_eq!(parse_mask(""), None);
         assert_eq!(parse_mask("speed"), None);
+    }
+
+    /// `Landscape`, except the evaluator panics on a hash-selected slice
+    /// of `(genome, case)` pairs.
+    struct Panicky;
+
+    impl MultiEvaluator for Panicky {
+        fn num_cases(&self) -> usize {
+            2
+        }
+        fn eval_objectives(
+            &self,
+            plan: &str,
+            expr: &Expr,
+            case: usize,
+            attempt: u32,
+        ) -> Result<[u64; NUM_OBJECTIVES], EvalError> {
+            if fnv(&format!("{plan}|{}|{case}", expr.key())).is_multiple_of(7) {
+                panic!("synthetic evaluator panic on case {case}");
+            }
+            Landscape.eval_objectives(plan, expr, case, attempt)
+        }
+    }
+
+    #[test]
+    fn panicking_evaluations_are_quarantined_at_any_thread_count() {
+        let fs = features();
+        let serial = CoEvolution::new(params(1), &fs, &Panicky, &Toy).run();
+        let threaded = CoEvolution::new(params(4), &fs, &Panicky, &Toy).run();
+        assert_eq!(snapshot(&threaded), snapshot(&serial));
+        assert_eq!(threaded.log, serial.log);
+        assert_eq!(threaded.quarantined, serial.quarantined);
+
+        assert!(
+            serial.failures > 0,
+            "the panicking slice must have been hit"
+        );
+        assert_eq!(serial.evaluations, serial.successes + serial.failures);
+        assert_eq!(serial.quarantined.len() as u64, serial.failures);
+        for r in &serial.quarantined {
+            assert_eq!(r.error.kind, EvalErrorKind::Panic, "{r}");
+            assert!(
+                r.error.message.contains("synthetic evaluator panic"),
+                "panic message lost: {r}"
+            );
+        }
+        assert!(front_is_mutually_non_dominated(&serial.front, &[true; 3]));
+    }
+
+    /// `Landscape`, except a hash-selected slice of pairs times out
+    /// (transiently) on attempts 0 and 1 and scores on attempt 2.
+    struct SlowToClear;
+
+    impl MultiEvaluator for SlowToClear {
+        fn num_cases(&self) -> usize {
+            2
+        }
+        fn eval_objectives(
+            &self,
+            plan: &str,
+            expr: &Expr,
+            case: usize,
+            attempt: u32,
+        ) -> Result<[u64; NUM_OBJECTIVES], EvalError> {
+            if fnv(&format!("{plan}|{}|{case}", expr.key())).is_multiple_of(4) && attempt < 2 {
+                return Err(EvalError::new(EvalErrorKind::Timeout, "injected stall"));
+            }
+            Landscape.eval_objectives(plan, expr, case, attempt)
+        }
+    }
+
+    fn events(tracer: &Tracer, ty: &str) -> Vec<Value> {
+        tracer
+            .lines()
+            .unwrap()
+            .iter()
+            .map(|l| metaopt_trace::json::parse(l).unwrap())
+            .filter(|v| v.get("type").and_then(Value::as_str) == Some(ty))
+            .collect()
+    }
+
+    #[test]
+    fn traces_metrics_and_checkpoints_meet_the_scalar_contract() {
+        use metaopt_trace::metrics::MetricsRegistry;
+
+        let fs = features();
+        let dir = std::env::temp_dir();
+        let store = dir.join(format!(
+            "metaopt-coevo-trace-store-{}.bin",
+            std::process::id()
+        ));
+        let ck_path = dir.join(format!("metaopt-coevo-trace-ck-{}.txt", std::process::id()));
+        let _ = std::fs::remove_file(&store);
+        let _ = std::fs::remove_file(&ck_path);
+        let p = params(2);
+
+        let cold_tracer = Tracer::in_memory().with_metrics(MetricsRegistry::new());
+        let cold = CoEvolution::new(p.clone(), &fs, &SlowToClear, &Toy)
+            .with_eval_cache(&store)
+            .with_checkpoint_file(&ck_path)
+            .with_tracer(cold_tracer.clone())
+            .run();
+        let registry = MetricsRegistry::new();
+        let warm_tracer = Tracer::in_memory().with_metrics(registry.clone());
+        let warm = CoEvolution::new(p.clone(), &fs, &SlowToClear, &Toy)
+            .with_eval_cache(&store)
+            .with_tracer(warm_tracer.clone())
+            .run();
+        assert_eq!(snapshot(&warm).0, snapshot(&cold).0);
+        assert_eq!(warm.front, cold.front);
+        assert_eq!(warm.log, cold.log);
+
+        for tracer in [&cold_tracer, &warm_tracer] {
+            let text = tracer.lines().unwrap().join("\n");
+            metaopt_trace::schema::validate_trace(&text).unwrap();
+            // One eval event per evaluation, warm hits included.
+            assert_eq!(events(tracer, "eval").len() as u64, cold.evaluations);
+        }
+
+        // Every retried pair cleared on its third attempt: retry events
+        // number the failed attempts 0 and 1.
+        assert_eq!(cold.failures, 0, "{:?}", cold.quarantined);
+        let retries = events(&cold_tracer, "retry");
+        assert!(!retries.is_empty(), "expected traced retries");
+        let mut per_pair: HashMap<String, Vec<u64>> = HashMap::new();
+        for r in &retries {
+            assert_eq!(r.get("kind").and_then(Value::as_str), Some("timeout"));
+            assert!(r.get("backoff_ns").and_then(Value::as_u64).unwrap() > 0);
+            let pair = format!(
+                "{}#{}",
+                r.get("genome").and_then(Value::as_str).unwrap(),
+                r.get("case").and_then(Value::as_u64).unwrap()
+            );
+            let attempt = r.get("attempt").and_then(Value::as_u64).unwrap();
+            per_pair.entry(pair).or_default().push(attempt);
+        }
+        for (pair, attempts) in &per_pair {
+            assert_eq!(attempts, &vec![0, 1], "attempts for {pair}");
+        }
+
+        // The warm run answers every scored pair from the store, and says
+        // so on the pair's eval event.
+        assert_eq!(cold.warm_hits, 0);
+        assert_eq!(warm.warm_hits, cold.successes);
+        let warm_evals = events(&warm_tracer, "eval")
+            .iter()
+            .filter(|v| matches!(v.get("warm"), Some(Value::Bool(true))))
+            .count() as u64;
+        assert_eq!(warm_evals, warm.warm_hits);
+
+        // One metrics snapshot per generation, in order.
+        let snaps = events(&warm_tracer, "metrics-snapshot");
+        assert_eq!(snaps.len(), p.generations);
+        for (g, snap) in snaps.iter().enumerate() {
+            assert_eq!(snap.get("seq").and_then(Value::as_u64), Some(g as u64));
+            assert_eq!(snap.get("gen").and_then(Value::as_u64), Some(g as u64));
+        }
+
+        // The registry mirrors the result's counters.
+        let counter = |name: &str| registry.counter(name).get();
+        assert_eq!(counter("metaopt_evaluations_total"), warm.evaluations);
+        assert_eq!(counter("metaopt_eval_success_total"), warm.successes);
+        assert_eq!(counter("metaopt_eval_failure_total"), warm.failures);
+        assert_eq!(counter("metaopt_cache_hits_total"), warm.cache_hits);
+        assert_eq!(counter("metaopt_warm_hits_total"), warm.warm_hits);
+        assert_eq!(
+            registry.histogram("metaopt_eval_latency_ns").count(),
+            warm.evaluations
+        );
+        assert_eq!(
+            registry.gauge("metaopt_quarantined").get(),
+            warm.quarantined.len() as u64
+        );
+
+        // A fresh run memoizes one entry per evaluated (genome, case) pair.
+        let ck = Checkpoint::load(&ck_path).unwrap();
+        assert_eq!(ck.next_generation, p.generations - 1);
+        assert_eq!(ck.memo_entries, ck.evaluations);
+        assert_eq!(events(&cold_tracer, "checkpoint").len(), p.generations - 1);
+
+        let _ = std::fs::remove_file(&store);
+        let _ = std::fs::remove_file(&ck_path);
     }
 }

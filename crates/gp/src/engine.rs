@@ -1,24 +1,32 @@
-//! The evolutionary search engine (paper §3–4, Table 2).
+//! The scalar evolutionary search (paper §3–4, Table 2).
+//!
+//! [`Evolution`] evolves one priority expression inside a fixed
+//! compilation pipeline. Every fitness evaluation goes through the
+//! evaluation core it shares with [`crate::coevo::CoEvolution`] (the
+//! crate-private `evaluate` module): the `(genome, case)` memo, the
+//! persistent [`FitnessStore`], transient retries, panic containment, the
+//! quarantine ledger, the counters, and the run's trace events and
+//! metrics. On top of the core this module keeps what is particular to
+//! scalar GP: the genome lint gate, dynamic subset selection, tournament
+//! selection with parsimony, and elitism.
+//!
+//! Results are identical at every `threads` setting: each generation's
+//! evaluations form one wave whose accounting the core folds serially,
+//! and every RNG draw happens on the calling thread.
 
 use crate::checkpoint::{fingerprint, Checkpoint, CheckpointError, DssState};
 use crate::dss::Dss;
-use crate::eval::{EvalError, EvalErrorKind, EvalOutcome, QuarantineRecord};
+use crate::eval::{EvalOutcome, QuarantineRecord};
+use crate::evaluate::EvalCore;
 use crate::expr::{Expr, Kind};
 use crate::features::FeatureSet;
 use crate::gen::random_expr;
 use crate::ops::{crossover, mutate};
-use crate::service::{self, Containment};
 use crate::store::FitnessStore;
-use metaopt_trace::json::Value;
-use metaopt_trace::metrics::{Counter, Histogram, MetricsRegistry};
 use metaopt_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::path::PathBuf;
 
 /// Fitness assigned to a genome whose evaluation failed on any case in the
 /// generation's subset (and to lint-rejected genomes): the worst possible
@@ -163,16 +171,15 @@ pub struct EvolutionResult {
     /// Uncached evaluations that failed (and were quarantined).
     pub failures: u64,
     /// The quarantine ledger: one record per distinct failed
-    /// `(genome, case)` pair, with the classified error and diagnostics.
+    /// `(genome, case)` pair, with the classified error and diagnostics,
+    /// in `(genome, case)` order.
     pub quarantined: Vec<QuarantineRecord>,
     /// Memo-cache hits: `(expr, case)` lookups answered without an
     /// evaluation. Deterministic for a fixed configuration regardless of
     /// thread count — every lookup counts as exactly one of
-    /// `evaluations`/`cache_hits`, and the set of evaluated pairs is
-    /// thread-schedule independent (the memo's insert is an entry guard:
-    /// a thread that loses an evaluation race records a hit, not an
-    /// evaluation). Not carried across a resume (the cache itself is not
-    /// persisted).
+    /// `evaluations`/`cache_hits`, and the set of pairs to evaluate is
+    /// fixed by a serial pass before any worker runs. Not carried across a
+    /// resume (the cache itself is not persisted).
     pub cache_hits: u64,
     /// Evaluations answered by the *persistent* fitness store (see
     /// [`Evolution::with_eval_cache`]) instead of a live compile-and-
@@ -199,477 +206,6 @@ pub struct Evolution<'a, E: Evaluator> {
     config_tag: String,
     tracer: Tracer,
     eval_cache: Option<PathBuf>,
-}
-
-#[derive(Clone, Copy)]
-struct Counters {
-    evaluations: u64,
-    successes: u64,
-    failures: u64,
-}
-
-struct Ledger {
-    records: Vec<QuarantineRecord>,
-    seen: HashSet<(String, usize)>,
-}
-
-/// Number of independent lock shards in the fitness memo. Worker threads
-/// hash each `(genome, case)` key onto a shard, so concurrent lookups of
-/// different pairs rarely contend on the same mutex.
-const MEMO_SHARDS: usize = 16;
-
-/// Deterministic FNV-1a — used only to spread keys across shards, so it
-/// needs no cross-process stability guarantees, but having them anyway
-/// keeps shard occupancy reproducible.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1_0000_01b3);
-    }
-    h
-}
-
-/// Per-shard memo map: genome key → outcomes for the cases seen so far.
-/// Keyed by the genome string alone (cases nest inside) so the hot-path
-/// lookup can borrow the caller's `&str` — no per-probe allocation; a
-/// `String` is built only when inserting a genuinely new genome.
-type ShardMap = HashMap<String, Vec<(usize, EvalOutcome)>>;
-
-/// Deterministic backoff before retrying a transient failure, derived from
-/// the pair identity and attempt index so retried runs trace identical
-/// `backoff_ns` values on every host and thread schedule. The real sleep
-/// is capped well below the nominal value — the determinism contract is
-/// about the *traced* schedule, not wall time.
-pub(crate) fn backoff_ns(key: &str, case: usize, attempt: u32) -> u64 {
-    let h = fnv1a(key)
-        ^ (case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ (u64::from(attempt) + 1).wrapping_mul(0xA076_1D64_78BD_642F);
-    // Exponential ladder (64 µs, 128 µs, 256 µs, …) plus deterministic
-    // jitter of up to one base step.
-    let base = 1u64 << (16 + attempt.min(8));
-    base + h % base
-}
-
-/// Hard cap on how long a retry actually sleeps (1 ms): backoff exists to
-/// let a transient host condition clear, not to stall the search.
-const MAX_BACKOFF_SLEEP_NS: u64 = 1_000_000;
-
-/// Cached handles onto the live [`MetricsRegistry`], registered once at
-/// memo construction so the evaluation hot path records lock-free. These
-/// mirror (never replace) the memo's own atomic counters: results and
-/// traces are derived from the memo, metrics only feed observers.
-struct MemoMetrics {
-    evaluations: Arc<Counter>,
-    successes: Arc<Counter>,
-    failures: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    warm_hits: Arc<Counter>,
-    retries: Arc<Counter>,
-    timeouts: Arc<Counter>,
-    eval_latency: Arc<Histogram>,
-}
-
-impl MemoMetrics {
-    fn new(registry: &MetricsRegistry) -> Self {
-        MemoMetrics {
-            evaluations: registry.counter("metaopt_evaluations_total"),
-            successes: registry.counter("metaopt_eval_success_total"),
-            failures: registry.counter("metaopt_eval_failure_total"),
-            cache_hits: registry.counter("metaopt_cache_hits_total"),
-            warm_hits: registry.counter("metaopt_warm_hits_total"),
-            retries: registry.counter("metaopt_retries_total"),
-            timeouts: registry.counter("metaopt_timeouts_total"),
-            eval_latency: registry.histogram("metaopt_eval_latency_ns"),
-        }
-    }
-}
-
-struct Memo {
-    shards: Vec<Mutex<ShardMap>>,
-    evaluations: AtomicU64,
-    successes: AtomicU64,
-    failures: AtomicU64,
-    cache_hits: AtomicU64,
-    warm_hits: AtomicU64,
-    ledger: Mutex<Ledger>,
-    /// Persistent fitness store; `None` runs in-memory only.
-    store: Option<FitnessStore>,
-    /// Transient-failure retry budget (from [`GpParams::retries`]).
-    retries: u32,
-    /// Live metrics mirror; `None` when the run has no registry attached.
-    metrics: Option<MemoMetrics>,
-}
-
-impl Memo {
-    fn new(store: Option<FitnessStore>, retries: u32, registry: Option<&MetricsRegistry>) -> Self {
-        Memo {
-            shards: (0..MEMO_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-            evaluations: AtomicU64::new(0),
-            successes: AtomicU64::new(0),
-            failures: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            ledger: Mutex::new(Ledger {
-                records: Vec::new(),
-                seen: HashSet::new(),
-            }),
-            store,
-            retries,
-            metrics: registry.map(MemoMetrics::new),
-        }
-    }
-
-    /// Rebuild accounting state from a checkpoint. The fitness cache starts
-    /// empty — deterministic evaluators recompute identical outcomes — but
-    /// the ledger's seen-set is restored so re-observed failures don't
-    /// produce duplicate records.
-    fn resumed(
-        ck: &Checkpoint,
-        store: Option<FitnessStore>,
-        retries: u32,
-        registry: Option<&MetricsRegistry>,
-    ) -> Self {
-        let seen = ck
-            .quarantined
-            .iter()
-            .map(|r| (r.genome.clone(), r.case))
-            .collect();
-        let memo = Memo::new(store, retries, registry);
-        memo.evaluations.store(ck.evaluations, Ordering::Relaxed);
-        memo.successes.store(ck.successes, Ordering::Relaxed);
-        memo.failures.store(ck.failures, Ordering::Relaxed);
-        *memo.ledger.lock().unwrap() = Ledger {
-            records: ck.quarantined.clone(),
-            seen,
-        };
-        memo
-    }
-
-    /// Shard index for a `(genome, case)` pair — also used to spread the
-    /// evaluation service's job queues, so jobs for the same shard land on
-    /// the same queue and their memo locks stay warm per worker.
-    fn shard_index(key: &str, case: usize) -> usize {
-        let h = fnv1a(key) ^ (case as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (h % MEMO_SHARDS as u64) as usize
-    }
-
-    fn shard(&self, key: &str, case: usize) -> &Mutex<ShardMap> {
-        &self.shards[Self::shard_index(key, case)]
-    }
-
-    /// Borrow-only cache probe: no allocation on the hit path.
-    fn probe(map: &ShardMap, key: &str, case: usize) -> Option<EvalOutcome> {
-        map.get(key)?
-            .iter()
-            .find(|(c, _)| *c == case)
-            .map(|(_, o)| o.clone())
-    }
-
-    /// Counter snapshot. Only consistent when no evaluation is in flight
-    /// (the engine reads at generation boundaries, after worker threads
-    /// have joined).
-    fn counters(&self) -> Counters {
-        Counters {
-            evaluations: self.evaluations.load(Ordering::Relaxed),
-            successes: self.successes.load(Ordering::Relaxed),
-            failures: self.failures.load(Ordering::Relaxed),
-        }
-    }
-
-    fn hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    fn warm(&self) -> u64 {
-        self.warm_hits.load(Ordering::Relaxed)
-    }
-
-    /// Quarantined pair count (schedule-independent at generation
-    /// boundaries, like the other counters).
-    fn quarantined_len(&self) -> u64 {
-        self.ledger.lock().unwrap().records.len() as u64
-    }
-
-    /// The ledger in canonical `(genome, case)` order. Worker threads race
-    /// to append records, so insertion order varies run to run; sorting on
-    /// export makes ledgers comparable across runs, resumes, and CI
-    /// artifacts.
-    fn ledger_records(&self) -> Vec<QuarantineRecord> {
-        let mut records = self.ledger.lock().unwrap().records.clone();
-        records.sort_by(|a, b| (&a.genome, a.case).cmp(&(&b.genome, b.case)));
-        records
-    }
-
-    fn cache_entries(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.lock()
-                    .unwrap()
-                    .values()
-                    .map(|cases| cases.len() as u64)
-                    .sum::<u64>()
-            })
-            .sum()
-    }
-
-    /// Fetch a cached outcome or evaluate. The evaluator call is wrapped in
-    /// `catch_unwind`: a panicking genome becomes a quarantined
-    /// [`EvalOutcome::Failed`] instead of poisoning a worker thread and
-    /// aborting the run.
-    ///
-    /// Resolution order for an uncached pair:
-    /// 1. the persistent store (a warm hit counts as an evaluation — one of
-    ///    `evaluations` *and* `successes` *and* `warm_hits` — so a warm
-    ///    run's accounting matches the cold run that wrote the store);
-    /// 2. the evaluator, with up to `retries` retried attempts when the
-    ///    failure is transient; each retry sleeps a deterministic (traced)
-    ///    backoff before the next attempt. Fresh scores are appended to the
-    ///    store.
-    ///
-    /// Accounting invariant: every call bumps exactly one of
-    /// `evaluations`/`cache_hits`. When two threads race to evaluate the
-    /// same uncached pair, the insert is an entry guard — the loser
-    /// discards its redundant result, adopts the winner's, and records a
-    /// cache hit, so the counters (and the per-pair `eval`/`retry` trace
-    /// spans, emitted only by the winner) are identical to a
-    /// single-threaded run.
-    fn get_or_eval<E: Evaluator>(
-        &self,
-        ev: &E,
-        expr: &Expr,
-        key: &str,
-        case: usize,
-        gen: usize,
-        tracer: &Tracer,
-    ) -> EvalOutcome {
-        if let Some(v) = Self::probe(&self.shard(key, case).lock().unwrap(), key, case) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.cache_hits.inc();
-            }
-            return v;
-        }
-        let span = tracer.begin();
-        let (outcome, warm, retried) = match self.store.as_ref().and_then(|s| s.lookup(key, case)) {
-            Some(score) => (EvalOutcome::Score(score), true, Vec::new()),
-            None => {
-                let mut retried: Vec<(u32, EvalErrorKind, u64)> = Vec::new();
-                let mut attempt = 0u32;
-                let outcome = loop {
-                    let o = match catch_unwind(AssertUnwindSafe(|| {
-                        ev.eval_case_attempt(expr, case, attempt)
-                    })) {
-                        Ok(o) => o,
-                        Err(payload) => EvalOutcome::Failed(EvalError::from_panic(&*payload)),
-                    };
-                    match &o {
-                        EvalOutcome::Failed(err)
-                            if err.kind.is_transient() && attempt < self.retries =>
-                        {
-                            let ns = backoff_ns(key, case, attempt);
-                            retried.push((attempt, err.kind, ns));
-                            std::thread::sleep(std::time::Duration::from_nanos(
-                                ns.min(MAX_BACKOFF_SLEEP_NS),
-                            ));
-                            attempt += 1;
-                        }
-                        _ => break o,
-                    }
-                };
-                (outcome, false, retried)
-            }
-        };
-        {
-            let mut shard = self.shard(key, case).lock().unwrap();
-            let cases = shard.entry(key.to_string()).or_default();
-            if let Some((_, existing)) = cases.iter().find(|(c, _)| *c == case) {
-                // Lost the race: another thread resolved this pair first.
-                // Its outcome is canonical; this thread's work is dropped
-                // and counted as a (late) cache hit.
-                let existing = existing.clone();
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                if let Some(m) = &self.metrics {
-                    m.cache_hits.inc();
-                }
-                return existing;
-            }
-            cases.push((case, outcome.clone()));
-        }
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        if warm {
-            self.warm_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        match &outcome {
-            EvalOutcome::Score(s) => {
-                self.successes.fetch_add(1, Ordering::Relaxed);
-                if !warm {
-                    if let Some(store) = &self.store {
-                        store.append(key, case, *s);
-                    }
-                }
-            }
-            EvalOutcome::Failed(err) => {
-                self.failures.fetch_add(1, Ordering::Relaxed);
-                let mut led = self.ledger.lock().unwrap();
-                if led.seen.insert((key.to_string(), case)) {
-                    led.records.push(QuarantineRecord {
-                        genome: key.to_string(),
-                        case,
-                        error: err.clone(),
-                    });
-                }
-            }
-        }
-        if let Some(m) = &self.metrics {
-            m.evaluations.inc();
-            if warm {
-                m.warm_hits.inc();
-            }
-            match &outcome {
-                EvalOutcome::Score(_) => m.successes.inc(),
-                EvalOutcome::Failed(_) => m.failures.inc(),
-            }
-            m.retries.add(retried.len() as u64);
-            m.eval_latency.record(span.dur_ns());
-        }
-        if tracer.enabled() {
-            for (attempt, kind, ns) in &retried {
-                tracer.emit(
-                    "retry",
-                    [
-                        ("gen", Value::UInt(gen as u64)),
-                        ("genome", Value::str(key)),
-                        ("case", Value::UInt(case as u64)),
-                        ("attempt", Value::UInt(u64::from(*attempt))),
-                        ("kind", Value::str(kind.label())),
-                        ("backoff_ns", Value::UInt(*ns)),
-                    ],
-                );
-            }
-            let mut attrs = vec![
-                ("gen", Value::UInt(gen as u64)),
-                ("genome", Value::str(key)),
-                ("case", Value::UInt(case as u64)),
-            ];
-            match &outcome {
-                EvalOutcome::Score(s) => {
-                    attrs.push(("outcome", Value::str(metaopt_trace::schema::OUTCOME_SCORE)));
-                    attrs.push(("score", Value::Num(*s)));
-                }
-                EvalOutcome::Failed(err) => {
-                    attrs.push(("outcome", Value::str(err.kind.label())));
-                }
-            }
-            if warm {
-                attrs.push(("warm", Value::Bool(true)));
-            }
-            attrs.push(("dur_ns", Value::UInt(span.dur_ns())));
-            tracer.emit("eval", attrs);
-        }
-        outcome
-    }
-
-    /// Complete a `(genome, case)` pair the evaluation service had to
-    /// finish on a worker's behalf (worker crash or wall-clock stall): a
-    /// quarantined [`EvalErrorKind::Timeout`] failure, inserted through the
-    /// same entry guard as a real result. If a real outcome won the race —
-    /// the stalled worker finished after all — it stays canonical and this
-    /// containment is a no-op. This path never fires in a healthy run; it
-    /// exists so a wedged host cannot hang the search.
-    fn complete_contained(
-        &self,
-        key: &str,
-        case: usize,
-        gen: usize,
-        why: Containment,
-        tracer: &Tracer,
-    ) {
-        let (message, wall_ns) = match why {
-            Containment::WorkerCrash => (
-                "evaluation worker crashed; job completed by the supervisor".to_string(),
-                0,
-            ),
-            Containment::Stalled { wall_ns } => (
-                format!(
-                    "evaluation stalled past the wall-clock watchdog ({} ms)",
-                    wall_ns / 1_000_000
-                ),
-                wall_ns,
-            ),
-        };
-        let err = EvalError::new(EvalErrorKind::Timeout, message);
-        {
-            let mut shard = self.shard(key, case).lock().unwrap();
-            let cases = shard.entry(key.to_string()).or_default();
-            if cases.iter().any(|(c, _)| *c == case) {
-                return;
-            }
-            cases.push((case, EvalOutcome::Failed(err.clone())));
-        }
-        self.evaluations.fetch_add(1, Ordering::Relaxed);
-        self.failures.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.metrics {
-            m.evaluations.inc();
-            m.failures.inc();
-            if matches!(why, Containment::Stalled { .. }) {
-                m.timeouts.inc();
-            }
-        }
-        {
-            let mut led = self.ledger.lock().unwrap();
-            if led.seen.insert((key.to_string(), case)) {
-                led.records.push(QuarantineRecord {
-                    genome: key.to_string(),
-                    case,
-                    error: err.clone(),
-                });
-            }
-        }
-        if tracer.enabled() {
-            if let Containment::Stalled { .. } = why {
-                tracer.emit(
-                    "timeout",
-                    [
-                        ("genome", Value::str(key)),
-                        ("case", Value::UInt(case as u64)),
-                        ("wall_ns", Value::UInt(wall_ns)),
-                    ],
-                );
-            }
-            tracer.emit(
-                "eval",
-                [
-                    ("gen", Value::UInt(gen as u64)),
-                    ("genome", Value::str(key)),
-                    ("case", Value::UInt(case as u64)),
-                    ("outcome", Value::str(err.kind.label())),
-                    ("dur_ns", Value::UInt(wall_ns)),
-                ],
-            );
-        }
-    }
-}
-
-/// One generation's evaluation wave, shared read-only with the service's
-/// workers. The population snapshot is cloned in (waves outlive no
-/// generation, but the borrow checker cannot see that across the service's
-/// long-lived threads); scores land in atomic slots indexed
-/// `genome * cases.len() + case_slot`.
-struct Wave {
-    pop: Vec<Expr>,
-    /// Canonical key per genome; `None` for lint-rejected genomes, which
-    /// never reach the evaluator.
-    keys: Vec<Option<String>>,
-    cases: Vec<usize>,
-    gen: usize,
-    /// Raw `f64` bits of each `(genome, case_slot)` score.
-    scores: Vec<AtomicU64>,
-    /// Set when any case of the genome failed (penalty fitness).
-    failed: Vec<AtomicBool>,
 }
 
 impl<'a, E: Evaluator> Evolution<'a, E> {
@@ -744,61 +280,40 @@ impl<'a, E: Evaluator> Evolution<'a, E> {
         self
     }
 
-    fn mean_fitness(&self, memo: &Memo, expr: &Expr, subset: &[usize], gen: usize) -> f64 {
-        if subset.is_empty() {
-            return 1.0;
-        }
-        // Malformed genomes (wrong sort, out-of-range features, non-finite
-        // constants, certain zero divisions) score the worst possible
-        // fitness without spending a compile-and-simulate evaluation.
-        if crate::lint::reject(expr, self.params.kind, self.features).is_err() {
-            return PENALTY_FITNESS;
-        }
-        // Every case is evaluated even after a failure: the quarantine
-        // ledger then carries the genome's complete per-case failure
-        // profile, and the memo cache stays aligned with fresh runs after
-        // a resume.
-        let key = expr.key();
-        let mut sum = 0.0;
-        let mut failed = false;
-        for &c in subset {
-            match memo.get_or_eval(self.evaluator, expr, &key, c, gen, &self.tracer) {
-                EvalOutcome::Score(s) => sum += s,
-                EvalOutcome::Failed(_) => failed = true,
+    /// Score `items` — `(genome key, genome)` pairs — on `cases` through
+    /// the core, with this run's evaluator.
+    fn wave(
+        &self,
+        core: &mut EvalCore<f64>,
+        items: &[(&str, &Expr)],
+        cases: &[usize],
+        gen: usize,
+    ) -> Vec<Vec<Option<f64>>> {
+        core.wave(items, cases, gen, |expr: &Expr, case, attempt| {
+            match self.evaluator.eval_case_attempt(expr, case, attempt) {
+                EvalOutcome::Score(s) => Ok(s),
+                EvalOutcome::Failed(err) => Err(err),
             }
-        }
-        if failed {
-            PENALTY_FITNESS
-        } else {
-            sum / subset.len() as f64
-        }
+        })
     }
 
-    /// Population fitness for one generation. With a single thread (or a
-    /// tiny population, or no service running) the serial path evaluates
-    /// in-place — this is what the single-threaded golden trace pins. With
-    /// the service, each lint-passing `(genome, case)` pair becomes one
-    /// job on the shard-affine queues; the calling thread blocks on the
-    /// wave and then aggregates scores in serial case order, so the float
-    /// sums are bit-identical to the serial path.
+    /// Population fitness for one generation: each genome's mean speedup
+    /// over `subset`, or [`PENALTY_FITNESS`] if it failed on any case.
+    /// Every case is evaluated even after a failure, so the quarantine
+    /// ledger carries the genome's complete per-case failure profile.
+    /// Malformed genomes (wrong sort, out-of-range features, non-finite
+    /// constants, certain zero divisions) score the penalty straight from
+    /// the lint gate, without an evaluation.
     fn evaluate_all(
         &self,
-        memo: &Memo,
+        core: &mut EvalCore<f64>,
         pop: &[Expr],
         subset: &[usize],
         gen: usize,
-        svc: Option<&service::State<Wave, (u32, u32)>>,
     ) -> Vec<f64> {
-        let threads = self.params.threads.max(1);
-        let svc = match svc {
-            Some(svc) if threads > 1 && pop.len() >= 4 && !subset.is_empty() => svc,
-            _ => {
-                return pop
-                    .iter()
-                    .map(|e| self.mean_fitness(memo, e, subset, gen))
-                    .collect();
-            }
-        };
+        if subset.is_empty() {
+            return vec![1.0; pop.len()];
+        }
         let keys: Vec<Option<String>> = pop
             .iter()
             .map(|e| {
@@ -807,34 +322,22 @@ impl<'a, E: Evaluator> Evolution<'a, E> {
                     .map(|()| e.key())
             })
             .collect();
-        let wave = Arc::new(Wave {
-            pop: pop.to_vec(),
-            keys,
-            cases: subset.to_vec(),
-            gen,
-            scores: (0..pop.len() * subset.len())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            failed: (0..pop.len()).map(|_| AtomicBool::new(false)).collect(),
-        });
-        let mut jobs = Vec::with_capacity(pop.len() * subset.len());
-        for (g, key) in wave.keys.iter().enumerate() {
-            let Some(key) = key else { continue };
-            for (ci, &case) in wave.cases.iter().enumerate() {
-                jobs.push((Memo::shard_index(key, case), (g as u32, ci as u32)));
-            }
-        }
-        svc.submit(wave.clone(), jobs);
-        (0..pop.len())
-            .map(|g| {
-                if wave.keys[g].is_none() || wave.failed[g].load(Ordering::SeqCst) {
+        let items: Vec<(&str, &Expr)> = keys
+            .iter()
+            .zip(pop)
+            .filter_map(|(key, e)| Some((key.as_deref()?, e)))
+            .collect();
+        let mut scores = self.wave(core, &items, subset, gen).into_iter();
+        keys.iter()
+            .map(|key| {
+                if key.is_none() {
                     return PENALTY_FITNESS;
                 }
-                let n = wave.cases.len();
-                let sum: f64 = (0..n)
-                    .map(|ci| f64::from_bits(wave.scores[g * n + ci].load(Ordering::SeqCst)))
-                    .sum();
-                sum / n as f64
+                let cases = scores.next().expect("one score row per linted genome");
+                cases
+                    .into_iter()
+                    .try_fold(0.0, |sum, s| Some(sum + s?))
+                    .map_or(PENALTY_FITNESS, |sum| sum / subset.len() as f64)
             })
             .collect()
     }
@@ -892,7 +395,6 @@ impl<'a, E: Evaluator> Evolution<'a, E> {
         let mut dss;
         let mut log;
         let start_generation;
-        let memo;
 
         if let Some(ck) = &self.resume {
             ck.validate(&fp)?;
@@ -933,10 +435,8 @@ impl<'a, E: Evaluator> Evolution<'a, E> {
             };
             log = ck.log.clone();
             start_generation = ck.next_generation;
-            memo = Memo::resumed(ck, store, p.retries, self.tracer.metrics());
         } else {
             rng = StdRng::seed_from_u64(p.seed);
-            memo = Memo::new(store, p.retries, self.tracer.metrics());
 
             // Initial population: seeds then ramped-grow randoms.
             pop = self.seeds.iter().take(p.population).cloned().collect();
@@ -957,326 +457,101 @@ impl<'a, E: Evaluator> Evolution<'a, E> {
             log = Vec::with_capacity(p.generations);
             start_generation = 0;
         }
+        let mut core = EvalCore::start(p, store, &self.tracer, self.resume.as_ref());
 
-        // The supervised evaluation service: one pool of workers for the
-        // whole run (waves per generation), supervised for crashes and
-        // stalls. Single-threaded (and tiny-population) configurations
-        // never start it — they keep the inline-serial path whose exact
-        // event order the golden trace pins. The state and both closures
-        // live outside the thread scope so workers can borrow them.
-        let svc_state: Option<service::State<Wave, (u32, u32)>> =
-            (p.threads.max(1) > 1 && p.population >= 4).then(|| {
-                service::State::new(p.threads.max(1), MEMO_SHARDS)
-                    .with_metrics(self.tracer.metrics())
+        for generation in start_generation..p.generations {
+            let mark = core.mark();
+            let subset = match &mut dss {
+                Some(d) => d.select(&mut rng),
+                None => all_cases.clone(),
+            };
+            let fits = self.evaluate_all(&mut core, &pop, &subset, generation);
+
+            let best_idx = argbest(&fits, &pop, p.fitness_epsilon);
+            log.push(GenLog {
+                generation,
+                best_fitness: fits[best_idx],
+                mean_fitness: fits.iter().sum::<f64>() / fits.len().max(1) as f64,
+                best_size: pop[best_idx].size(),
+                subset: subset.clone(),
             });
-        let exec = |wave: &Wave, (g, ci): (u32, u32)| {
-            let (g, ci) = (g as usize, ci as usize);
-            let key = wave.keys[g]
-                .as_ref()
-                .expect("only lint-passed genomes are enqueued");
-            let case = wave.cases[ci];
-            match memo.get_or_eval(
-                self.evaluator,
-                &wave.pop[g],
-                key,
-                case,
-                wave.gen,
-                &self.tracer,
-            ) {
-                EvalOutcome::Score(s) => {
-                    wave.scores[g * wave.cases.len() + ci].store(s.to_bits(), Ordering::SeqCst);
-                }
-                EvalOutcome::Failed(_) => {
-                    wave.failed[g].store(true, Ordering::SeqCst);
+
+            // Feed DSS with the best expression's per-case speedups, read
+            // through the core (so they count as cache hits); a quarantined
+            // case reports the worst score, so DSS keeps re-selecting it
+            // until the population stops failing there.
+            if let Some(d) = &mut dss {
+                let best = &pop[best_idx];
+                let key = best.key();
+                let scores = self.wave(&mut core, &[(key.as_str(), best)], &subset, generation);
+                for (&c, s) in subset.iter().zip(&scores[0]) {
+                    d.report(c, s.unwrap_or(PENALTY_FITNESS));
                 }
             }
-        };
-        let contain = |wave: &Wave, (g, ci): (u32, u32), why: Containment| {
-            let (g, ci) = (g as usize, ci as usize);
-            if let Some(key) = wave.keys[g].as_ref() {
-                memo.complete_contained(key, wave.cases[ci], wave.gen, why, &self.tracer);
+            core.end_generation(log.last().expect("just pushed"), mark);
+
+            if generation + 1 == p.generations {
+                break;
             }
-            wave.failed[g].store(true, Ordering::SeqCst);
-        };
 
-        std::thread::scope(|scope| {
-            if let Some(st) = &svc_state {
-                service::start(scope, st, &exec, &contain, &self.tracer);
+            // Breed: replace `replace_frac` of the population (elitism: the
+            // best expression is never displaced).
+            let k = ((p.replace_frac * p.population as f64).round() as usize)
+                .clamp(1, p.population.saturating_sub(1));
+            let mut offspring = Vec::with_capacity(k);
+            for _ in 0..k {
+                let a = self.tournament(&mut rng, &pop, &fits);
+                let b = self.tournament(&mut rng, &pop, &fits);
+                let mut child = crossover(&mut rng, &pop[a], &pop[b], p.max_depth);
+                if rng.random_bool(p.mutation_rate) {
+                    child = mutate(&mut rng, &child, self.features, p.max_depth);
+                }
+                offspring.push(child);
             }
-            let svc = svc_state.as_ref();
-            let run = (|| {
-                let run_span = self.tracer.begin();
-                if self.tracer.enabled() {
-                    self.tracer.emit(
-                        "evolution-start",
-                        [
-                            ("population", Value::UInt(p.population as u64)),
-                            ("generations", Value::UInt(p.generations as u64)),
-                            ("start_gen", Value::UInt(start_generation as u64)),
-                            ("threads", Value::UInt(p.threads as u64)),
-                            ("resumed", Value::Bool(self.resume.is_some())),
-                        ],
-                    );
-                }
-                if let Some(m) = self.tracer.metrics() {
-                    m.gauge("metaopt_population").set(p.population as u64);
-                    m.gauge("metaopt_generations").set(p.generations as u64);
-                    m.gauge("metaopt_threads").set(p.threads.max(1) as u64);
-                }
-                // Monotonic metrics-snapshot sequence number: one snapshot
-                // per generation boundary plus a final one after the
-                // full-set judgement. Deterministic (no wall time).
-                let mut metrics_seq = 0u64;
-
-                for generation in start_generation..p.generations {
-                    let gen_span = self.tracer.begin();
-                    let evals_before = memo.counters().evaluations;
-                    let hits_before = memo.hits();
-                    let subset = match &mut dss {
-                        Some(d) => d.select(&mut rng),
-                        None => all_cases.clone(),
-                    };
-                    let fits = self.evaluate_all(&memo, &pop, &subset, generation, svc);
-
-                    let best_idx = argbest(&fits, &pop, p.fitness_epsilon);
-                    log.push(GenLog {
-                        generation,
-                        best_fitness: fits[best_idx],
-                        mean_fitness: fits.iter().sum::<f64>() / fits.len().max(1) as f64,
-                        best_size: pop[best_idx].size(),
-                        subset: subset.clone(),
-                    });
-
-                    // Feed DSS with the best expression's per-case speedups; a
-                    // quarantined case reports the worst score, so DSS keeps
-                    // re-selecting it until the population stops failing there.
-                    if let Some(d) = &mut dss {
-                        let key = pop[best_idx].key();
-                        for &c in &subset {
-                            let s = memo
-                                .get_or_eval(
-                                    self.evaluator,
-                                    &pop[best_idx],
-                                    &key,
-                                    c,
-                                    generation,
-                                    &self.tracer,
-                                )
-                                .score()
-                                .unwrap_or(PENALTY_FITNESS);
-                            d.report(c, s);
-                        }
-                    }
-
-                    if self.tracer.enabled() {
-                        let gl = log.last().expect("just pushed");
-                        self.tracer.emit(
-                            "generation",
-                            [
-                                ("gen", Value::UInt(generation as u64)),
-                                (
-                                    "subset",
-                                    Value::Arr(
-                                        subset.iter().map(|&c| Value::UInt(c as u64)).collect(),
-                                    ),
-                                ),
-                                (
-                                    "evals",
-                                    Value::UInt(memo.counters().evaluations - evals_before),
-                                ),
-                                ("cache_hits", Value::UInt(memo.hits() - hits_before)),
-                                ("best_fitness", Value::Num(gl.best_fitness)),
-                                ("mean_fitness", Value::Num(gl.mean_fitness)),
-                                ("best_size", Value::UInt(gl.best_size as u64)),
-                                ("dur_ns", Value::UInt(gen_span.dur_ns())),
-                            ],
-                        );
-                    }
-                    if let Some(m) = self.tracer.metrics() {
-                        m.gauge("metaopt_generation").set(generation as u64);
-                        m.gauge("metaopt_quarantined").set(memo.quarantined_len());
-                        m.histogram("metaopt_gen_wall_ns").record(gen_span.dur_ns());
-                    }
-                    self.emit_metrics_snapshot(&memo, &mut metrics_seq, generation);
-
-                    if generation + 1 == p.generations {
+            for child in offspring {
+                loop {
+                    let slot = rng.random_range(0..pop.len());
+                    if !p.elitism || slot != best_idx {
+                        pop[slot] = child;
                         break;
                     }
-
-                    // Breed: replace `replace_frac` of the population (elitism: the
-                    // best expression is never displaced).
-                    let k = ((p.replace_frac * p.population as f64).round() as usize)
-                        .clamp(1, p.population.saturating_sub(1));
-                    let mut offspring = Vec::with_capacity(k);
-                    for _ in 0..k {
-                        let a = self.tournament(&mut rng, &pop, &fits);
-                        let b = self.tournament(&mut rng, &pop, &fits);
-                        let mut child = crossover(&mut rng, &pop[a], &pop[b], p.max_depth);
-                        if rng.random_bool(p.mutation_rate) {
-                            child = mutate(&mut rng, &child, self.features, p.max_depth);
-                        }
-                        offspring.push(child);
-                    }
-                    for child in offspring {
-                        loop {
-                            let slot = rng.random_range(0..pop.len());
-                            if !p.elitism || slot != best_idx {
-                                pop[slot] = child;
-                                break;
-                            }
-                        }
-                    }
-
-                    // Snapshot at the generation boundary: everything the next
-                    // generation's RNG draws and fitness comparisons depend on is
-                    // now settled.
-                    if let Some(path) = &self.checkpoint_path {
-                        let ck_span = self.tracer.begin();
-                        self.save_checkpoint(
-                            path,
-                            &fp,
-                            generation + 1,
-                            &rng,
-                            &pop,
-                            &dss,
-                            &log,
-                            &memo,
-                        )?;
-                        if self.tracer.enabled() {
-                            self.tracer.emit(
-                                "checkpoint",
-                                [
-                                    ("gen", Value::UInt((generation + 1) as u64)),
-                                    ("dur_ns", Value::UInt(ck_span.dur_ns())),
-                                ],
-                            );
-                        }
-                    }
                 }
-
-                // Final judgement on the full training set (attributed to the
-                // one-past-the-end generation index in the trace).
-                let final_fits = self.evaluate_all(&memo, &pop, &all_cases, p.generations, svc);
-                if let Some(m) = self.tracer.metrics() {
-                    m.gauge("metaopt_quarantined").set(memo.quarantined_len());
-                }
-                self.emit_metrics_snapshot(&memo, &mut metrics_seq, p.generations);
-                let best_idx = argbest(&final_fits, &pop, p.fitness_epsilon);
-                let counters = memo.counters();
-                let result = EvolutionResult {
-                    best: pop[best_idx].clone(),
-                    best_fitness: final_fits[best_idx],
-                    log,
-                    evaluations: counters.evaluations,
-                    successes: counters.successes,
-                    failures: counters.failures,
-                    quarantined: memo.ledger_records(),
-                    cache_hits: memo.hits(),
-                    warm_hits: memo.warm(),
-                    front: Vec::new(),
-                };
-                if self.tracer.enabled() {
-                    self.tracer.emit(
-                        "evolution-end",
-                        [
-                            ("evaluations", Value::UInt(result.evaluations)),
-                            ("successes", Value::UInt(result.successes)),
-                            ("failures", Value::UInt(result.failures)),
-                            ("quarantined", Value::UInt(result.quarantined.len() as u64)),
-                            ("best_fitness", Value::Num(result.best_fitness)),
-                            ("best", Value::str(result.best.key())),
-                            ("dur_ns", Value::UInt(run_span.dur_ns())),
-                        ],
-                    );
-                    self.tracer.flush();
-                }
-                Ok(result)
-            })();
-            if let Some(st) = &svc_state {
-                st.shutdown();
             }
-            run
-        })
-    }
 
-    /// Emit one `metrics-snapshot` event: a monotonic `seq` (never wall
-    /// time), the deterministic engine `counters` read from the memo at the
-    /// generation boundary (schedule-independent by the entry-guard
-    /// invariant), and the full registry dump under `runtime` (latency
-    /// histograms, service gauges — stripped by `strip_timing` because
-    /// they are wall-clock- and schedule-dependent). Requires both a trace
-    /// sink and a metrics registry; otherwise a no-op.
-    fn emit_metrics_snapshot(&self, memo: &Memo, seq: &mut u64, gen: usize) {
-        let Some(registry) = self.tracer.metrics() else {
-            return;
-        };
-        if !self.tracer.enabled() {
-            return;
+            // Snapshot at the generation boundary: everything the next
+            // generation's RNG draws and fitness comparisons depend on is
+            // now settled.
+            if let Some(path) = &self.checkpoint_path {
+                core.save_checkpoint(
+                    path,
+                    &Checkpoint {
+                        // Serialize via `key()` (full-precision constants):
+                        // `Display` rounds to four decimals, which would
+                        // corrupt genomes across a resume.
+                        population: pop.iter().map(Expr::key).collect(),
+                        dss: dss.as_ref().map(|d| {
+                            let (difficulty, age) = d.state();
+                            DssState {
+                                subset_size: d.subset_size(),
+                                difficulty,
+                                age,
+                            }
+                        }),
+                        log: log.clone(),
+                        ..core.checkpoint(&fp, generation + 1, &rng)
+                    },
+                )?;
+            }
         }
-        let counters = memo.counters();
-        self.tracer.emit(
-            "metrics-snapshot",
-            [
-                ("seq", Value::UInt(*seq)),
-                ("gen", Value::UInt(gen as u64)),
-                (
-                    "counters",
-                    Value::Obj(vec![
-                        ("evaluations".to_string(), Value::UInt(counters.evaluations)),
-                        ("successes".to_string(), Value::UInt(counters.successes)),
-                        ("failures".to_string(), Value::UInt(counters.failures)),
-                        ("cache_hits".to_string(), Value::UInt(memo.hits())),
-                        ("warm_hits".to_string(), Value::UInt(memo.warm())),
-                        (
-                            "quarantined".to_string(),
-                            Value::UInt(memo.quarantined_len()),
-                        ),
-                    ]),
-                ),
-                ("runtime", registry.snapshot_value()),
-            ],
-        );
-        *seq += 1;
-    }
 
-    #[allow(clippy::too_many_arguments)]
-    fn save_checkpoint(
-        &self,
-        path: &Path,
-        fp: &str,
-        next_generation: usize,
-        rng: &StdRng,
-        pop: &[Expr],
-        dss: &Option<Dss>,
-        log: &[GenLog],
-        memo: &Memo,
-    ) -> Result<(), CheckpointError> {
-        let counters = memo.counters();
-        let ck = Checkpoint {
-            fingerprint: fp.to_string(),
-            next_generation,
-            rng_state: rng.state(),
-            // Serialize via `key()` (full-precision constants): `Display`
-            // rounds to four decimals, which would corrupt genomes across a
-            // resume.
-            population: pop.iter().map(|e| e.key()).collect(),
-            plans: None,
-            dss: dss.as_ref().map(|d| {
-                let (difficulty, age) = d.state();
-                DssState {
-                    subset_size: d.subset_size(),
-                    difficulty,
-                    age,
-                }
-            }),
-            log: log.to_vec(),
-            evaluations: counters.evaluations,
-            successes: counters.successes,
-            failures: counters.failures,
-            quarantined: memo.ledger_records(),
-            memo_entries: memo.cache_entries(),
-        };
-        ck.save(path)
+        // Final judgement on the full training set (attributed to the
+        // one-past-the-end generation index in the trace).
+        let final_fits = self.evaluate_all(&mut core, &pop, &all_cases, p.generations);
+        core.snapshot(p.generations);
+        let best_idx = argbest(&final_fits, &pop, p.fitness_epsilon);
+        let best = pop.swap_remove(best_idx);
+        let best_key = best.key();
+        Ok(core.finish(best, &best_key, final_fits[best_idx], log, Vec::new()))
     }
 }
 
@@ -1303,6 +578,8 @@ mod tests {
     use super::*;
     use crate::expr::Env;
     use crate::parse::parse_expr;
+    use metaopt_trace::metrics::MetricsRegistry;
+    use std::collections::HashMap;
 
     /// Symbolic-regression-style evaluator: fitness is closeness of the
     /// expression to `2x + 1` over sample points; each "case" weights a
@@ -1623,10 +900,9 @@ mod tests {
 
     #[test]
     fn sharded_cache_counters_match_serial_run() {
-        // The memo is sharded across MEMO_SHARDS locks and its counters are
-        // atomics with an entry-guard on insert: a threaded run must report
-        // exactly the counters (and ledger) of the serial run, because both
-        // count the same set of distinct evaluated (genome, case) pairs.
+        // A threaded run must report exactly the counters (and ledger) of
+        // the serial run, because both count the same set of distinct
+        // evaluated (genome, case) pairs.
         let fs = features();
         let ev = Flaky::new(&fs);
         let mut params = GpParams::quick();

@@ -32,8 +32,8 @@ pub enum EvalErrorKind {
     /// The evaluator panicked; the panic was caught at the evaluation
     /// boundary and converted into this error.
     Panic,
-    /// The evaluation exceeded an operational wall-clock deadline (a stuck
-    /// worker timed out by the supervisor, or an injected timeout fault).
+    /// The evaluation exceeded an operational wall-clock deadline (an
+    /// evaluator talking to a real host, or an injected timeout fault).
     /// Unlike [`EvalErrorKind::Budget`] — the *deterministic* cooperative
     /// deadline — a timeout reflects host-side conditions and is the one
     /// transient class: the engine retries it before quarantining.

@@ -33,6 +33,7 @@ pub mod coevo;
 pub mod dss;
 pub mod engine;
 pub mod eval;
+mod evaluate;
 pub mod expr;
 pub mod features;
 pub mod gen;
@@ -40,7 +41,6 @@ pub mod lint;
 pub mod ops;
 pub mod pareto;
 pub mod parse;
-pub mod service;
 pub mod simplify;
 pub mod store;
 

@@ -1,5 +1,5 @@
 //! Crash-safe persistent fitness store: the on-disk warm layer behind the
-//! in-memory sharded memo.
+//! evaluation core's in-memory memo.
 //!
 //! A GP run at paper scale performs tens of thousands of `(genome, case)`
 //! evaluations, each costing up to 60 M simulated instructions; losing them
@@ -84,7 +84,10 @@ pub struct FitnessStore {
     tracer: Tracer,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a: the record checksum here, and the evaluation core's
+/// deterministic retry backoff. Both are part of the on-disk and traced
+/// formats, so the function must never change.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
         h ^= u64::from(*b);

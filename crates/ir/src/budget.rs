@@ -50,8 +50,8 @@ pub const KERNEL_VERIFY_MAX_STEPS: u64 = 2 * KERNEL_STEP_CEILING;
 pub const EVAL_MAX_SIM_INSTS: u64 = 6 * KERNEL_STEP_CEILING;
 
 /// Per-evaluation simulated-*cycle* budget for genome-compiled code: the
-/// cooperative deadline the evaluation service relies on as its primary
-/// hang bound. The instruction budget caps how much *work* a simulation
+/// cooperative deadline the GP evaluation core relies on as its only hang
+/// bound. The instruction budget caps how much *work* a simulation
 /// retires, but a low-IPC schedule (serialized stalls, saturated memory
 /// queues) can burn many cycles per instruction; 4× the instruction budget
 /// covers every legitimate kernel with an order of magnitude to spare
