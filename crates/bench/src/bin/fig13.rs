@@ -20,7 +20,9 @@ fn main() {
     for b in metaopt_suite::prefetch_training_set() {
         let r = specialize(&cfg, &b, &params);
         let pb = metaopt::PreparedBench::new(&cfg, &b);
-        let off = pb.speedup(&cfg, &never, DataSet::Train);
+        let off = pb
+            .try_speedup(&cfg, &never, DataSet::Train)
+            .expect("evaluates");
         println!(
             "{:<14} train {:>6.3} novel {:>6.3}   (no-prefetch {:>6.3})",
             r.name, r.train_speedup, r.novel_speedup, off

@@ -6,6 +6,7 @@ use metaopt::experiment::{default_ablation_plans, try_ablate};
 use metaopt::study;
 use metaopt::PreparedBench;
 use metaopt_bench::header;
+use metaopt_trace::Tracer;
 
 fn main() {
     header(
@@ -16,7 +17,7 @@ fn main() {
     let plans = default_ablation_plans();
     for name in ["rawdaudio", "unepic", "g721encode"] {
         let bench = metaopt_suite::by_name(name).expect("registered");
-        match try_ablate(&cfg, &bench, &plans) {
+        match try_ablate(&cfg, &bench, &plans, &Tracer::disabled()) {
             Ok(r) => {
                 println!("{}:", r.bench);
                 for line in r.table().lines() {

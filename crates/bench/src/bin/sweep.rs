@@ -5,9 +5,9 @@
 use metaopt::study;
 use metaopt::PreparedBench;
 use metaopt_compiler::compile;
-use metaopt_ir::interp::{run, RunConfig};
-use metaopt_sim::simulate;
+use metaopt_sim::exec::simulate_traced;
 use metaopt_suite::DataSet;
+use metaopt_trace::Tracer;
 
 fn main() {
     metaopt_bench::header(
@@ -23,20 +23,7 @@ fn main() {
     for name in ["171.swim", "101.tomcatv"] {
         let b = metaopt_suite::by_name(name).expect("registered");
         let pb = PreparedBench::new(&cfg, &b);
-        let prog = b.program();
-        let prepared = metaopt_compiler::prepare(&prog).expect("prepares");
-        let mem0 = b.memory(&prepared, DataSet::Train);
-        let profile = run(
-            &prepared,
-            &RunConfig {
-                memory: Some(mem0.clone()),
-                profile: true,
-                ..Default::default()
-            },
-        )
-        .expect("profiles")
-        .profile
-        .expect("requested");
+        let mem0 = b.memory(&pb.prepared, DataSet::Train);
         print!("{name:<14}");
         for k in 0..7 {
             let dist = 1i64 << k;
@@ -45,10 +32,20 @@ fn main() {
                 ..cfg.baseline_passes()
             };
             let compiled =
-                compile(&prepared, &profile.funcs[0], &cfg.machine, &passes).expect("compiles");
+                compile(&pb.prepared, &pb.profile, &cfg.machine, &passes).expect("compiles");
             let mut mem = mem0.clone();
             mem.resize(compiled.mem_size.max(mem.len()), 0);
-            let r = simulate(&compiled.code, &cfg.machine, mem).expect("simulates");
+            // Timed as the baseline is: the study's noise at seed 0.
+            let noise = Some((cfg.noise, 0));
+            let r = simulate_traced(
+                &compiled.code,
+                &cfg.machine,
+                mem,
+                noise,
+                cfg.sim_tier,
+                &Tracer::disabled(),
+            )
+            .expect("simulates");
             print!("{:>9}", r.cycles);
         }
         println!(

@@ -74,7 +74,7 @@
 //! registry as Prometheus text exposition on `GET /metrics`.
 
 use metaopt::experiment::{ExperimentError, RunControl};
-use metaopt::{experiment, study, PreparedBench, StudyConfig};
+use metaopt::{experiment, study, EvalRequest, PreparedBench, StudyConfig};
 use metaopt_gp::expr::display_named;
 use metaopt_gp::{GpParams, QuarantineRecord};
 use metaopt_trace::{json::Value, Tracer};
@@ -599,34 +599,32 @@ fn run(opts: &Options, tracer: &Tracer) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            // Per-pass instrumentation of this compilation: the priority
-            // function in the study's slot, baselines elsewhere.
-            let pri = study::ExprPriority(&expr);
-            let mut passes = cfg.passes_with(&pri);
-            passes.tracer = tracer.clone();
-            match metaopt_compiler::compile(&pb.prepared, &pb.profile, &cfg.machine, &passes) {
-                Ok(compiled) => {
-                    println!("plan: {}", cfg.plan);
-                    println!("{}", compiled.stats.per_pass_table());
-                }
-                Err(e) => {
-                    eprintln!("compilation failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
             for ds in [metaopt_suite::DataSet::Train, metaopt_suite::DataSet::Novel] {
-                match pb.try_cycles_traced(&cfg, &expr, ds, tracer) {
-                    Ok(cycles) => println!(
-                        "{ds:?}: {} cycles (baseline {}, speedup {:.3})",
-                        cycles,
-                        pb.baseline_cycles(ds),
-                        pb.baseline_cycles(ds) as f64 / cycles as f64
-                    ),
+                let req = EvalRequest {
+                    expr: Some(&expr),
+                    plan: None,
+                    ds,
+                    tracer,
+                };
+                let e = match pb.try_eval(&cfg, &req) {
+                    Ok(e) => e,
                     Err(e) => {
                         eprintln!("{ds:?}: evaluation failed: {e}");
                         return ExitCode::FAILURE;
                     }
+                };
+                // Per-pass instrumentation of the training compile: the
+                // priority function in the study's slot, baselines elsewhere.
+                if ds == metaopt_suite::DataSet::Train {
+                    println!("plan: {}", cfg.plan);
+                    println!("{}", e.stats.per_pass_table());
                 }
+                println!(
+                    "{ds:?}: {} cycles (baseline {}, speedup {:.3})",
+                    e.cycles,
+                    pb.baseline_cycles(ds),
+                    pb.baseline_cycles(ds) as f64 / e.cycles as f64
+                );
             }
             ExitCode::SUCCESS
         }
@@ -654,7 +652,7 @@ fn run(opts: &Options, tracer: &Tracer) -> ExitCode {
                 }
                 plans
             };
-            let r = match experiment::try_ablate_traced(&cfg, &bench, &plans, tracer) {
+            let r = match experiment::try_ablate(&cfg, &bench, &plans, tracer) {
                 Ok(r) => r,
                 Err(e) => return report_error(&e),
             };

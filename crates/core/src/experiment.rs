@@ -11,7 +11,7 @@
 //! means, rather than aborting the whole experiment at the finish line.
 
 use crate::pipeline::{
-    PrepareError, PreparedBench, StudyEvaluator, StudyMultiEvaluator, StudyPlanSpace,
+    EvalRequest, PrepareError, PreparedBench, StudyEvaluator, StudyMultiEvaluator, StudyPlanSpace,
 };
 use crate::study::StudyConfig;
 use metaopt_compiler::{CompileStats, PipelinePlan};
@@ -457,19 +457,10 @@ pub fn default_ablation_plans() -> Vec<PipelinePlan> {
 
 /// Sweep `plans` over `bench`: prepare once, then compile under every plan
 /// with the study's baseline priority functions and measure training-data
-/// cycles. Plans that fail to compile or simulate are reported per-row
-/// rather than aborting the sweep.
+/// cycles, emitting `pass` and `sim` events into `tracer`. Plans that fail
+/// to compile or simulate are reported per-row rather than aborting the
+/// sweep.
 pub fn try_ablate(
-    study: &StudyConfig,
-    bench: &Benchmark,
-    plans: &[PipelinePlan],
-) -> Result<AblationResult, ExperimentError> {
-    try_ablate_traced(study, bench, plans, &Tracer::disabled())
-}
-
-/// [`try_ablate`], emitting `pass` and `sim` events for every plan's
-/// compile-and-simulate into `tracer`.
-pub fn try_ablate_traced(
     study: &StudyConfig,
     bench: &Benchmark,
     plans: &[PipelinePlan],
@@ -478,12 +469,18 @@ pub fn try_ablate_traced(
     let pb = PreparedBench::try_new(study, bench)?;
     let runs = plans
         .iter()
-        .map(
-            |plan| match pb.try_plan_cycles_traced(study, plan, DataSet::Train, tracer) {
-                Ok((cycles, stats)) => PlanRun {
+        .map(|plan| {
+            let req = EvalRequest {
+                expr: None,
+                plan: Some(plan),
+                ds: DataSet::Train,
+                tracer,
+            };
+            match pb.try_eval(study, &req) {
+                Ok(e) => PlanRun {
                     plan: plan.clone(),
-                    cycles: Some(cycles),
-                    stats: Some(stats),
+                    cycles: Some(e.cycles),
+                    stats: Some(e.stats),
                     error: None,
                 },
                 Err(e) => PlanRun {
@@ -492,21 +489,13 @@ pub fn try_ablate_traced(
                     stats: None,
                     error: Some(e.to_string()),
                 },
-            },
-        )
+            }
+        })
         .collect();
     Ok(AblationResult {
         bench: bench.name.to_string(),
         runs,
     })
-}
-
-/// Panicking convenience wrapper around [`try_ablate`].
-///
-/// # Panics
-/// Panics if benchmark preparation fails.
-pub fn ablate(study: &StudyConfig, bench: &Benchmark, plans: &[PipelinePlan]) -> AblationResult {
-    try_ablate(study, bench, plans).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Result of co-evolving `(pipeline plan, priority function)` genomes on
@@ -769,7 +758,7 @@ mod tests {
         let bench = metaopt_suite::by_name("rawdaudio").unwrap();
         let plans = default_ablation_plans();
         assert!(plans.len() >= 4, "the default sweep covers >= 4 plans");
-        let r = ablate(&cfg, &bench, &plans);
+        let r = try_ablate(&cfg, &bench, &plans, &Tracer::disabled()).unwrap();
         assert_eq!(r.runs.len(), plans.len());
         for run in &r.runs {
             assert!(

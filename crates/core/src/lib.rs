@@ -47,5 +47,5 @@ pub mod study;
 
 pub use experiment::{CrossValidation, GeneralResult, RunControl, SpecializationResult};
 pub use fault::{FaultInjector, FaultStage};
-pub use pipeline::{PrepareError, PreparedBench, StudyEvaluator};
+pub use pipeline::{EvalRequest, PrepareError, PreparedBench, StudyEvaluator};
 pub use study::{StudyConfig, StudyKind};

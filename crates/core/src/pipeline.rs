@@ -5,9 +5,9 @@
 //! * **Preparation** ([`PreparedBench::try_new`]) runs before evolution on
 //!   trusted, bundled benchmarks. A failure there is a setup bug, reported
 //!   as a [`PrepareError`] carrying the benchmark name.
-//! * **Evaluation** ([`PreparedBench::try_cycles_with`] and friends) runs
-//!   on *evolved* priority functions, which are adversarial inputs to the
-//!   compiler. Every failure — compile error, IR invariant violation,
+//! * **Evaluation** ([`PreparedBench::try_eval`]) runs on *evolved*
+//!   priority functions and pipeline plans, which are adversarial inputs to
+//!   the compiler. Every failure — compile error, IR invariant violation,
 //!   budget exhaustion, simulator fault, or a wrong answer from the
 //!   compiled program — is returned as a classified
 //!   [`metaopt_gp::EvalError`] so the GP engine can quarantine the genome
@@ -15,7 +15,7 @@
 
 use crate::fault::{FaultInjector, FaultStage};
 use crate::study::{ExprPriority, StudyConfig};
-use metaopt_compiler::{compile, prepare, CompileErrorKind, CompileStats};
+use metaopt_compiler::{compile, prepare, CompileErrorKind, CompileStats, PipelinePlan};
 use metaopt_gp::{EvalError, EvalErrorKind, EvalOutcome, Expr};
 use metaopt_ir::budget;
 use metaopt_ir::interp::{run, RunConfig};
@@ -66,6 +66,32 @@ impl From<SuiteError> for PrepareError {
             message,
         }
     }
+}
+
+/// One compile-and-simulate request against a [`PreparedBench`]: the
+/// paper's fitness measurement (Fig. 2). A field left `None` keeps the
+/// study's shipped configuration.
+#[derive(Clone, Copy)]
+pub struct EvalRequest<'a> {
+    /// Priority function for the study's slot; `None` keeps the baseline
+    /// heuristic.
+    pub expr: Option<&'a Expr>,
+    /// Pipeline plan to compile under; `None` keeps the study's plan.
+    pub plan: Option<&'a PipelinePlan>,
+    /// Data set to simulate on.
+    pub ds: DataSet,
+    /// Sink for the compile's `pass` events and the run's `sim` event.
+    pub tracer: &'a Tracer,
+}
+
+/// What one [`EvalRequest`] measured.
+#[derive(Clone, Debug)]
+pub struct Evaluation {
+    /// Simulated cycles, timing noise included, of a run whose result
+    /// matched the interpreter's.
+    pub cycles: u64,
+    /// Compile statistics, including per-pass timing.
+    pub stats: CompileStats,
 }
 
 /// A benchmark made ready for repeated fitness evaluation: inlined IR,
@@ -149,30 +175,25 @@ impl PreparedBench {
             train_ret: train_out.ret,
             novel_ret: novel_out.ret,
         };
-        let passes = study.baseline_passes();
-        let compiled = compile(&pb.prepared, &pb.profile, &study.machine, &passes)
-            .map_err(|e| err(format!("baseline compilation failed: {e}")))?;
-        pb.baseline_stats = compiled.stats.clone();
-        pb.baseline_train_cycles = pb
-            .try_simulate(
-                study,
-                &study.machine,
-                &compiled,
-                DataSet::Train,
-                0,
-                &Tracer::disabled(),
-            )
-            .map_err(|e| err(format!("baseline timing failed: {e}")))?;
-        pb.baseline_novel_cycles = pb
-            .try_simulate(
-                study,
-                &study.machine,
-                &compiled,
-                DataSet::Novel,
-                0,
-                &Tracer::disabled(),
-            )
-            .map_err(|e| err(format!("baseline timing failed: {e}")))?;
+        // The baseline heuristic is timed through the evaluation core, at
+        // noise seed 0 and under the study machine's full budgets.
+        let (train, novel) = {
+            let off = Tracer::disabled();
+            let baseline = |ds| {
+                let req = EvalRequest {
+                    expr: None,
+                    plan: None,
+                    ds,
+                    tracer: &off,
+                };
+                pb.eval(study, &req, &study.machine, None)
+                    .map_err(|e| err(format!("baseline failed: {e}")))
+            };
+            (baseline(DataSet::Train)?, baseline(DataSet::Novel)?)
+        };
+        pb.baseline_train_cycles = train.cycles;
+        pb.baseline_novel_cycles = novel.cycles;
+        pb.baseline_stats = train.stats;
         Ok(pb)
     }
 
@@ -186,38 +207,155 @@ impl PreparedBench {
         Self::try_new(study, bench).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    fn mem_for(&self, compiled: &metaopt_compiler::Compiled, ds: DataSet) -> Vec<u8> {
-        let base = match ds {
-            DataSet::Train => &self.train_mem,
-            DataSet::Novel => &self.novel_mem,
-        };
-        let mut mem = base.clone();
-        mem.resize(compiled.mem_size.max(mem.len()), 0);
-        mem
+    /// Compile and simulate one [`EvalRequest`], differentially verifying
+    /// the program result against the interpreter's.
+    pub fn try_eval(
+        &self,
+        study: &StudyConfig,
+        req: &EvalRequest<'_>,
+    ) -> Result<Evaluation, EvalError> {
+        self.eval(study, req, &self.eval_machine, None)
     }
 
-    fn expected_ret(&self, ds: DataSet) -> i64 {
+    /// Speedup of `expr` over the baseline heuristic on `ds`.
+    pub fn try_speedup(
+        &self,
+        study: &StudyConfig,
+        expr: &Expr,
+        ds: DataSet,
+    ) -> Result<f64, EvalError> {
+        let req = EvalRequest {
+            expr: Some(expr),
+            plan: None,
+            ds,
+            tracer: &Tracer::disabled(),
+        };
+        Ok(self.baseline_cycles(ds) as f64 / self.try_eval(study, &req)?.cycles as f64)
+    }
+
+    /// Baseline cycles on `ds`.
+    pub fn baseline_cycles(&self, ds: DataSet) -> u64 {
         match ds {
-            DataSet::Train => self.train_ret,
-            DataSet::Novel => self.novel_ret,
+            DataSet::Train => self.baseline_train_cycles,
+            DataSet::Novel => self.baseline_novel_cycles,
         }
     }
 
-    /// Simulate `compiled` on `ds` with the given machine, differentially
-    /// verifying the program result against the interpreter's.
-    fn try_simulate(
+    /// Compile with `expr` in the study's priority slot **under an
+    /// arbitrary legal pipeline plan** and simulate on `ds` — the joint
+    /// workload of co-evolution. Returns the multi-objective vector
+    /// (all minimized):
+    ///
+    /// * `cycles` — simulated cycles, differentially verified;
+    /// * `size` — static instruction count of the compiled code;
+    /// * `compile` — a deterministic compile-cost proxy,
+    ///   `plan length × static instructions` (the pass-sweep work bound).
+    ///   Measured wall time would make selection depend on host load and
+    ///   thread count, breaking the engine's bit-identical determinism
+    ///   contract; wall nanos stay observable via `pass` trace events and
+    ///   `metaopt ablate --json` instead.
+    pub fn try_objectives_traced(
         &self,
         study: &StudyConfig,
-        machine: &MachineConfig,
-        compiled: &metaopt_compiler::Compiled,
+        plan: &PipelinePlan,
+        expr: &Expr,
         ds: DataSet,
-        noise_seed: u64,
         tracer: &Tracer,
-    ) -> Result<u64, EvalError> {
-        let mem = self.mem_for(compiled, ds);
-        let noise = (study.noise > 0.0).then_some((study.noise, noise_seed));
-        let result = simulate_traced(&compiled.code, machine, mem, noise, study.sim_tier, tracer)
-            .map_err(|e| match e {
+    ) -> Result<[u64; 3], EvalError> {
+        let req = EvalRequest {
+            expr: Some(expr),
+            plan: Some(plan),
+            ds,
+            tracer,
+        };
+        let Evaluation { cycles, stats } = self.try_eval(study, &req)?;
+        let size = stats.counters.static_insts;
+        Ok([
+            cycles,
+            size,
+            (plan.steps().len() as u64).saturating_mul(size),
+        ])
+    }
+
+    /// The one compile-and-simulate core behind every evaluation: compile
+    /// `req`, simulate it on `machine`, and check the result. `fault` is an
+    /// optional injector with the engine's retry attempt; only the
+    /// (transient) timeout stage is attempt-sensitive.
+    fn eval(
+        &self,
+        study: &StudyConfig,
+        req: &EvalRequest<'_>,
+        machine: &MachineConfig,
+        fault: Option<(&FaultInjector, u32)>,
+    ) -> Result<Evaluation, EvalError> {
+        let key = req.expr.map(Expr::key).unwrap_or_default();
+        let inject = |stage, attempt| match fault {
+            Some((f, _)) => f.check_at(stage, &key, &self.name, attempt),
+            None => Ok(()),
+        };
+        inject(FaultStage::Compile, 0)?;
+        let pri = req.expr.map(ExprPriority);
+        let mut passes = match &pri {
+            Some(pri) => study.passes_with(pri),
+            None => study.baseline_passes(),
+        };
+        if let Some(plan) = req.plan {
+            passes.plan = plan.clone();
+        }
+        passes.tracer = req.tracer.clone();
+        let compiled =
+            compile(&self.prepared, &self.profile, &study.machine, &passes).map_err(|e| {
+                let kind = match e.kind {
+                    CompileErrorKind::InvariantViolation => EvalErrorKind::IrCheck,
+                    CompileErrorKind::Validation => EvalErrorKind::Validation,
+                    _ => EvalErrorKind::Compile,
+                };
+                let message = match req.plan {
+                    Some(plan) => format!("{}: plan {plan}: {e}", self.name),
+                    None => format!("{}: {e}", self.name),
+                };
+                EvalError::new(kind, message)
+            })?;
+        inject(FaultStage::CheckIr, 0)?;
+        inject(FaultStage::Validate, 0)?;
+        inject(FaultStage::Timeout, fault.map_or(0, |(_, attempt)| attempt))?;
+        inject(FaultStage::Simulate, 0)?;
+
+        // Timing noise (if the study has any) is seeded deterministically
+        // from the genome (expression, and plan when given) and data set, so
+        // memoized fitness stays consistent while distinct genomes still see
+        // distinct measurement error — the situation GP must tolerate on a
+        // real machine (paper §7.1). The baseline heuristic runs at seed 0.
+        let ds = req.ds;
+        let seed = match req.expr {
+            None => 0,
+            Some(_) => {
+                let mut h = DefaultHasher::new();
+                key.hash(&mut h);
+                if let Some(plan) = req.plan {
+                    plan.to_string().hash(&mut h);
+                }
+                self.name.hash(&mut h);
+                (ds == DataSet::Novel).hash(&mut h);
+                h.finish()
+            }
+        };
+        let (image, expected) = match ds {
+            DataSet::Train => (&self.train_mem, self.train_ret),
+            DataSet::Novel => (&self.novel_mem, self.novel_ret),
+        };
+        let mut mem = image.clone();
+        mem.resize(compiled.mem_size.max(mem.len()), 0);
+        let noise = (study.noise > 0.0).then_some((study.noise, seed));
+        let result = simulate_traced(
+            &compiled.code,
+            machine,
+            mem,
+            noise,
+            study.sim_tier,
+            req.tracer,
+        )
+        .map_err(|e| match e {
             SimError::InstLimit(n) => EvalError::new(
                 EvalErrorKind::Budget,
                 format!(
@@ -240,236 +378,20 @@ impl PreparedBench {
                 format!("{}: simulation fault on {ds:?}: {other}", self.name),
             ),
         })?;
-        if result.ret != self.expected_ret(ds) {
+        if result.ret != expected {
             return Err(EvalError::new(
                 EvalErrorKind::WrongAnswer,
                 format!(
-                    "{}: compiled program returned {} but the interpreter returned {} on \
-                     {ds:?} — a compiler bug exposed by a priority function",
-                    self.name,
-                    result.ret,
-                    self.expected_ret(ds)
+                    "{}: compiled program returned {} but the interpreter returned {expected} \
+                     on {ds:?} — a compiler bug exposed by a priority function",
+                    self.name, result.ret
                 ),
             ));
         }
-        Ok(result.cycles)
-    }
-
-    /// Compile with `expr` in the study's priority slot and simulate on
-    /// `ds`, optionally consulting a fault injector at each pipeline stage.
-    /// `attempt` is the engine's retry attempt index; only the (transient)
-    /// timeout stage is attempt-sensitive.
-    fn eval_cycles(
-        &self,
-        study: &StudyConfig,
-        expr: &Expr,
-        ds: DataSet,
-        fault: Option<&FaultInjector>,
-        attempt: u32,
-        tracer: &Tracer,
-    ) -> Result<u64, EvalError> {
-        let key = expr.key();
-        if let Some(f) = fault {
-            f.check(FaultStage::Compile, &key, &self.name)?;
-        }
-        let pri = ExprPriority(expr);
-        let mut passes = study.passes_with(&pri);
-        passes.tracer = tracer.clone();
-        let compiled =
-            compile(&self.prepared, &self.profile, &study.machine, &passes).map_err(|e| {
-                let kind = match e.kind {
-                    CompileErrorKind::InvariantViolation => EvalErrorKind::IrCheck,
-                    CompileErrorKind::Validation => EvalErrorKind::Validation,
-                    _ => EvalErrorKind::Compile,
-                };
-                EvalError::new(kind, format!("{}: {e}", self.name))
-            })?;
-        if let Some(f) = fault {
-            f.check(FaultStage::CheckIr, &key, &self.name)?;
-            f.check(FaultStage::Validate, &key, &self.name)?;
-            f.check_at(FaultStage::Timeout, &key, &self.name, attempt)?;
-            f.check(FaultStage::Simulate, &key, &self.name)?;
-        }
-        // Timing noise (if the study has any) is seeded deterministically
-        // from the expression and data set, so memoized fitness stays
-        // consistent while different expressions still see different
-        // measurement error — the situation GP must tolerate on a real
-        // machine (paper §7.1).
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        self.name.hash(&mut h);
-        (ds == DataSet::Novel).hash(&mut h);
-        self.try_simulate(study, &self.eval_machine, &compiled, ds, h.finish(), tracer)
-    }
-
-    /// Compile with `expr` in the study's priority slot and simulate on
-    /// `ds`; returns cycles. Differentially verifies the program result.
-    pub fn try_cycles_with(
-        &self,
-        study: &StudyConfig,
-        expr: &Expr,
-        ds: DataSet,
-    ) -> Result<u64, EvalError> {
-        self.eval_cycles(study, expr, ds, None, 0, &Tracer::disabled())
-    }
-
-    /// [`PreparedBench::try_cycles_with`], emitting `pass` and `sim` events
-    /// for this compile-and-simulate into `tracer`.
-    pub fn try_cycles_traced(
-        &self,
-        study: &StudyConfig,
-        expr: &Expr,
-        ds: DataSet,
-        tracer: &Tracer,
-    ) -> Result<u64, EvalError> {
-        self.eval_cycles(study, expr, ds, None, 0, tracer)
-    }
-
-    /// Panicking wrapper around [`PreparedBench::try_cycles_with`] for
-    /// tests and examples.
-    ///
-    /// # Panics
-    /// Panics if compilation, simulation, or differential verification
-    /// fails for `expr`.
-    pub fn cycles_with(&self, study: &StudyConfig, expr: &Expr, ds: DataSet) -> u64 {
-        self.try_cycles_with(study, expr, ds)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Speedup of `expr` over the baseline heuristic on `ds`.
-    pub fn try_speedup(
-        &self,
-        study: &StudyConfig,
-        expr: &Expr,
-        ds: DataSet,
-    ) -> Result<f64, EvalError> {
-        let base = self.baseline_cycles(ds);
-        Ok(base as f64 / self.try_cycles_with(study, expr, ds)? as f64)
-    }
-
-    /// Panicking wrapper around [`PreparedBench::try_speedup`] for tests
-    /// and examples.
-    ///
-    /// # Panics
-    /// Panics if the evaluation of `expr` fails.
-    pub fn speedup(&self, study: &StudyConfig, expr: &Expr, ds: DataSet) -> f64 {
-        self.try_speedup(study, expr, ds)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Baseline cycles on `ds`.
-    pub fn baseline_cycles(&self, ds: DataSet) -> u64 {
-        match ds {
-            DataSet::Train => self.baseline_train_cycles,
-            DataSet::Novel => self.baseline_novel_cycles,
-        }
-    }
-
-    /// Compile under `plan` with the shipped baseline priority functions
-    /// and simulate on `ds`, differentially verifying the result. Returns
-    /// cycles and the compile statistics (including per-pass timing).
-    ///
-    /// This is the phase-ordering workload: the benchmark is prepared once
-    /// and then evaluated under arbitrary legal pipeline plans.
-    pub fn try_plan_cycles(
-        &self,
-        study: &StudyConfig,
-        plan: &metaopt_compiler::PipelinePlan,
-        ds: DataSet,
-    ) -> Result<(u64, CompileStats), EvalError> {
-        self.try_plan_cycles_traced(study, plan, ds, &Tracer::disabled())
-    }
-
-    /// [`PreparedBench::try_plan_cycles`], emitting `pass` and `sim` events
-    /// into `tracer`.
-    pub fn try_plan_cycles_traced(
-        &self,
-        study: &StudyConfig,
-        plan: &metaopt_compiler::PipelinePlan,
-        ds: DataSet,
-        tracer: &Tracer,
-    ) -> Result<(u64, CompileStats), EvalError> {
-        let passes = metaopt_compiler::Passes {
-            plan: plan.clone(),
-            tracer: tracer.clone(),
-            ..study.baseline_passes()
-        };
-        let compiled =
-            compile(&self.prepared, &self.profile, &study.machine, &passes).map_err(|e| {
-                let kind = match e.kind {
-                    CompileErrorKind::InvariantViolation => EvalErrorKind::IrCheck,
-                    CompileErrorKind::Validation => EvalErrorKind::Validation,
-                    _ => EvalErrorKind::Compile,
-                };
-                EvalError::new(kind, format!("{}: plan {plan}: {e}", self.name))
-            })?;
-        let cycles = self.try_simulate(study, &self.eval_machine, &compiled, ds, 0, tracer)?;
-        Ok((cycles, compiled.stats))
-    }
-
-    /// Panicking wrapper around [`PreparedBench::try_plan_cycles`] for
-    /// tests, examples, and benches.
-    ///
-    /// # Panics
-    /// Panics if compilation, simulation, or differential verification
-    /// fails under `plan`.
-    pub fn plan_cycles(
-        &self,
-        study: &StudyConfig,
-        plan: &metaopt_compiler::PipelinePlan,
-        ds: DataSet,
-    ) -> (u64, CompileStats) {
-        self.try_plan_cycles(study, plan, ds)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Compile with `expr` in the study's priority slot **under an
-    /// arbitrary legal pipeline plan** and simulate on `ds` — the joint
-    /// workload of co-evolution. Returns the multi-objective vector
-    /// (all minimized):
-    ///
-    /// * `cycles` — simulated cycles, differentially verified;
-    /// * `size` — static instruction count of the compiled code;
-    /// * `compile` — a deterministic compile-cost proxy,
-    ///   `plan length × static instructions` (the pass-sweep work bound).
-    ///   Measured wall time would make selection depend on host load and
-    ///   thread count, breaking the engine's bit-identical determinism
-    ///   contract; wall nanos stay observable via `pass` trace events and
-    ///   `metaopt ablate --json` instead.
-    pub fn try_objectives_traced(
-        &self,
-        study: &StudyConfig,
-        plan: &metaopt_compiler::PipelinePlan,
-        expr: &Expr,
-        ds: DataSet,
-        tracer: &Tracer,
-    ) -> Result<[u64; 3], EvalError> {
-        let pri = ExprPriority(expr);
-        let mut passes = study.passes_with(&pri);
-        passes.plan = plan.clone();
-        passes.tracer = tracer.clone();
-        let compiled =
-            compile(&self.prepared, &self.profile, &study.machine, &passes).map_err(|e| {
-                let kind = match e.kind {
-                    CompileErrorKind::InvariantViolation => EvalErrorKind::IrCheck,
-                    CompileErrorKind::Validation => EvalErrorKind::Validation,
-                    _ => EvalErrorKind::Compile,
-                };
-                EvalError::new(kind, format!("{}: plan {plan}: {e}", self.name))
-            })?;
-        // Noise is seeded from the full genome (plan and expression), so
-        // memoized objective vectors stay consistent while distinct
-        // genomes see distinct measurement error.
-        let mut h = DefaultHasher::new();
-        expr.key().hash(&mut h);
-        plan.to_string().hash(&mut h);
-        self.name.hash(&mut h);
-        (ds == DataSet::Novel).hash(&mut h);
-        let cycles =
-            self.try_simulate(study, &self.eval_machine, &compiled, ds, h.finish(), tracer)?;
-        let size = compiled.stats.counters.static_insts;
-        let compile_cost = (plan.steps().len() as u64).saturating_mul(size);
-        Ok([cycles, size, compile_cost])
+        Ok(Evaluation {
+            cycles: result.cycles,
+            stats: compiled.stats,
+        })
     }
 }
 
@@ -530,15 +452,15 @@ impl metaopt_gp::Evaluator for StudyEvaluator<'_> {
         let tracer = self
             .tracer
             .scoped([("bench", Value::str(pb.name.as_str()))]);
-        match pb.eval_cycles(
-            self.study,
-            expr,
-            DataSet::Train,
-            self.fault.as_ref(),
-            attempt,
-            &tracer,
-        ) {
-            Ok(cycles) => EvalOutcome::Score(pb.baseline_train_cycles as f64 / cycles as f64),
+        let req = EvalRequest {
+            expr: Some(expr),
+            plan: None,
+            ds: DataSet::Train,
+            tracer: &tracer,
+        };
+        let fault = self.fault.as_ref().map(|f| (f, attempt));
+        match pb.eval(self.study, &req, &pb.eval_machine, fault) {
+            Ok(e) => EvalOutcome::Score(pb.baseline_train_cycles as f64 / e.cycles as f64),
             Err(e) => EvalOutcome::Failed(e),
         }
     }
@@ -586,7 +508,7 @@ impl metaopt_gp::MultiEvaluator for StudyMultiEvaluator<'_> {
         _attempt: u32,
     ) -> Result<[u64; 3], EvalError> {
         let pb = &self.benches[case];
-        let plan: metaopt_compiler::PipelinePlan = plan.parse().map_err(|e| {
+        let plan: PipelinePlan = plan.parse().map_err(|e| {
             EvalError::new(
                 EvalErrorKind::Compile,
                 format!("{}: unparseable pipeline plan {plan:?}: {e}", pb.name),
@@ -604,7 +526,7 @@ impl metaopt_gp::MultiEvaluator for StudyMultiEvaluator<'_> {
 /// compiler's structural grammar and `plan_ops` operators. Implemented
 /// here (not in the GP crate) so the engine stays compiler-agnostic.
 pub struct StudyPlanSpace {
-    seeds: Vec<metaopt_compiler::PipelinePlan>,
+    seeds: Vec<PipelinePlan>,
 }
 
 impl StudyPlanSpace {
@@ -613,10 +535,7 @@ impl StudyPlanSpace {
     /// size objectives of any legal pipeline, so fronts start with a
     /// genuine trade-off axis already populated.
     pub fn new(study: &StudyConfig) -> Self {
-        let mut seeds = vec![
-            metaopt_compiler::PipelinePlan::minimal(),
-            study.plan.clone(),
-        ];
+        let mut seeds = vec![PipelinePlan::minimal(), study.plan.clone()];
         seeds.dedup_by_key(|p| p.to_string());
         StudyPlanSpace { seeds }
     }
@@ -628,19 +547,18 @@ impl metaopt_gp::PlanSpace for StudyPlanSpace {
     }
 
     fn mutate_plan(&self, rng: &mut rand::rngs::StdRng, plan: &str) -> String {
-        let plan: metaopt_compiler::PipelinePlan =
-            plan.parse().expect("plan genomes are canonical");
+        let plan: PipelinePlan = plan.parse().expect("plan genomes are canonical");
         metaopt_compiler::plan_ops::mutate_plan(rng, &plan).to_string()
     }
 
     fn crossover_plans(&self, rng: &mut rand::rngs::StdRng, a: &str, b: &str) -> String {
-        let a: metaopt_compiler::PipelinePlan = a.parse().expect("plan genomes are canonical");
-        let b: metaopt_compiler::PipelinePlan = b.parse().expect("plan genomes are canonical");
+        let a: PipelinePlan = a.parse().expect("plan genomes are canonical");
+        let b: PipelinePlan = b.parse().expect("plan genomes are canonical");
         metaopt_compiler::plan_ops::crossover_plans(rng, &a, &b).to_string()
     }
 
     fn is_valid(&self, plan: &str) -> bool {
-        plan.parse::<metaopt_compiler::PipelinePlan>()
+        plan.parse::<PipelinePlan>()
             .is_ok_and(|p| p.to_string() == plan)
     }
 }
@@ -650,6 +568,19 @@ mod tests {
     use super::*;
     use crate::study;
 
+    /// Untraced cycles of `expr` under the study's plan on `ds`.
+    fn cycles_with(pb: &PreparedBench, cfg: &StudyConfig, expr: &Expr, ds: DataSet) -> u64 {
+        let req = EvalRequest {
+            expr: Some(expr),
+            plan: None,
+            ds,
+            tracer: &Tracer::disabled(),
+        };
+        pb.try_eval(cfg, &req)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .cycles
+    }
+
     #[test]
     fn baseline_seed_reproduces_baseline_cycles() {
         // Compiling with the GP-expressed baseline seed must give exactly
@@ -657,7 +588,7 @@ mod tests {
         let cfg = study::hyperblock();
         let bench = metaopt_suite::by_name("unepic").unwrap();
         let pb = PreparedBench::new(&cfg, &bench);
-        let cycles = pb.cycles_with(&cfg, &cfg.baseline_seed, DataSet::Train);
+        let cycles = cycles_with(&pb, &cfg, &cfg.baseline_seed, DataSet::Train);
         assert_eq!(cycles, pb.baseline_train_cycles);
     }
 
@@ -667,7 +598,7 @@ mod tests {
         let bench = metaopt_suite::by_name("rawdaudio").unwrap();
         let pb = PreparedBench::new(&cfg, &bench);
         let never = metaopt_gp::parse::parse_expr("(rconst -1.0)", &cfg.features).unwrap();
-        let c = pb.cycles_with(&cfg, &never, DataSet::Train);
+        let c = cycles_with(&pb, &cfg, &never, DataSet::Train);
         assert_ne!(c, pb.baseline_train_cycles);
     }
 
@@ -678,11 +609,44 @@ mod tests {
         let pb = PreparedBench::new(&cfg, &bench);
         let always = metaopt_gp::parse::parse_expr("(bconst true)", &cfg.features).unwrap();
         let never = metaopt_gp::parse::parse_expr("(bconst false)", &cfg.features).unwrap();
-        let ca = pb.cycles_with(&cfg, &always, DataSet::Train);
-        let cn = pb.cycles_with(&cfg, &never, DataSet::Train);
+        let ca = cycles_with(&pb, &cfg, &always, DataSet::Train);
+        let cn = cycles_with(&pb, &cfg, &never, DataSet::Train);
         assert!(ca > 0 && cn > 0);
         // Identical inputs give identical (memoizable) results.
-        assert_eq!(ca, pb.cycles_with(&cfg, &always, DataSet::Train));
+        assert_eq!(ca, cycles_with(&pb, &cfg, &always, DataSet::Train));
+    }
+
+    #[test]
+    fn noise_seeds_follow_the_request() {
+        // Fitness on the noisy prefetch study, pinned: the noise seed is 0
+        // without an expression, hashes (expression, bench, data set) with
+        // one, and hashes the plan too when the request names one.
+        let cfg = study::prefetch();
+        let pb = PreparedBench::new(&cfg, &metaopt_suite::by_name("102.swim").unwrap());
+        let off = Tracer::disabled();
+        let seed = Some(&cfg.baseline_seed);
+        for (ds, expr_only, with_plan) in [
+            (DataSet::Train, 1077267, 1075910),
+            (DataSet::Novel, 1072834, 1075881),
+        ] {
+            let cycles = |expr, plan| {
+                let req = EvalRequest {
+                    expr,
+                    plan,
+                    ds,
+                    tracer: &off,
+                };
+                pb.try_eval(&cfg, &req).unwrap().cycles
+            };
+            assert_eq!(cycles(seed, None), expr_only);
+            assert_eq!(cycles(seed, Some(&cfg.plan)), with_plan);
+            assert_eq!(cycles(None, Some(&cfg.plan)), 1070714);
+            assert_eq!(cycles(None, None), 1070714);
+            assert_eq!(pb.baseline_cycles(ds), 1070714);
+            let objectives =
+                pb.try_objectives_traced(&cfg, &cfg.plan, &cfg.baseline_seed, ds, &off);
+            assert_eq!(objectives.unwrap(), [with_plan, 265, 795]);
+        }
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! bugs!").
 
 use metaopt::study::{self, StudyConfig};
-use metaopt::PreparedBench;
+use metaopt::{EvalRequest, PreparedBench};
 use metaopt_gp::gen::random_expr;
 use metaopt_gp::{FeatureSet, Kind};
 use metaopt_suite::{Benchmark, DataSet};
+use metaopt_trace::Tracer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -23,9 +24,20 @@ fn random_priorities(fs: &FeatureSet, kind: Kind, n: usize, seed: u64) -> Vec<me
 /// `cycles_with` panics on divergence, so simply running it is the check.
 fn check(cfg: &StudyConfig, bench: &Benchmark, exprs: &[metaopt_gp::Expr]) {
     let pb = PreparedBench::new(cfg, bench);
+    let cycles_with = |e, ds| {
+        let req = EvalRequest {
+            expr: Some(e),
+            plan: None,
+            ds,
+            tracer: &Tracer::disabled(),
+        };
+        pb.try_eval(cfg, &req)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .cycles
+    };
     for e in exprs {
-        let c1 = pb.cycles_with(cfg, e, DataSet::Train);
-        let c2 = pb.cycles_with(cfg, e, DataSet::Novel);
+        let c1 = cycles_with(e, DataSet::Train);
+        let c2 = cycles_with(e, DataSet::Novel);
         assert!(c1 > 0 && c2 > 0);
     }
 }

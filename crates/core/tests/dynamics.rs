@@ -3,9 +3,10 @@
 //! future change to the simulator, the suite, or a pass cannot silently
 //! invert a case study's story (see DESIGN.md §8).
 
-use metaopt::{study, PreparedBench};
+use metaopt::{study, EvalRequest, PreparedBench};
 use metaopt_gp::parse::parse_expr;
 use metaopt_suite::DataSet;
+use metaopt_trace::Tracer;
 
 #[test]
 fn prefetch_baseline_is_overzealous_on_the_training_set() {
@@ -18,7 +19,7 @@ fn prefetch_baseline_is_overzealous_on_the_training_set() {
     let mut speedups = Vec::new();
     for b in metaopt_suite::prefetch_training_set() {
         let pb = PreparedBench::new(&cfg, &b);
-        speedups.push(pb.speedup(&cfg, &never, DataSet::Train));
+        speedups.push(pb.try_speedup(&cfg, &never, DataSet::Train).unwrap());
     }
     let mean = speedups.iter().sum::<f64>() / speedups.len() as f64;
     assert!(
@@ -39,7 +40,7 @@ fn streaming_spec2000_kernels_want_aggressive_prefetch() {
     for name in ["171.swim", "172.mgrid", "183.equake"] {
         let b = metaopt_suite::by_name(name).unwrap();
         let pb = PreparedBench::new(&cfg, &b);
-        if pb.speedup(&cfg, &never, DataSet::Train) < 0.97 {
+        if pb.try_speedup(&cfg, &never, DataSet::Train).unwrap() < 0.97 {
             any_loss = true;
         }
     }
@@ -58,10 +59,10 @@ fn hyperblock_search_space_has_room_in_both_directions() {
     let mut less_wins = false;
     for b in metaopt_suite::hyperblock_training_set() {
         let pb = PreparedBench::new(&cfg, &b);
-        if pb.speedup(&cfg, &always, DataSet::Train) > 1.02 {
+        if pb.try_speedup(&cfg, &always, DataSet::Train).unwrap() > 1.02 {
             more_wins = true;
         }
-        if pb.speedup(&cfg, &never, DataSet::Train) > 1.002 {
+        if pb.try_speedup(&cfg, &never, DataSet::Train).unwrap() > 1.002 {
             less_wins = true;
         }
     }
@@ -93,8 +94,17 @@ fn unpredictable_branches_make_predication_profitable() {
     let pb = PreparedBench::new(&cfg, &b);
     let never = parse_expr("(rconst -1.0)", &cfg.features).unwrap();
     let always = parse_expr("(rconst 5.0)", &cfg.features).unwrap();
-    let never_cycles = pb.cycles_with(&cfg, &never, DataSet::Train);
-    let always_cycles = pb.cycles_with(&cfg, &always, DataSet::Train);
+    let cycles_with = |e| {
+        let req = EvalRequest {
+            expr: Some(e),
+            plan: None,
+            ds: DataSet::Train,
+            tracer: &Tracer::disabled(),
+        };
+        pb.try_eval(&cfg, &req).unwrap().cycles
+    };
+    let never_cycles = cycles_with(&never);
+    let always_cycles = cycles_with(&always);
     assert!(
         (always_cycles as f64) < 0.92 * never_cycles as f64,
         "predication must pay on rawdaudio: {always_cycles} vs {never_cycles}"

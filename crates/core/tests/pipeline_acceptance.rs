@@ -140,8 +140,18 @@ fn unrolled_pipelines_agree_with_the_interpreter_on_all_data_sets() {
     for bench in metaopt_suite::all_benchmarks() {
         let pb = metaopt::PreparedBench::new(&cfg, &bench);
         for ds in [DataSet::Train, DataSet::Novel] {
-            let (plain, _) = pb.plan_cycles(&cfg, &cfg.plan, ds);
-            let (unroll_cycles, stats) = pb.plan_cycles(&cfg, &unrolled, ds);
+            let plan_cycles = |plan| {
+                let req = metaopt::EvalRequest {
+                    expr: None,
+                    plan: Some(plan),
+                    ds,
+                    tracer: &metaopt_trace::Tracer::disabled(),
+                };
+                let e = pb.try_eval(&cfg, &req).unwrap_or_else(|e| panic!("{e}"));
+                (e.cycles, e.stats)
+            };
+            let (plain, _) = plan_cycles(&cfg.plan);
+            let (unroll_cycles, stats) = plan_cycles(&unrolled);
             assert!(plain > 0 && unroll_cycles > 0);
             assert_eq!(
                 stats.per_pass.first().map(|p| p.name),

@@ -305,8 +305,9 @@ mod determinism {
                 prop_assert_eq!(a.case, b.case);
                 prop_assert_eq!(a.error.kind, b.error.kind);
             }
-            // Memo accounting, including cache hits (the entry-guard makes
-            // the set of evaluated pairs schedule-independent).
+            // Memo accounting, including cache hits (each wave's work list
+            // is deduplicated serially, so the set of evaluated pairs is
+            // schedule-independent).
             prop_assert_eq!(serial.evaluations, threaded.evaluations);
             prop_assert_eq!(serial.successes, threaded.successes);
             prop_assert_eq!(serial.failures, threaded.failures);
@@ -319,7 +320,7 @@ mod determinism {
         }
 
         /// The same property with the whole reliability stack engaged:
-        /// transient timeouts retried under the supervised service, and a
+        /// transient timeouts retried by the evaluation core, and a
         /// persistent fitness cache feeding a warm rerun. Serial, threaded
         /// cold-cache, and threaded warm-cache runs must all agree on every
         /// observable except the warm-hit counter.

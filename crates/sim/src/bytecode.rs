@@ -18,8 +18,9 @@
 //!   live in a `Vec<u8>` instead of a `HashMap`.
 //!
 //! The observable semantics are the **equivalence contract** of DESIGN.md
-//! §17: for any machine-verified program, [`simulate_fast`] returns a
-//! [`SimResult`] bit-identical to [`crate::exec::simulate_reference`] —
+//! §17: for any machine-verified program, compiling and running it here
+//! returns a [`SimResult`] bit-identical to the reference tier's
+//! ([`SimTier::Reference`](crate::exec::SimTier::Reference)) —
 //! same cycles, dynamic counts, branch/cache statistics, return value, and
 //! final memory image — and fails with the same [`SimError`] on the same
 //! inputs. The cross-tier differential proptest (`tests/tier_differential`)
@@ -830,17 +831,4 @@ impl BytecodeProgram {
             memory: mem,
         })
     }
-}
-
-/// Compile `mp` to bytecode and execute it: the fast tier's equivalent of
-/// [`crate::exec::simulate_reference`], bit-identical by contract.
-///
-/// # Errors
-/// Exactly the reference tier's failures (see [`BytecodeProgram::run`]).
-pub fn simulate_fast(
-    mp: &MachineProgram,
-    cfg: &MachineConfig,
-    memory: Vec<u8>,
-) -> Result<SimResult, SimError> {
-    BytecodeProgram::compile(mp, cfg).run(cfg, memory)
 }

@@ -199,17 +199,14 @@ pub fn simulate_tier(
     tier: SimTier,
 ) -> Result<SimResult, SimError> {
     match tier {
-        SimTier::Fast => crate::bytecode::simulate_fast(mp, cfg, memory),
+        SimTier::Fast => crate::bytecode::BytecodeProgram::compile(mp, cfg).run(cfg, memory),
         SimTier::Reference => simulate_reference(mp, cfg, memory),
     }
 }
 
 /// The reference cycle-level interpreter (the semantic ground truth the
 /// bytecode tier is differentially tested against).
-///
-/// # Errors
-/// As [`simulate`].
-pub fn simulate_reference(
+fn simulate_reference(
     mp: &MachineProgram,
     cfg: &MachineConfig,
     memory: Vec<u8>,
@@ -465,47 +462,15 @@ pub fn simulate_reference(
     })
 }
 
-/// Run [`simulate`] and apply multiplicative measurement noise to the cycle
-/// count: `cycles * (1 + amplitude * u)` with `u` drawn uniformly from
-/// `[-1, 1)` by a deterministic xorshift of `seed`. Models the paper §7's
-/// real-machine timing jitter.
-pub fn simulate_noisy(
-    mp: &MachineProgram,
-    cfg: &MachineConfig,
-    memory: Vec<u8>,
-    amplitude: f64,
-    seed: u64,
-) -> Result<SimResult, SimError> {
-    simulate_noisy_tier(mp, cfg, memory, amplitude, seed, SimTier::default())
-}
-
-/// [`simulate_noisy`] under an explicit execution [`SimTier`]. The noise is
-/// applied to the simulated cycle count after the run, so it is identical
-/// across tiers by construction.
-pub fn simulate_noisy_tier(
-    mp: &MachineProgram,
-    cfg: &MachineConfig,
-    memory: Vec<u8>,
-    amplitude: f64,
-    seed: u64,
-    tier: SimTier,
-) -> Result<SimResult, SimError> {
-    let mut r = simulate_tier(mp, cfg, memory, tier)?;
-    let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    let u = (x >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
-    let factor = 1.0 + amplitude * (2.0 * u - 1.0);
-    r.cycles = ((r.cycles as f64) * factor).round().max(1.0) as u64;
-    Ok(r)
-}
-
-/// Run [`simulate_tier`] (or [`simulate_noisy_tier`] when `noise` is set)
-/// and emit one `sim` trace event per completed simulation: simulated
-/// `cycles` and `insts`, the host-side wall time as `dur_ns`, and the
-/// executing `tier`. Failed simulations emit nothing — the caller's
-/// evaluation layer records the failure in its own taxonomy.
+/// Run [`simulate_tier`] and emit one `sim` trace event per completed
+/// simulation: simulated `cycles` and `insts`, the host-side wall time as
+/// `dur_ns`, and the executing `tier`. Failed simulations emit nothing —
+/// the caller's evaluation layer records the failure in its own taxonomy.
+///
+/// `noise = Some((amplitude, seed))` scales the finished run's cycle count
+/// by `1 + amplitude * u`, with `u` drawn uniformly from `[-1, 1)` by a
+/// deterministic xorshift of `seed`: the paper §7's real-machine timing
+/// jitter. It is applied after the run, so it is identical across tiers.
 pub fn simulate_traced(
     mp: &MachineProgram,
     cfg: &MachineConfig,
@@ -515,10 +480,12 @@ pub fn simulate_traced(
     tracer: &metaopt_trace::Tracer,
 ) -> Result<SimResult, SimError> {
     let span = tracer.begin();
-    let result = match noise {
-        Some((amplitude, seed)) => simulate_noisy_tier(mp, cfg, memory, amplitude, seed, tier),
-        None => simulate_tier(mp, cfg, memory, tier),
-    };
+    let result = simulate_tier(mp, cfg, memory, tier).map(|mut r| {
+        if let Some((amplitude, seed)) = noise {
+            r.cycles = jitter(r.cycles, amplitude, seed);
+        }
+        r
+    });
     if let Ok(r) = &result {
         if let Some(m) = tracer.metrics() {
             m.counter("metaopt_sim_total").inc();
@@ -539,6 +506,17 @@ pub fn simulate_traced(
         }
     }
     result
+}
+
+/// The measurement noise of [`simulate_traced`].
+fn jitter(cycles: u64, amplitude: f64, seed: u64) -> u64 {
+    let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    let u = (x >> 11) as f64 / (1u64 << 53) as f64; // [0,1)
+    let factor = 1.0 + amplitude * (2.0 * u - 1.0);
+    ((cycles as f64) * factor).round().max(1.0) as u64
 }
 
 #[cfg(test)]
@@ -738,9 +716,14 @@ mod tests {
         };
         let cfg = MachineConfig::table3();
         let base = simulate(&mp, &cfg, vec![0u8; 4096]).unwrap().cycles;
-        let a = simulate_noisy(&mp, &cfg, vec![0u8; 4096], 0.05, 7).unwrap();
-        let b = simulate_noisy(&mp, &cfg, vec![0u8; 4096], 0.05, 7).unwrap();
+        let noisy = |tier| {
+            let off = metaopt_trace::Tracer::disabled();
+            simulate_traced(&mp, &cfg, vec![0u8; 4096], Some((0.05, 7)), tier, &off).unwrap()
+        };
+        let a = noisy(SimTier::Fast);
+        let b = noisy(SimTier::Fast);
         assert_eq!(a.cycles, b.cycles);
+        assert_eq!(a, noisy(SimTier::Reference));
         let lo = (base as f64 * 0.94).floor() as u64;
         let hi = (base as f64 * 1.06).ceil() as u64;
         assert!(a.cycles >= lo.max(1) && a.cycles <= hi.max(2));

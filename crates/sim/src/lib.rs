@@ -22,7 +22,7 @@
 //! Simulation is **tiered** ([`SimTier`]): the default fast tier pre-decodes
 //! a program into compact linear bytecode ([`bytecode`]) and executes it
 //! several times faster than the original cycle-level interpreter, which is
-//! kept as the reference tier ([`exec::simulate_reference`]). Both tiers are
+//! kept as the reference tier ([`SimTier::Reference`]). Both tiers are
 //! bit-identical in every observable (cycles, memory traffic, statistics,
 //! outputs), a contract enforced by a cross-tier differential test harness.
 //!
@@ -30,8 +30,12 @@
 //! so software prefetching has both its benefit (hiding miss latency) and its
 //! costs (memory-unit issue slots, cache pollution) — the trade-off the
 //! paper's third case study explores. An optional multiplicative noise model
-//! ([`exec::simulate_noisy`]) reproduces the "real machine" measurement
-//! jitter of the paper's Itanium experiments.
+//! (the `noise` argument of [`exec::simulate_traced`]) reproduces the "real
+//! machine" measurement jitter of the paper's Itanium experiments.
+//!
+//! Three functions run a simulation: [`simulate`] on the default tier,
+//! [`simulate_tier`] on an explicit one, and [`exec::simulate_traced`],
+//! which adds noise and `sim` trace events.
 
 pub mod bytecode;
 pub mod cache;
