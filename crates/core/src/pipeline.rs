@@ -21,13 +21,16 @@ use metaopt_ir::budget;
 use metaopt_ir::interp::{run, RunConfig};
 use metaopt_ir::profile::FuncProfile;
 use metaopt_ir::Program;
-use metaopt_sim::exec::{simulate_traced, SimError};
+use metaopt_sim::exec::{jitter, simulate_traced, SimError};
 use metaopt_sim::machine::MachineConfig;
+use metaopt_sim::BytecodeProgram;
 use metaopt_suite::{Benchmark, DataSet, SuiteError};
 use metaopt_trace::{json::Value, Tracer};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Failure while preparing a benchmark for evaluation (loading, inlining,
 /// interpreting the reference run, or timing the baseline). These occur
@@ -186,7 +189,7 @@ impl PreparedBench {
                     ds,
                     tracer: &off,
                 };
-                pb.eval(study, &req, &study.machine, None)
+                pb.eval(study, &req, &study.machine, None, None)
                     .map_err(|e| err(format!("baseline failed: {e}")))
             };
             (baseline(DataSet::Train)?, baseline(DataSet::Novel)?)
@@ -214,7 +217,7 @@ impl PreparedBench {
         study: &StudyConfig,
         req: &EvalRequest<'_>,
     ) -> Result<Evaluation, EvalError> {
-        self.eval(study, req, &self.eval_machine, None)
+        self.eval(study, req, &self.eval_machine, None, None)
     }
 
     /// Speedup of `expr` over the baseline heuristic on `ds`.
@@ -268,25 +271,23 @@ impl PreparedBench {
             ds,
             tracer,
         };
-        let Evaluation { cycles, stats } = self.try_eval(study, &req)?;
-        let size = stats.counters.static_insts;
-        Ok([
-            cycles,
-            size,
-            (plan.steps().len() as u64).saturating_mul(size),
-        ])
+        Ok(objectives(plan, self.try_eval(study, &req)?))
     }
 
     /// The one compile-and-simulate core behind every evaluation: compile
     /// `req`, simulate it on `machine`, and check the result. `fault` is an
     /// optional injector with the engine's retry attempt; only the
-    /// (transient) timeout stage is attempt-sensitive.
+    /// (transient) timeout stage is attempt-sensitive. `memo` is the
+    /// calling evaluator's [`SimMemo`] with this bench's case number; its
+    /// key leaves the machine out, so evaluators always pass
+    /// `self.eval_machine` with it.
     fn eval(
         &self,
         study: &StudyConfig,
         req: &EvalRequest<'_>,
         machine: &MachineConfig,
         fault: Option<(&FaultInjector, u32)>,
+        memo: Option<(&SimMemo, usize)>,
     ) -> Result<Evaluation, EvalError> {
         let key = req.expr.map(Expr::key).unwrap_or_default();
         let inject = |stage, attempt| match fault {
@@ -321,41 +322,42 @@ impl PreparedBench {
         inject(FaultStage::Timeout, fault.map_or(0, |(_, attempt)| attempt))?;
         inject(FaultStage::Simulate, 0)?;
 
-        // Timing noise (if the study has any) is seeded deterministically
-        // from the genome (expression, and plan when given) and data set, so
-        // memoized fitness stays consistent while distinct genomes still see
-        // distinct measurement error — the situation GP must tolerate on a
-        // real machine (paper §7.1). The baseline heuristic runs at seed 0.
         let ds = req.ds;
-        let seed = match req.expr {
-            None => 0,
-            Some(_) => {
-                let mut h = DefaultHasher::new();
-                key.hash(&mut h);
-                if let Some(plan) = req.plan {
-                    plan.to_string().hash(&mut h);
-                }
-                self.name.hash(&mut h);
-                (ds == DataSet::Novel).hash(&mut h);
-                h.finish()
-            }
-        };
         let (image, expected) = match ds {
             DataSet::Train => (&self.train_mem, self.train_ret),
             DataSet::Novel => (&self.novel_mem, self.novel_ret),
         };
-        let mut mem = image.clone();
-        mem.resize(compiled.mem_size.max(mem.len()), 0);
-        let noise = (study.noise > 0.0).then_some((study.noise, seed));
-        let result = simulate_traced(
-            &compiled.code,
-            machine,
-            mem,
-            noise,
-            study.sim_tier,
-            req.tracer,
-        )
-        .map_err(|e| match e {
+        let mem_len = compiled.mem_size.max(image.len());
+        let run = || {
+            let mut mem = image.clone();
+            mem.resize(mem_len, 0);
+            simulate_traced(
+                &compiled.code,
+                machine,
+                mem,
+                None,
+                study.sim_tier,
+                req.tracer,
+            )
+            .map(|r| SimRun {
+                cycles: r.cycles,
+                ret: r.ret,
+            })
+        };
+        let outcome = match memo {
+            Some((memo, case)) => {
+                let code = BytecodeProgram::compile(&compiled.code, machine);
+                let key = SimKey {
+                    case,
+                    ds,
+                    mem_len,
+                    code,
+                };
+                memo.get_or_run(key, req.tracer, run)
+            }
+            None => run(),
+        };
+        let result = outcome.map_err(|e| match e {
             SimError::InstLimit(n) => EvalError::new(
                 EvalErrorKind::Budget,
                 format!(
@@ -388,10 +390,123 @@ impl PreparedBench {
                 ),
             ));
         }
+
+        // Timing noise (if the study has any) is seeded deterministically
+        // from the genome (expression, and plan when given) and data set, so
+        // memoized fitness stays consistent while distinct genomes still see
+        // distinct measurement error — the situation GP must tolerate on a
+        // real machine (paper §7.1). The baseline heuristic runs at seed 0.
+        // It is part of the measurement, not of the run, so it applies after
+        // the memo: genomes that compile to one program share its run but
+        // not its noise.
+        let cycles = if study.noise > 0.0 {
+            let seed = match req.expr {
+                None => 0,
+                Some(_) => {
+                    let mut h = DefaultHasher::new();
+                    key.hash(&mut h);
+                    if let Some(plan) = req.plan {
+                        plan.to_string().hash(&mut h);
+                    }
+                    self.name.hash(&mut h);
+                    (ds == DataSet::Novel).hash(&mut h);
+                    h.finish()
+                }
+            };
+            jitter(result.cycles, study.noise, seed)
+        } else {
+            result.cycles
+        };
         Ok(Evaluation {
-            cycles: result.cycles,
+            cycles,
             stats: compiled.stats,
         })
+    }
+}
+
+/// The co-evolution objective vector of an evaluation under `plan`: see
+/// [`PreparedBench::try_objectives_traced`].
+fn objectives(plan: &PipelinePlan, e: Evaluation) -> [u64; 3] {
+    let size = e.stats.counters.static_insts;
+    [
+        e.cycles,
+        size,
+        (plan.steps().len() as u64).saturating_mul(size),
+    ]
+}
+
+/// The noise-free outcome of one simulator run, as far as the evaluation
+/// core reads it.
+#[derive(Clone, Copy)]
+struct SimRun {
+    cycles: u64,
+    ret: i64,
+}
+
+/// What makes two simulator runs of one evaluator the same run: the case
+/// (which fixes the bench, and with it the machine and the memory images),
+/// the data set, the length the memory image is resized to, and the
+/// lowered program. The program is compared as bytecode, not as a
+/// `MachineProgram`, whose derived `==` calls the immediates `0.0` and
+/// `-0.0` equal.
+#[derive(PartialEq, Eq, Hash)]
+struct SimKey {
+    case: usize,
+    ds: DataSet,
+    mem_len: usize,
+    code: BytecodeProgram,
+}
+
+/// A study evaluator's exact simulation memo: each distinct [`SimKey`] is
+/// simulated once per evaluator, at any thread count. Simulation is a pure
+/// function of program, machine and memory image, so a remembered outcome
+/// is the outcome a new run would give; the memo keeps only the key and
+/// the small [`SimRun`], never a final memory image.
+///
+/// Each key holds a once-cell, taken under the map lock and filled outside
+/// it: a second request for a key whose run is in flight waits for that
+/// run instead of repeating it, and a run that panics leaves its cell
+/// empty, so the next request runs (and panics) again.
+///
+/// The memo belongs to an evaluator, which is built once per search, and
+/// never to a [`PreparedBench`], which outlives searches: every search
+/// starts cold, as it did before the memo.
+#[derive(Default)]
+struct SimMemo {
+    runs: Mutex<HashMap<SimKey, Arc<SimCell>>>,
+}
+
+/// One key's outcome, filled by the key's first run.
+type SimCell = OnceLock<Result<SimRun, SimError>>;
+
+impl SimMemo {
+    /// The outcome of `key`: remembered, or `run()`'s on the first request.
+    /// A remembered outcome emits no `sim` event and counts as
+    /// `metaopt_sim_memo_hits_total` on `tracer`'s metrics.
+    fn get_or_run(
+        &self,
+        key: SimKey,
+        tracer: &Tracer,
+        run: impl FnOnce() -> Result<SimRun, SimError>,
+    ) -> Result<SimRun, SimError> {
+        let cell = Arc::clone(
+            self.runs
+                .lock()
+                .expect("no code panics under the memo lock")
+                .entry(key)
+                .or_default(),
+        );
+        let mut ran = false;
+        let outcome = cell.get_or_init(|| {
+            ran = true;
+            run()
+        });
+        if !ran {
+            if let Some(m) = tracer.metrics() {
+                m.counter("metaopt_sim_memo_hits_total").inc();
+            }
+        }
+        outcome.clone()
     }
 }
 
@@ -405,11 +520,17 @@ impl PreparedBench {
 /// penalty fitness. With the `fault-inject` feature, an optional
 /// [`FaultInjector`] can deterministically force such failures for
 /// robustness testing.
+///
+/// Genomes that compile to the same program on the same case share one
+/// simulator run: the evaluator remembers each distinct program's
+/// noise-free outcome for its lifetime, and applies each genome's own noise
+/// to it. Build one evaluator per search.
 pub struct StudyEvaluator<'a> {
     study: &'a StudyConfig,
     benches: &'a [PreparedBench],
     fault: Option<FaultInjector>,
     tracer: Tracer,
+    memo: SimMemo,
 }
 
 impl<'a> StudyEvaluator<'a> {
@@ -420,11 +541,12 @@ impl<'a> StudyEvaluator<'a> {
             benches,
             fault: None,
             tracer: Tracer::disabled(),
+            memo: SimMemo::default(),
         }
     }
 
-    /// Emit `pass`/`sim` events (stamped with the benchmark name) for every
-    /// evaluation into `tracer`.
+    /// Emit `pass` events for every evaluation and a `sim` event for every
+    /// simulator run (stamped with the benchmark name) into `tracer`.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
         self
@@ -459,7 +581,8 @@ impl metaopt_gp::Evaluator for StudyEvaluator<'_> {
             tracer: &tracer,
         };
         let fault = self.fault.as_ref().map(|f| (f, attempt));
-        match pb.eval(self.study, &req, &pb.eval_machine, fault) {
+        let memo = Some((&self.memo, case));
+        match pb.eval(self.study, &req, &pb.eval_machine, fault, memo) {
             Ok(e) => EvalOutcome::Score(pb.baseline_train_cycles as f64 / e.cycles as f64),
             Err(e) => EvalOutcome::Failed(e),
         }
@@ -470,11 +593,13 @@ impl metaopt_gp::Evaluator for StudyEvaluator<'_> {
 /// co-evolution: each `(plan, expr)` genome compiles under the genome's
 /// own pipeline plan with the expression in the study's priority slot, and
 /// scores as the integer objective vector of
-/// [`PreparedBench::try_objectives_traced`] on the training data.
+/// [`PreparedBench::try_objectives_traced`] on the training data. Like
+/// [`StudyEvaluator`], it simulates each distinct compiled program once.
 pub struct StudyMultiEvaluator<'a> {
     study: &'a StudyConfig,
     benches: &'a [PreparedBench],
     tracer: Tracer,
+    memo: SimMemo,
 }
 
 impl<'a> StudyMultiEvaluator<'a> {
@@ -484,11 +609,12 @@ impl<'a> StudyMultiEvaluator<'a> {
             study,
             benches,
             tracer: Tracer::disabled(),
+            memo: SimMemo::default(),
         }
     }
 
-    /// Emit `pass`/`sim` events (stamped with the benchmark name) for every
-    /// evaluation into `tracer`.
+    /// Emit `pass` events for every evaluation and a `sim` event for every
+    /// simulator run (stamped with the benchmark name) into `tracer`.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
         self
@@ -517,7 +643,15 @@ impl metaopt_gp::MultiEvaluator for StudyMultiEvaluator<'_> {
         let tracer = self
             .tracer
             .scoped([("bench", Value::str(pb.name.as_str()))]);
-        pb.try_objectives_traced(self.study, &plan, expr, DataSet::Train, &tracer)
+        let req = EvalRequest {
+            expr: Some(expr),
+            plan: Some(&plan),
+            ds: DataSet::Train,
+            tracer: &tracer,
+        };
+        let memo = Some((&self.memo, case));
+        let evaluation = pb.eval(self.study, &req, &pb.eval_machine, None, memo)?;
+        Ok(objectives(&plan, evaluation))
     }
 }
 
@@ -668,6 +802,62 @@ mod tests {
             EvalOutcome::Score(s) => assert!((s - 1.0).abs() < 1e-12, "speedup {s}"),
             EvalOutcome::Failed(e) => panic!("baseline seed failed: {e}"),
         }
+    }
+
+    #[test]
+    fn evaluator_simulates_each_distinct_program_once() {
+        // Equivalent genomes compile to one program per case. The evaluator
+        // runs each program once, yet every score has the bits of an
+        // unshared evaluation, each genome's own noise included.
+        let cfg = study::prefetch();
+        let benches = ["102.swim", "101.tomcatv"]
+            .map(|name| PreparedBench::new(&cfg, &metaopt_suite::by_name(name).unwrap()));
+        let metrics = metaopt_trace::metrics::MetricsRegistry::new();
+        let tracer = Tracer::in_memory().with_metrics(metrics.clone());
+        let ev = StudyEvaluator::new(&cfg, &benches).with_tracer(tracer.clone());
+        let genomes = [
+            "(bconst true)",
+            "(or (bconst true) (barg trip_known))",
+            "(bconst false)",
+            "(and (bconst false) (barg trip_known))",
+            "(barg trip_known)",
+        ];
+        let mut programs = std::collections::HashSet::new();
+        let mut scores = Vec::new();
+        for text in genomes {
+            let expr = metaopt_gp::parse::parse_expr(text, &cfg.features).unwrap();
+            for (case, pb) in benches.iter().enumerate() {
+                let EvalOutcome::Score(score) = metaopt_gp::Evaluator::eval_case(&ev, &expr, case)
+                else {
+                    panic!("{text} failed on {}", pb.name);
+                };
+                let cycles = cycles_with(pb, &cfg, &expr, DataSet::Train);
+                let unshared = pb.baseline_train_cycles as f64 / cycles as f64;
+                assert_eq!(score.to_bits(), unshared.to_bits(), "{text} on {}", pb.name);
+                scores.push(score);
+                let pri = ExprPriority(&expr);
+                let passes = cfg.passes_with(&pri);
+                let compiled = compile(&pb.prepared, &pb.profile, &cfg.machine, &passes).unwrap();
+                programs.insert((
+                    case,
+                    compiled.mem_size.max(pb.train_mem.len()),
+                    BytecodeProgram::compile(&compiled.code, &pb.eval_machine),
+                ));
+            }
+        }
+        let sims = tracer
+            .lines()
+            .unwrap()
+            .iter()
+            .filter(|l| l.contains(r#""type":"sim""#))
+            .count();
+        assert_eq!(sims, programs.len());
+        assert!(sims < scores.len(), "no two genomes shared a program");
+        let count = |name| metrics.counter(name).get() as usize;
+        assert_eq!(count("metaopt_sim_total"), sims);
+        assert_eq!(count("metaopt_sim_memo_hits_total"), scores.len() - sims);
+        // `(bconst true)` and its equivalent share a run but not its noise.
+        assert_ne!(scores[0], scores[2]);
     }
 
     #[cfg(feature = "fault-inject")]

@@ -52,7 +52,7 @@ const OOB: u32 = u32::MAX - 1;
 
 /// Fieldless dispatch kind: one variant per executable behavior of
 /// [`Opcode`], with load/store widths moved into [`Op::width`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum OpK {
     Add,
     Sub,
@@ -127,7 +127,7 @@ enum OpK {
 /// (`[ints | floats | preds]`). Branches reuse the operand slots: `Br`
 /// keeps its target in `a`; `CBr` keeps its guard-input in `a`, target in
 /// `b`, and dense predictor site in `c`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct Op {
     kind: OpK,
     /// Load/store access width ([`Width::B8`] for non-memory ops).
@@ -147,7 +147,7 @@ struct Op {
 }
 
 /// Issue-group metadata: ranges into the flat `ops` and `deps` arrays.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct BundleMeta {
     ops: (u32, u32),
     deps: (u32, u32),
@@ -156,7 +156,13 @@ struct BundleMeta {
 /// A [`MachineProgram`] compiled to linear bytecode for a specific
 /// [`MachineConfig`] (the register-file sizes are baked into the unified
 /// file indices).
-#[derive(Clone, Debug)]
+///
+/// Equality and hashing are exact over everything [`BytecodeProgram::run`]
+/// reads, so two programs that compare equal simulate identically on the
+/// same machine and memory image. `FMovI` immediates compare as bit
+/// patterns: unlike [`MachineProgram`]'s derived `==`, which compares
+/// `fimm` as `f64`, `0.0` and `-0.0` are different programs here.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct BytecodeProgram {
     ops: Vec<Op>,
     bundles: Vec<BundleMeta>,
@@ -830,5 +836,64 @@ impl BytecodeProgram {
             cache: cache.stats,
             memory: mem,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::code::Bundle;
+    use crate::exec::{simulate_tier, SimTier};
+    use metaopt_ir::{Inst, VReg};
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
+
+    fn hash_of(bc: &BytecodeProgram) -> u64 {
+        let mut h = DefaultHasher::new();
+        bc.hash(&mut h);
+        h.finish()
+    }
+
+    /// `f1 <- fimm; r1 <- fbits f1; ret r1`.
+    fn fbits_of(fimm: f64) -> MachineProgram {
+        let bundle = |insts| Bundle { insts };
+        MachineProgram {
+            blocks: vec![vec![
+                bundle(vec![Inst::new(Opcode::FMovI).dst(VReg(1)).fimm(fimm)]),
+                bundle(vec![Inst::new(Opcode::FBits).dst(VReg(1)).args(&[VReg(1)])]),
+                bundle(vec![Inst::new(Opcode::Ret).args(&[VReg(1)])]),
+            ]],
+            entry: 0,
+        }
+    }
+
+    #[test]
+    fn lowering_is_a_deterministic_identity() {
+        let cfg = MachineConfig::table3();
+        let mp = fbits_of(1.5);
+        let (a, b) = (
+            BytecodeProgram::compile(&mp, &cfg),
+            BytecodeProgram::compile(&mp, &cfg),
+        );
+        assert_eq!(a, b);
+        assert_eq!(hash_of(&a), hash_of(&b));
+    }
+
+    #[test]
+    fn signed_zero_immediates_are_different_programs() {
+        // MachineProgram compares `fimm` as f64, so it cannot tell the two
+        // apart; the bytecode compares bit patterns, and so does the run.
+        let cfg = MachineConfig::table3();
+        let (pos, neg) = (fbits_of(0.0), fbits_of(-0.0));
+        assert_eq!(pos, neg);
+        assert_ne!(
+            BytecodeProgram::compile(&pos, &cfg),
+            BytecodeProgram::compile(&neg, &cfg)
+        );
+        for tier in [SimTier::Fast, SimTier::Reference] {
+            let ret = |mp| simulate_tier(mp, &cfg, vec![0u8; 4096], tier).unwrap().ret;
+            assert_eq!(ret(&pos), 0, "{tier}");
+            assert_eq!(ret(&neg), i64::MIN, "{tier}");
+        }
     }
 }

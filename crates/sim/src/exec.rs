@@ -463,14 +463,15 @@ fn simulate_reference(
 }
 
 /// Run [`simulate_tier`] and emit one `sim` trace event per completed
-/// simulation: simulated `cycles` and `insts`, the host-side wall time as
-/// `dur_ns`, and the executing `tier`. Failed simulations emit nothing —
-/// the caller's evaluation layer records the failure in its own taxonomy.
+/// simulation: the run's simulated `cycles` (before any noise) and
+/// `insts`, the host-side wall time as `dur_ns`, and the executing `tier`.
+/// Failed simulations emit nothing — the caller's evaluation layer records
+/// the failure in its own taxonomy.
 ///
-/// `noise = Some((amplitude, seed))` scales the finished run's cycle count
-/// by `1 + amplitude * u`, with `u` drawn uniformly from `[-1, 1)` by a
-/// deterministic xorshift of `seed`: the paper §7's real-machine timing
-/// jitter. It is applied after the run, so it is identical across tiers.
+/// `noise = Some((amplitude, seed))` then applies [`jitter`] to the
+/// returned cycle count: the paper §7's real-machine timing jitter. It is
+/// part of the measurement, not of the run, so the event and the sim
+/// counters keep the noise-free cycles, and it is identical across tiers.
 pub fn simulate_traced(
     mp: &MachineProgram,
     cfg: &MachineConfig,
@@ -480,13 +481,8 @@ pub fn simulate_traced(
     tracer: &metaopt_trace::Tracer,
 ) -> Result<SimResult, SimError> {
     let span = tracer.begin();
-    let result = simulate_tier(mp, cfg, memory, tier).map(|mut r| {
-        if let Some((amplitude, seed)) = noise {
-            r.cycles = jitter(r.cycles, amplitude, seed);
-        }
-        r
-    });
-    if let Ok(r) = &result {
+    let mut result = simulate_tier(mp, cfg, memory, tier);
+    if let Ok(r) = &mut result {
         if let Some(m) = tracer.metrics() {
             m.counter("metaopt_sim_total").inc();
             m.counter("metaopt_sim_cycles_total").add(r.cycles);
@@ -504,12 +500,19 @@ pub fn simulate_traced(
                 ],
             );
         }
+        if let Some((amplitude, seed)) = noise {
+            r.cycles = jitter(r.cycles, amplitude, seed);
+        }
     }
     result
 }
 
-/// The measurement noise of [`simulate_traced`].
-fn jitter(cycles: u64, amplitude: f64, seed: u64) -> u64 {
+/// The measurement noise of [`simulate_traced`]: `cycles` scaled by
+/// `1 + amplitude * u`, with `u` drawn uniformly from `[-1, 1)` by a
+/// deterministic xorshift of `seed`. Public so that a caller which
+/// remembers noise-free runs applies exactly the same noise to a
+/// remembered outcome.
+pub fn jitter(cycles: u64, amplitude: f64, seed: u64) -> u64 {
     let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15).max(1);
     x ^= x << 13;
     x ^= x >> 7;

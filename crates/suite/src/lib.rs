@@ -60,7 +60,7 @@ impl std::error::Error for SuiteError {}
 
 /// Which input data a run uses (paper §5.4: "train data set" vs "novel data
 /// set").
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DataSet {
     /// The data the priority function was trained on.
     Train,

@@ -19,7 +19,7 @@
 //! | `generation`      | GP engine         | generation (subset, cache counters)  |
 //! | `eval`            | GP engine         | uncached `(genome, case)` evaluation |
 //! | `pass`            | pass manager      | executed compiler pass               |
-//! | `sim`             | simulator         | completed simulation                 |
+//! | `sim`             | simulator         | simulator run (noise-free cycles)    |
 //! | `validate`        | pass manager      | semantic validation of one pass      |
 //! | `checkpoint`      | GP engine         | checkpoint write                     |
 //! | `metrics-snapshot` | GP engine        | generation (live [`metrics`] dump)   |

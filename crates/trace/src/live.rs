@@ -256,7 +256,11 @@ impl LiveStatus {
             let sim_ns = snap.scalar("metaopt_sim_wall_ns_total").unwrap_or(0);
             if sim_cycles > 0 && sim_ns > 0 {
                 let cps = sim_cycles as f64 / (sim_ns as f64 / 1e9);
-                out.push_str(&format!("sim {} cycles/s\n", fmt_quantity(cps)));
+                out.push_str(&format!(
+                    "sim {} cycles/s · memo hits {}\n",
+                    fmt_quantity(cps),
+                    snap.scalar("metaopt_sim_memo_hits_total").unwrap_or(0)
+                ));
             }
             out.push_str(&format!(
                 "reliability: retries {} · timeouts {} · quarantined {}\n",
@@ -343,7 +347,7 @@ mod tests {
                 r#"{"type":"run-start","ts":1,"command":"specialize hyperblock unepic"}"#,
                 r#"{"type":"evolution-start","ts":2,"population":16,"generations":12,"start_gen":0,"threads":2,"resumed":false}"#,
                 r#"{"type":"generation","ts":3,"gen":0,"subset":[0],"evals":16,"cache_hits":4,"best_fitness":1.25,"mean_fitness":2.5,"best_size":3,"dur_ns":200000000}"#,
-                r#"{"type":"metrics-snapshot","ts":4,"seq":0,"gen":0,"counters":{"evaluations":16,"cache_hits":4,"warm_hits":2,"quarantined":1},"runtime":{"metaopt_eval_latency_ns":{"count":16,"sum":160000000,"buckets":[[24,12],[25,4]]},"metaopt_service_workers":2,"metaopt_service_workers_busy":1,"metaopt_service_queue_depth{shard=\"0\"}":3,"metaopt_service_queue_depth{shard=\"1\"}":2,"metaopt_service_steals_total":7,"metaopt_service_restarts_total":0,"metaopt_sim_cycles_total":8000000,"metaopt_sim_wall_ns_total":1000000000}}"#,
+                r#"{"type":"metrics-snapshot","ts":4,"seq":0,"gen":0,"counters":{"evaluations":16,"cache_hits":4,"warm_hits":2,"quarantined":1},"runtime":{"metaopt_eval_latency_ns":{"count":16,"sum":160000000,"buckets":[[24,12],[25,4]]},"metaopt_service_workers":2,"metaopt_service_workers_busy":1,"metaopt_service_queue_depth{shard=\"0\"}":3,"metaopt_service_queue_depth{shard=\"1\"}":2,"metaopt_service_steals_total":7,"metaopt_service_restarts_total":0,"metaopt_sim_cycles_total":8000000,"metaopt_sim_wall_ns_total":1000000000,"metaopt_sim_memo_hits_total":12}}"#,
             ],
         );
         assert!(!s.finished());
@@ -361,7 +365,7 @@ mod tests {
             view.contains("workers 1/2 busy · queue 5 · steals 7 · restarts 0"),
             "{view}"
         );
-        assert!(view.contains("sim 8.0M cycles/s"), "{view}");
+        assert!(view.contains("sim 8.0M cycles/s · memo hits 12"), "{view}");
         assert!(view.contains("quarantined 1"), "{view}");
 
         // run-end flips the finished flag.

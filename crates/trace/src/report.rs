@@ -75,17 +75,19 @@ pub struct ValidateRow {
     pub total_ns: u64,
 }
 
-/// Reliability counters: containment activity from the supervised
-/// evaluation service (`retry`, `timeout`, `worker-restart` events) plus
-/// persistent fitness-cache behaviour (`cache-recovered` events and warm
-/// `eval`s). All zero on a healthy run without a persistent cache.
+/// Reliability counters: containment activity (`retry` events from the
+/// evaluation core's bounded retries; `timeout` and `worker-restart`
+/// events, which no current producer emits, are only read from older
+/// traces) plus persistent fitness-cache behaviour (`cache-recovered`
+/// events and warm `eval`s). All zero on a healthy run without a
+/// persistent cache.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Reliability {
     /// Transient evaluation failures that were retried.
     pub retries: u64,
-    /// Stalled jobs reclaimed by the wall-clock watchdog.
+    /// Stalled jobs reclaimed by a wall-clock watchdog (older traces).
     pub timeouts: u64,
-    /// Worker threads the supervisor respawned.
+    /// Worker threads respawned by a supervisor (older traces).
     pub worker_restarts: u64,
     /// Store opens that recovered a truncated/corrupt tail.
     pub cache_recovered: u64,
@@ -135,7 +137,10 @@ pub struct Report {
     pub validation: Vec<ValidateRow>,
     /// Quarantine counts per error class, in first-seen order.
     pub quarantine: Vec<(String, u64)>,
-    /// Number of simulations and their total simulated cycles.
+    /// Number of simulator runs (`sim` events) and their total simulated,
+    /// noise-free cycles. An evaluation whose program an evaluator had
+    /// already simulated runs nothing, so runs can be fewer than
+    /// evaluations.
     pub sims: (u64, u64),
     /// Total wall nanoseconds spent inside the simulator (`sim` events).
     pub sim_ns: u64,
@@ -149,7 +154,7 @@ pub struct Report {
     /// pairs over every `eval` event's `dur_ns` (the same bucket scheme as
     /// [`crate::metrics::Histogram`]). Empty when the trace has no evals.
     pub eval_latency: Vec<(usize, u64)>,
-    /// Service containment and persistent-cache counters.
+    /// Containment and persistent-cache counters.
     pub reliability: Reliability,
     /// Final Pareto front of a co-evolved run; `None` on scalar traces
     /// (the digest then reports `front_size` 0 with a note).
@@ -359,8 +364,8 @@ impl Report {
         }
         if self.sims.0 > 0 {
             out.push_str(&format!(
-                "\nsimulations: {} runs, {} cycles total\n",
-                self.sims.0, self.sims.1
+                "\nsimulations: {} runs for {} evaluations, {} cycles total\n",
+                self.sims.0, self.total_evals, self.sims.1
             ));
         }
         if self.checkpoints.0 > 0 {
@@ -773,7 +778,7 @@ mod tests {
             "schedule",
             "validate",
             "failures",
-            "simulations",
+            "simulations: 6 runs for 6 evaluations, 600 cycles total",
             "reliability: 1 retries, 1 timeouts, 1 worker restarts",
             "warm cache: 1 evals served",
             "quarantine: budget x1",

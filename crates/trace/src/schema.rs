@@ -130,9 +130,10 @@ pub const EVENT_TYPES: &[(&str, &[(&str, FieldKind)])] = &[
         "checkpoint",
         &[("gen", FieldKind::UInt), ("dur_ns", FieldKind::UInt)],
     ),
-    // Reliability events (additive within v1): retry/timeout/worker-restart
-    // come from the supervised evaluation service, cache-recovered from the
-    // persistent fitness store.
+    // Reliability events (additive within v1): retry comes from the
+    // evaluation core's bounded retries and cache-recovered from the
+    // persistent fitness store; timeout and worker-restart have no current
+    // producer and are only read from older traces.
     (
         "retry",
         &[
@@ -186,7 +187,7 @@ pub const EVENT_TYPES: &[(&str, &[(&str, FieldKind)])] = &[
     // `seq` is a monotonic snapshot sequence number (not wall time);
     // `counters` holds the deterministic engine counters; the optional
     // `runtime` object carries the full registry dump (latency histograms,
-    // service gauges) and is stripped by `strip_timing` because it is
+    // gauges, sim counters) and is stripped by `strip_timing` because it is
     // schedule-dependent.
     (
         "metrics-snapshot",
