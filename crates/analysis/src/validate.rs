@@ -64,7 +64,7 @@ fn file_size(class: RegClass, m: &MachineConfig) -> u32 {
 }
 
 /// Where a virtual register lives after allocation.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum Loc {
     Phys(u32),
     Slot(i64),
@@ -466,23 +466,33 @@ pub fn validate_regalloc(
             }
         }
     }
-    let placed: Vec<(usize, Loc)> = loc
+    // Only vregs that share a location can clash: group the placed vregs
+    // by location and test pairs within each group, then report the
+    // clashes in increasing (v, w) order.
+    let mut placed: Vec<(Loc, usize)> = loc
         .iter()
         .enumerate()
-        .filter_map(|(v, l)| l.map(|l| (v, l)))
+        .filter_map(|(v, l)| l.map(|l| (l, v)))
         .collect();
-    for (i, &(v, lv)) in placed.iter().enumerate() {
-        for &(w, lw) in &placed[i + 1..] {
-            if lv == lw && pre.vreg_class[v] == pre.vreg_class[w] && range[v].intersects(&range[w])
-            {
-                diags.push(Diagnostic::new(
-                    Severity::Error,
-                    pass,
-                    &pre.name,
-                    format!("interfering v{v} and v{w} share {lv:?}"),
-                ));
+    placed.sort_unstable();
+    let mut clashes: Vec<(usize, usize, Loc)> = Vec::new();
+    for group in placed.chunk_by(|a, b| a.0 == b.0) {
+        for (i, &(l, v)) in group.iter().enumerate() {
+            for &(_, w) in &group[i + 1..] {
+                if pre.vreg_class[v] == pre.vreg_class[w] && range[v].intersects(&range[w]) {
+                    clashes.push((v, w, l));
+                }
             }
         }
+    }
+    clashes.sort_unstable_by_key(|&(v, w, _)| (v, w));
+    for (v, w, l) in clashes {
+        diags.push(Diagnostic::new(
+            Severity::Error,
+            pass,
+            &pre.name,
+            format!("interfering v{v} and v{w} share {l:?}"),
+        ));
     }
 
     diags
@@ -518,30 +528,134 @@ fn check_phys(
 // Scheduling
 // ---------------------------------------------------------------------------
 
-/// Operand identity for dependence analysis: (class, physical index).
-type Reg = (RegClass, u32);
-
-fn reads_of(inst: &Inst) -> Vec<Reg> {
-    let mut out = Vec::new();
-    if let Some(classes) = inst.op.arg_classes() {
-        for (a, c) in inst.args.iter().zip(classes) {
-            out.push((*c, a.0));
-        }
-    } else {
-        for a in &inst.args {
-            out.push((RegClass::Int, a.0)); // Ret value
-        }
-    }
-    if let Some(p) = inst.pred {
-        out.push((RegClass::Pred, p.0));
-    }
-    out
+/// Dense index of a register operand: `reg·3 + class`.
+fn dep_slot(class: RegClass, reg: u32) -> usize {
+    reg as usize * 3 + class as usize
 }
 
-fn write_of(inst: &Inst) -> Option<Reg> {
+/// The register slots `inst` reads, in operand order (a `Ret` value is an
+/// integer), then its guard.
+fn dep_reads(inst: &Inst) -> impl Iterator<Item = usize> + '_ {
+    let classes = inst.op.arg_classes();
+    let n = classes.map_or(inst.args.len(), |cs| cs.len().min(inst.args.len()));
+    inst.args[..n]
+        .iter()
+        .enumerate()
+        .map(move |(i, a)| dep_slot(classes.map_or(RegClass::Int, |cs| cs[i]), a.0))
+        .chain(inst.pred.map(|p| dep_slot(RegClass::Pred, p.0)))
+}
+
+fn dep_write(inst: &Inst) -> Option<usize> {
     match (inst.op.dst_class(), inst.dst) {
-        (Some(c), Some(d)) => Some((c, d.0)),
+        (Some(c), Some(d)) => Some(dep_slot(c, d.0)),
         _ => None,
+    }
+}
+
+/// End of a reader chain.
+const NO_READER: usize = usize::MAX;
+
+/// Per-register dependence state for one function, reused by every
+/// segment: an entry is live only while its stamp equals the current
+/// segment's. Readers since the last write form a chain in `reader_at`,
+/// oldest first.
+struct DepTables {
+    stamp: u32,
+    /// (stamp, last writer).
+    writer: Vec<(u32, usize)>,
+    /// (stamp, oldest reader entry, newest reader entry).
+    readers: Vec<(u32, usize, usize)>,
+    /// (reader, next entry).
+    reader_at: Vec<(usize, usize)>,
+    loads_since_store: Vec<usize>,
+}
+
+impl DepTables {
+    fn new(func: &Function) -> Self {
+        let max_reg = func
+            .blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .flat_map(|i| i.args.iter().chain(&i.pred).chain(&i.dst))
+            .map(|r| r.0 as usize)
+            .max()
+            .unwrap_or(0);
+        let slots = (max_reg + 1) * 3;
+        DepTables {
+            stamp: 0,
+            writer: vec![(0, 0); slots],
+            readers: vec![(0, NO_READER, NO_READER); slots],
+            reader_at: Vec::new(),
+            loads_since_store: Vec::new(),
+        }
+    }
+
+    /// Call `edge(from, to, why)` for every RAW/WAR/WAW and memory-ordering
+    /// dependence among `insts[lo..hi]`, in the order: each instruction's
+    /// reads, its write (readers oldest first, then the previous writer),
+    /// then its memory ordering.
+    fn for_each_edge(
+        &mut self,
+        insts: &[Inst],
+        lo: usize,
+        hi: usize,
+        mut edge: impl FnMut(usize, usize, &str),
+    ) {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        self.reader_at.clear();
+        self.loads_since_store.clear();
+        let mut last_store: Option<usize> = None;
+        for (i, inst) in insts.iter().enumerate().take(hi).skip(lo) {
+            for r in dep_reads(inst) {
+                let (ws, w) = self.writer[r];
+                if ws == stamp {
+                    edge(w, i, "read-after-write");
+                }
+                let at = self.reader_at.len();
+                self.reader_at.push((i, NO_READER));
+                match self.readers[r] {
+                    (rs, first, last) if rs == stamp && first != NO_READER => {
+                        self.reader_at[last].1 = at;
+                        self.readers[r] = (stamp, first, at);
+                    }
+                    _ => self.readers[r] = (stamp, at, at),
+                }
+            }
+            if let Some(w) = dep_write(inst) {
+                let (rs, mut at, _) = self.readers[w];
+                if rs == stamp {
+                    while at != NO_READER {
+                        let (r, next) = self.reader_at[at];
+                        if r != i {
+                            edge(r, i, "write-after-read");
+                        }
+                        at = next;
+                    }
+                }
+                let (ws, pw) = self.writer[w];
+                if ws == stamp {
+                    edge(pw, i, "write-after-write");
+                }
+                self.writer[w] = (stamp, i);
+                self.readers[w] = (stamp, NO_READER, NO_READER);
+            }
+            if inst.op.is_store() || inst.op == Opcode::UnsafeCall {
+                if let Some(s) = last_store {
+                    edge(s, i, "store ordering");
+                }
+                for &l in &self.loads_since_store {
+                    edge(l, i, "load-store ordering");
+                }
+                last_store = Some(i);
+                self.loads_since_store.clear();
+            } else if inst.op.is_load() {
+                if let Some(s) = last_store {
+                    edge(s, i, "store-load ordering");
+                }
+                self.loads_since_store.push(i);
+            }
+        }
     }
 }
 
@@ -585,6 +699,7 @@ pub fn validate_schedule(
         return diags;
     }
 
+    let mut deps = DepTables::new(func);
     for bi in 0..func.blocks.len() {
         let pre = &func.blocks[bi].insts;
         let bundles = &code.blocks[bi];
@@ -675,14 +790,10 @@ pub fn validate_schedule(
 
         // Within each straight-line segment, recompute the dependence
         // edges (the same RAW/WAR/WAW + memory-ordering rules the
-        // scheduler uses) and require each edge to issue in a strictly
-        // earlier bundle.
+        // scheduler uses, on tables of the validator's own) and require
+        // each edge to issue in a strictly earlier bundle.
         for &(lo, hi) in &segments {
-            let mut last_write: HashMap<Reg, usize> = HashMap::new();
-            let mut readers: HashMap<Reg, Vec<usize>> = HashMap::new();
-            let mut last_store: Option<usize> = None;
-            let mut loads_since_store: Vec<usize> = Vec::new();
-            let check_edge = |diags: &mut Vec<Diagnostic>, from: usize, to: usize, why: &str| {
+            deps.for_each_edge(pre, lo, hi, |from, to, why| {
                 if bundle_of[from] >= bundle_of[to] {
                     diags.push(
                         Diagnostic::new(
@@ -697,45 +808,7 @@ pub fn validate_schedule(
                         .at_inst(BlockId(bi as u32), to),
                     );
                 }
-            };
-            for (i, inst) in pre.iter().enumerate().take(hi).skip(lo) {
-                for r in reads_of(inst) {
-                    if let Some(&w) = last_write.get(&r) {
-                        check_edge(&mut diags, w, i, "read-after-write");
-                    }
-                    readers.entry(r).or_default().push(i);
-                }
-                if let Some(w) = write_of(inst) {
-                    if let Some(rs) = readers.get(&w) {
-                        for &r in rs {
-                            if r != i {
-                                check_edge(&mut diags, r, i, "write-after-read");
-                            }
-                        }
-                    }
-                    if let Some(&pw) = last_write.get(&w) {
-                        check_edge(&mut diags, pw, i, "write-after-write");
-                    }
-                    last_write.insert(w, i);
-                    readers.remove(&w);
-                }
-                let store_like = inst.op.is_store() || inst.op == Opcode::UnsafeCall;
-                if store_like {
-                    if let Some(s) = last_store {
-                        check_edge(&mut diags, s, i, "store ordering");
-                    }
-                    for &l in &loads_since_store.clone() {
-                        check_edge(&mut diags, l, i, "load-store ordering");
-                    }
-                    last_store = Some(i);
-                    loads_since_store.clear();
-                } else if inst.op.is_load() {
-                    if let Some(s) = last_store {
-                        check_edge(&mut diags, s, i, "store-load ordering");
-                    }
-                    loads_since_store.push(i);
-                }
-            }
+            });
         }
 
         // Issue-width limits per bundle.

@@ -85,6 +85,65 @@ fn class_of_operand(inst: &Inst, arg_ix: usize) -> RegClass {
     }
 }
 
+/// One register class's interference graph as a dense bit matrix: row i
+/// holds the class members whose live ranges share a block with member i.
+struct Interference {
+    /// Words per row.
+    stride: usize,
+    rows: Vec<u64>,
+}
+
+impl Interference {
+    /// Build the graph of `vregs` from their block ranges. Each block gets
+    /// a member set, and a row is the union of the member sets of the
+    /// blocks in its range: O(k·|range|·⌈k/64⌉) for k members rather than
+    /// k²/2 pairwise range tests.
+    fn build(vregs: &[usize], range: &[BitSet], nb: usize) -> Self {
+        let k = vregs.len();
+        let stride = k.div_ceil(64);
+        let mut members = vec![0u64; nb * stride];
+        for (i, &v) in vregs.iter().enumerate() {
+            for b in range[v].iter() {
+                members[b * stride + i / 64] |= 1 << (i % 64);
+            }
+        }
+        let mut rows = vec![0u64; k * stride];
+        for (i, &v) in vregs.iter().enumerate() {
+            let row = &mut rows[i * stride..(i + 1) * stride];
+            for b in range[v].iter() {
+                for (r, m) in row.iter_mut().zip(&members[b * stride..(b + 1) * stride]) {
+                    *r |= m;
+                }
+            }
+            row[i / 64] &= !(1 << (i % 64));
+        }
+        Interference { stride, rows }
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.rows[i * self.stride..(i + 1) * self.stride]
+    }
+
+    /// Number of members interfering with member `i`.
+    fn degree(&self, i: usize) -> usize {
+        self.row(i).iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Members interfering with member `i`, in increasing order.
+    fn neighbours(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        self.row(i).iter().enumerate().flat_map(|(wi, &w)| {
+            let mut bits = w;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    wi * 64 + b
+                })
+            })
+        })
+    }
+}
+
 /// Allocate registers for `func`, rewriting it **in place** into machine
 /// register form (operand indices become physical registers of the class
 /// implied by the opcode). `globals_size` is where the spill area starts.
@@ -104,11 +163,9 @@ pub fn allocate(
     let live = Liveness::compute(func);
 
     // Live range = set of blocks where the vreg is live or referenced.
+    // `refs[v * nb + b]` counts (uses, defs) of vreg v in block b.
     let mut range: Vec<BitSet> = vec![BitSet::new(nb); nv];
-    let mut uses_in: Vec<Vec<u32>> = Vec::new();
-    uses_in.resize_with(nv, || vec![0u32; nb]);
-    let mut defs_in: Vec<Vec<u32>> = Vec::new();
-    defs_in.resize_with(nv, || vec![0u32; nb]);
+    let mut refs: Vec<(u32, u32)> = vec![(0, 0); nv * nb];
     for bi in 0..nb {
         for v in live.live_in[bi].iter() {
             range[v].insert(bi);
@@ -119,11 +176,11 @@ pub fn allocate(
         for inst in &func.blocks[bi].insts {
             for r in inst.reads() {
                 range[r.index()].insert(bi);
-                uses_in[r.index()][bi] += 1;
+                refs[r.index() * nb + bi].0 += 1;
             }
             if let Some(d) = inst.dst {
                 range[d.index()].insert(bi);
-                defs_in[d.index()][bi] += 1;
+                refs[d.index() * nb + bi].1 += 1;
             }
         }
     }
@@ -141,10 +198,17 @@ pub fn allocate(
     let entry_count = profile.block_count(func.entry).max(1) as f64;
     let dt = metaopt_ir::dom::DomTree::compute(func);
     let loops = metaopt_ir::loops::LoopForest::compute(func, &dt);
+    let block_w: Vec<f64> = (0..nb)
+        .map(|b| profile.block_count(BlockId(b as u32)) as f64 / entry_count)
+        .collect();
+    let block_depth: Vec<f64> = (0..nb)
+        .map(|b| loops.depth_of(BlockId(b as u32)) as f64)
+        .collect();
 
     let mut assignment: Vec<Option<u32>> = vec![None; nv];
     let mut spilled: Vec<bool> = vec![false; nv];
     let mut num_spilled = 0u64;
+    let mut taken: Vec<bool> = Vec::new();
 
     for (class, first, count) in [
         (RegClass::Int, FIRST_INT, machine.gpr as u32),
@@ -153,35 +217,26 @@ pub fn allocate(
     ] {
         let vregs = by_class(class);
         let k = vregs.len();
-        // Pairwise interference (block-set overlap).
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for i in 0..k {
-            for j in (i + 1)..k {
-                if range[vregs[i]].intersects(&range[vregs[j]]) {
-                    adj[i].push(j);
-                    adj[j].push(i);
-                }
-            }
-        }
+        let adj = Interference::build(&vregs, &range, nb);
         // Priorities: mean over the range's blocks of the savings function.
+        let bools = [class == RegClass::Float, class == RegClass::Pred];
         let mut prio: Vec<f64> = Vec::with_capacity(k);
         for (i, &v) in vregs.iter().enumerate() {
-            let blocks: Vec<usize> = range[v].iter().collect();
-            let n = blocks.len().max(1) as f64;
-            let total_refs: u32 = blocks.iter().map(|&b| uses_in[v][b] + defs_in[v][b]).sum();
+            let row = &refs[v * nb..(v + 1) * nb];
+            let n = range[v].count().max(1) as f64;
+            let total_refs: u32 = range[v].iter().map(|b| row[b].0 + row[b].1).sum();
+            let degree = adj.degree(i) as f64;
             let mut sum = 0.0;
-            for &b in &blocks {
-                let w = profile.block_count(BlockId(b as u32)) as f64 / entry_count;
+            for b in range[v].iter() {
                 let reals = [
-                    uses_in[v][b] as f64,
-                    defs_in[v][b] as f64,
-                    w,
-                    loops.depth_of(BlockId(b as u32)) as f64,
+                    row[b].0 as f64,
+                    row[b].1 as f64,
+                    block_w[b],
+                    block_depth[b],
                     n,
-                    adj[i].len() as f64,
+                    degree,
                     total_refs as f64,
                 ];
-                let bools = [class == RegClass::Float, class == RegClass::Pred];
                 sum += savings.score(&reals, &bools);
             }
             prio.push(sum / n);
@@ -197,8 +252,9 @@ pub fn allocate(
         let colors_available = count.saturating_sub(first);
         for &i in &order {
             let v = vregs[i];
-            let mut taken = vec![false; colors_available as usize];
-            for &j in &adj[i] {
+            taken.clear();
+            taken.resize(colors_available as usize, false);
+            for j in adj.neighbours(i) {
                 if let Some(c) = assignment[vregs[j]] {
                     taken[(c - first) as usize] = true;
                 }
