@@ -1057,6 +1057,40 @@ mod tests {
         }
     }
 
+    #[test]
+    fn eval_event_durations_sum_to_the_latency_histogram() {
+        let fs = features();
+        let ev = Flaky::new(&fs);
+        let mut params = GpParams::quick();
+        params.generations = 2;
+        params.population = 12;
+        params.seed = 3;
+        params.threads = 2;
+        let registry = MetricsRegistry::new();
+        let tracer = Tracer::in_memory().with_metrics(registry.clone());
+        Evolution::new(params, &fs, &ev)
+            .with_tracer(tracer.clone())
+            .run();
+        let durations: Vec<u64> = tracer
+            .lines()
+            .unwrap()
+            .iter()
+            .filter(|l| l.contains("\"type\":\"eval\""))
+            .map(|l| {
+                let v = metaopt_trace::json::parse(l).unwrap();
+                v.get("dur_ns").and_then(|d| d.as_u64()).unwrap()
+            })
+            .collect();
+        let latency = registry.histogram("metaopt_eval_latency_ns");
+        assert!(!durations.is_empty());
+        assert_eq!(latency.count(), durations.len() as u64);
+        assert_eq!(
+            latency.sum(),
+            durations.iter().sum::<u64>(),
+            "each evaluation's event and histogram entry must be one reading"
+        );
+    }
+
     /// `Regress`, except a deterministic slice of `(genome, case)` pairs
     /// fails with a *transient* timeout on attempts below `clears_at`.
     /// With `retries >= clears_at` every pair eventually scores; with

@@ -415,6 +415,9 @@ impl<O: Outcome> EvalCore<O> {
                 }
             },
         };
+        // Read once, before any event is serialized: the `eval` event and
+        // the latency histogram report the same duration.
+        let dur_ns = span.dur_ns();
         if self.tracer.enabled() {
             for (attempt, (kind, ns)) in retried.iter().enumerate() {
                 self.tracer.emit(
@@ -444,7 +447,7 @@ impl<O: Outcome> EvalCore<O> {
             if warm {
                 attrs.push(("warm", Value::Bool(true)));
             }
-            attrs.push(("dur_ns", Value::UInt(span.dur_ns())));
+            attrs.push(("dur_ns", Value::UInt(dur_ns)));
             self.tracer.emit("eval", attrs);
         }
         if let Some(m) = &self.metrics {
@@ -457,7 +460,7 @@ impl<O: Outcome> EvalCore<O> {
                 Err(_) => m.failures.inc(),
             }
             m.retries.add(retried.len() as u64);
-            m.eval_latency.record(span.dur_ns());
+            m.eval_latency.record(dur_ns);
         }
         Resolved { result, warm }
     }
