@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI throughput gate: compare a fresh fixed-seed smoke-run digest against
 the committed BENCH_evals.json baseline and fail on a >2x regression in
-evaluation throughput or simulator speed.
+evaluation throughput, simulator speed or compiler pass time per compile.
 
 Usage: bench_gate.py BENCH_evals.json target/BENCH_evals.json
 
@@ -62,6 +62,24 @@ def main() -> int:
         print(f"{key}: baseline {b:.3f}ms, fresh {got:.3f}ms ({ratio:.2f}x)")
         if got > b * 4:
             print(f"FAIL: {key} regressed more than 4x against BENCH_evals.json")
+            failed = True
+    # Cost keys derived from exact spans gate lower-is-better at the same 2x
+    # margin as the throughput keys: there is no bucket quantization to
+    # absorb. `pass_us_per_compile` is the summed `pass` wall time over the
+    # number of compiles (one `schedule` run each).
+    for key in ["pass_us_per_compile"]:
+        b, got = base.get(key), fresh.get(key)
+        if b is None or got is None:
+            side = "baseline" if b is None else "fresh"
+            print(f"{key}: SKIP ({side} digest lacks the key)")
+            continue
+        if b <= 0:
+            print(f"{key}: SKIP (baseline {b} is ungateable; fresh measured {got:.1f}us)")
+            continue
+        ratio = got / b
+        print(f"{key}: baseline {b:.1f}us, fresh {got:.1f}us ({ratio:.2f}x)")
+        if got > b * 2:
+            print(f"FAIL: {key} regressed more than 2x against BENCH_evals.json")
             failed = True
     print(
         "cache_hit_rate: baseline {:.3f}, fresh {:.3f}".format(

@@ -21,6 +21,7 @@ def digest(**kv):
         "warm_evals_per_sec": 0,
         "eval_p50_ms": 30.0,
         "eval_p99_ms": 40.0,
+        "pass_us_per_compile": 300.0,
         "cache_hit_rate": 0.5,
     }
     base.update(kv)
@@ -91,6 +92,26 @@ class BenchGate(unittest.TestCase):
         self.assertEqual(code, 0, out)
         self.assertIn("eval_p50_ms: SKIP", out)
         self.assertIn("warm_evals_per_sec: SKIP", out)
+
+    def test_pass_cost_within_margin_passes(self):
+        code, out = run_gate(digest(), digest(pass_us_per_compile=550.0))
+        self.assertEqual(code, 0, out)
+        self.assertIn("pass_us_per_compile: baseline 300.0us, fresh 550.0us (1.83x)", out)
+
+    def test_pass_cost_regression_fails(self):
+        # Lower is better: more pass time per compile is the regression.
+        code, out = run_gate(digest(), digest(pass_us_per_compile=650.0))
+        self.assertEqual(code, 1, out)
+        self.assertIn("FAIL: pass_us_per_compile", out)
+        code, out = run_gate(digest(), digest(pass_us_per_compile=100.0))
+        self.assertEqual(code, 0, out)
+
+    def test_baseline_without_pass_cost_skips_with_note(self):
+        base = digest()
+        del base["pass_us_per_compile"]
+        code, out = run_gate(base, digest(pass_us_per_compile=1e6))
+        self.assertEqual(code, 0, out)
+        self.assertIn("pass_us_per_compile: SKIP (baseline digest lacks the key)", out)
 
 
 if __name__ == "__main__":

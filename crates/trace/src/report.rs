@@ -233,6 +233,24 @@ impl Report {
         self.eval_latency_quantile_ns(99, 100) as f64 / 1e6
     }
 
+    /// Compiler pass wall time per compile in microseconds: the `pass`
+    /// events' summed `wall_ns` over the runs of the `schedule` pass, which
+    /// ends every compile exactly once. Exact spans, not histogram buckets;
+    /// 0 when the trace holds no compile.
+    pub fn pass_us_per_compile(&self) -> f64 {
+        let compiles = self
+            .passes
+            .iter()
+            .find(|p| p.pass == "schedule")
+            .map_or(0, |p| p.runs);
+        if compiles == 0 {
+            0.0
+        } else {
+            let pass_ns: u64 = self.passes.iter().map(|p| p.total_ns).sum();
+            pass_ns as f64 / 1e3 / compiles as f64
+        }
+    }
+
     /// Anomalies worth surfacing next to the digest: throughput figures
     /// that read 0 not because the run was slow but because the trace holds
     /// no evaluations, no recorded generation time, or no simulator time.
@@ -261,8 +279,8 @@ impl Report {
     }
 
     /// The throughput digest consumed by `BENCH_evals.json` and the CI
-    /// regression gate: evaluation throughput, cache behaviour, and
-    /// simulator speed, rendered as a JSON object.
+    /// regression gate: evaluation throughput, cache behaviour, simulator
+    /// speed and compile cost, rendered as a JSON object.
     pub fn bench_json(&self) -> String {
         use crate::json::Value;
         Value::Obj(vec![
@@ -287,6 +305,10 @@ impl Report {
             ),
             ("eval_p50_ms".to_string(), Value::Num(self.eval_p50_ms())),
             ("eval_p99_ms".to_string(), Value::Num(self.eval_p99_ms())),
+            (
+                "pass_us_per_compile".to_string(),
+                Value::Num(self.pass_us_per_compile()),
+            ),
             (
                 "front_size".to_string(),
                 Value::UInt(self.front.as_ref().map_or(0, |f| f.size)),
@@ -765,6 +787,29 @@ mod tests {
         let hit = v.get("cache_hit_rate").and_then(Value::as_f64).unwrap();
         assert!((hit - 0.25).abs() < 1e-9, "hit rate {hit}");
         assert!(v.get("evals_per_sec").and_then(Value::as_f64).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn pass_time_per_compile_comes_from_exact_spans() {
+        let r = analyze(&synthetic_trace()).unwrap();
+        // Two generations of regalloc 1000ns + schedule 2000ns + schedule
+        // 3000ns: 12000ns of passes over 4 schedule runs.
+        assert!((r.pass_us_per_compile() - 3.0).abs() < 1e-12);
+        let v = crate::json::parse(&r.bench_json()).unwrap();
+        let per_compile = v.get("pass_us_per_compile").and_then(Value::as_f64);
+        assert_eq!(per_compile, Some(r.pass_us_per_compile()));
+        // No schedule run, no compile: reported as 0.
+        let t = Tracer::in_memory();
+        t.emit(
+            "pass",
+            [
+                ("pass", Value::str("regalloc")),
+                ("wall_ns", Value::UInt(1000)),
+                ("delta", Value::Obj(vec![])),
+            ],
+        );
+        let r = analyze(&t.lines().unwrap().join("\n")).unwrap();
+        assert_eq!(r.pass_us_per_compile(), 0.0);
     }
 
     #[test]
