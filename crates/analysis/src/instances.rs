@@ -250,7 +250,7 @@ impl ExprKey {
         }
         Some(ExprKey {
             op: inst.op,
-            args: inst.args.clone(),
+            args: inst.args.to_vec(),
             imm: inst.imm,
             fimm_bits: inst.fimm.to_bits(),
         })
