@@ -31,6 +31,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::{panic, thread};
 
 /// Failure while preparing a benchmark for evaluation (loading, inlining,
 /// interpreting the reference run, or timing the baseline). These occur
@@ -138,26 +139,36 @@ impl PreparedBench {
         let train_mem = bench.try_memory(&prepared, DataSet::Train)?;
         let novel_mem = bench.try_memory(&prepared, DataSet::Novel)?;
 
-        let train_out = run(
-            &prepared,
-            &RunConfig {
-                memory: Some(train_mem.clone()),
-                profile: true,
-                max_steps: budget::KERNEL_VERIFY_MAX_STEPS,
-                ..Default::default()
-            },
-        )
-        .map_err(|e| err(format!("reference run on train data failed: {e}")))?;
-        let novel_out = run(
-            &prepared,
-            &RunConfig {
-                memory: Some(novel_mem.clone()),
-                max_steps: budget::KERNEL_VERIFY_MAX_STEPS,
-                ..Default::default()
-            },
-        )
-        .map_err(|e| err(format!("reference run on novel data failed: {e}")))?;
-        let profile = train_out.profile.expect("profile requested").funcs[0].clone();
+        let reference_run = |mem: &[u8], profile| {
+            run(
+                &prepared,
+                &RunConfig {
+                    memory: Some(mem.to_vec()),
+                    profile,
+                    max_steps: budget::KERNEL_VERIFY_MAX_STEPS,
+                    ..Default::default()
+                },
+            )
+        };
+        // The two data sets are independent until the baselines, which need
+        // only the train profile, so each phase runs the novel half on one
+        // spawned thread beside the train half. Results are checked train
+        // first, as a serial preparation would, and a panic on the spawned
+        // thread surfaces only where the serial code would have reached it.
+        let (train_out, novel_out) = thread::scope(|s| {
+            let novel = s.spawn(|| reference_run(&novel_mem, false));
+            (reference_run(&train_mem, true), novel.join())
+        });
+        let train_out =
+            train_out.map_err(|e| err(format!("reference run on train data failed: {e}")))?;
+        let novel_out = novel_out
+            .unwrap_or_else(|p| panic::resume_unwind(p))
+            .map_err(|e| err(format!("reference run on novel data failed: {e}")))?;
+        let profile = train_out
+            .profile
+            .expect("profile requested")
+            .funcs
+            .swap_remove(0);
 
         let mut eval_machine = study.machine.clone();
         eval_machine.max_insts = budget::EVAL_MAX_SIM_INSTS;
@@ -192,8 +203,13 @@ impl PreparedBench {
                 pb.eval(study, &req, &study.machine, None, None)
                     .map_err(|e| err(format!("baseline failed: {e}")))
             };
-            (baseline(DataSet::Train)?, baseline(DataSet::Novel)?)
+            thread::scope(|s| {
+                let novel = s.spawn(|| baseline(DataSet::Novel));
+                (baseline(DataSet::Train), novel.join())
+            })
         };
+        let train = train?;
+        let novel = novel.unwrap_or_else(|p| panic::resume_unwind(p))?;
         pb.baseline_train_cycles = train.cycles;
         pb.baseline_novel_cycles = novel.cycles;
         pb.baseline_stats = train.stats;
