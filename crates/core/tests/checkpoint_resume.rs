@@ -195,10 +195,9 @@ fn coevo_key_section(stdout: &[u8]) -> String {
     let end = text[start..]
         .find("\nraw (re-parseable):")
         .map(|i| {
-            let line_end = text[start + i + 1..]
+            text[start + i + 1..]
                 .find('\n')
-                .map_or(text.len(), |j| start + i + 1 + j);
-            line_end
+                .map_or(text.len(), |j| start + i + 1 + j)
         })
         .unwrap_or(text.len());
     text[start..end].to_string()

@@ -865,10 +865,10 @@ mod tests {
             attempt: u32,
         ) -> Result<[u64; NUM_OBJECTIVES], EvalError> {
             let h = fnv(&format!("{plan}|{}|{case}", expr.key()));
-            if h % 5 == 0 && attempt == 0 {
+            if h.is_multiple_of(5) && attempt == 0 {
                 return Err(EvalError::new(EvalErrorKind::Timeout, "injected stall"));
             }
-            if h % 11 == 0 {
+            if h.is_multiple_of(11) {
                 return Err(EvalError::new(EvalErrorKind::Sim, "injected fault"));
             }
             Landscape.eval_objectives(plan, expr, case, attempt)
