@@ -24,6 +24,7 @@
 //! accepts on semantic grounds.
 
 use crate::diagnostics::{Diagnostic, Severity};
+use metaopt_ir::cfg::Cfg;
 use metaopt_ir::{BlockId, Function, Inst, Opcode, RegClass, VReg, Width};
 use metaopt_sim::MachineConfig;
 
@@ -569,8 +570,9 @@ pub fn analyze_function(
 
     // Deduplicating worklist seeded in reverse postorder, exactly like
     // `dataflow::solve`; value states replace bit-vectors.
+    let cfg = Cfg::new(func);
     let mut worklist: std::collections::VecDeque<usize> =
-        func.reverse_postorder().iter().map(|b| b.index()).collect();
+        cfg.rpo().iter().map(|b| b.index()).collect();
     let mut queued = vec![false; nb];
     for &b in &worklist {
         queued[b] = true;
@@ -584,7 +586,7 @@ pub fn analyze_function(
         for inst in &func.blocks[bi].insts {
             transfer(inst, &mut state);
         }
-        for succ in func.blocks[bi].successors() {
+        for &succ in cfg.succs(BlockId(bi as u32)) {
             let si = succ.index();
             let changed = match &mut entry[si] {
                 Some(existing) => {

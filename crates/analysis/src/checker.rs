@@ -10,7 +10,7 @@
 
 use crate::diagnostics::{first_error, render_lines, Diagnostic, Severity};
 use crate::instances::{DefBeforeUse, PredicatedDefs};
-use metaopt_ir::util::BitSet;
+use metaopt_ir::cfg::Cfg;
 use metaopt_ir::verify::{verify_program, CfgForm};
 use metaopt_ir::{BlockId, Function, Program, RegClass};
 use std::fmt;
@@ -128,7 +128,7 @@ pub fn check_machine_function(func: &Function, form: CfgForm, pass: &str) -> Vec
         )];
     }
     let mut diags = Vec::new();
-    check_reachability(func, pass, &mut diags);
+    check_reachability(func, &Cfg::new(func), pass, &mut diags);
     diags
 }
 
@@ -151,8 +151,9 @@ pub fn enforce_machine_function(
 }
 
 fn run_function_checks(func: &Function, pass: &str, diags: &mut Vec<Diagnostic>) {
-    check_reachability(func, pass, diags);
-    check_def_before_use(func, pass, diags);
+    let cfg = Cfg::new(func);
+    check_reachability(func, &cfg, pass, diags);
+    check_def_before_use(func, &cfg, pass, diags);
     check_predicate_consistency(func, pass, diags);
 }
 
@@ -174,13 +175,9 @@ pub fn enforce(prog: &Program, form: CfgForm, pass: &str) -> Result<(), CheckFai
 /// Every block must be reachable from the entry. Passes that rewrite
 /// control flow (unrolling, hyperblock formation) must either keep their
 /// byproduct blocks wired in or delete them.
-fn check_reachability(func: &Function, pass: &str, diags: &mut Vec<Diagnostic>) {
-    let mut reachable = BitSet::new(func.blocks.len());
-    for b in func.reverse_postorder() {
-        reachable.insert(b.index());
-    }
+fn check_reachability(func: &Function, cfg: &Cfg, pass: &str, diags: &mut Vec<Diagnostic>) {
     for bi in 0..func.blocks.len() {
-        if !reachable.contains(bi) {
+        if !cfg.is_reachable(BlockId(bi as u32)) {
             diags.push(
                 Diagnostic::new(
                     Severity::Error,
@@ -198,9 +195,9 @@ fn check_reachability(func: &Function, pass: &str, diags: &mut Vec<Diagnostic>) 
 /// Predicated defs count as assignments: if-converted code assigns under
 /// complementary predicates, which this path-insensitive check cannot see
 /// through (the structural verifier owns guard well-formedness).
-fn check_def_before_use(func: &Function, pass: &str, diags: &mut Vec<Diagnostic>) {
-    let dbu = DefBeforeUse::compute(func, PredicatedDefs::CountAsAssign);
-    diags.extend(dbu.check(func, pass));
+fn check_def_before_use(func: &Function, cfg: &Cfg, pass: &str, diags: &mut Vec<Diagnostic>) {
+    let dbu = DefBeforeUse::compute(func, cfg, PredicatedDefs::CountAsAssign);
+    diags.extend(dbu.check(func, cfg, pass));
 }
 
 /// Predicate registers must be produced only by predicate-producing

@@ -7,8 +7,9 @@
 //! unless the caller opts into counting it.
 
 use crate::diagnostics::{Diagnostic, Severity};
+use metaopt_ir::cfg::Cfg;
 use metaopt_ir::dataflow::{solve, Direction, GenKill, Join};
-use metaopt_ir::util::BitSet;
+use metaopt_ir::util::{BitMatrix, BitSet};
 use metaopt_ir::{BlockId, Function, Inst, Opcode, VReg};
 
 // ---------------------------------------------------------------- reaching
@@ -46,15 +47,16 @@ impl DefSite {
 pub struct ReachingDefs {
     /// All definition sites, parameters first.
     pub sites: Vec<DefSite>,
-    /// Sites (by index into `sites`) that may reach each block's entry.
-    pub entry: Vec<BitSet>,
+    /// Sites (by index into `sites`) that may reach each block's entry:
+    /// one row per block.
+    pub entry: BitMatrix,
     /// Sites that may reach each block's exit.
-    pub exit: Vec<BitSet>,
+    pub exit: BitMatrix,
 }
 
 impl ReachingDefs {
-    /// Compute reaching definitions for `func`.
-    pub fn compute(func: &Function) -> Self {
+    /// Compute reaching definitions for `func`, whose graph is `cfg`.
+    pub fn compute(func: &Function, cfg: &Cfg) -> Self {
         let nb = func.blocks.len();
         let mut sites: Vec<DefSite> = func.params.iter().map(|&p| DefSite::Param(p)).collect();
         for (bi, block) in func.blocks.iter().enumerate() {
@@ -68,18 +70,21 @@ impl ReachingDefs {
                 }
             }
         }
-        // sites_of[v]: site indices defining vreg v.
-        let mut sites_of: Vec<Vec<usize>> = vec![Vec::new(); func.num_vregs()];
+        let ns = sites.len();
+        // Row v of `sites_of` holds the sites defining vreg v.
+        let mut sites_of = BitMatrix::new(func.num_vregs(), ns);
         for (si, s) in sites.iter().enumerate() {
-            sites_of[s.vreg().index()].push(si);
+            sites_of.insert(s.vreg().index(), si);
         }
 
-        let ns = sites.len();
         let mut problem = GenKill::new(Direction::Forward, Join::May, nb, ns);
         for &p in &func.params {
             // Parameters reach from the boundary; an unpredicated redefinition
             // kills them like any other site.
-            let si = sites_of[p.index()][0];
+            let si = sites_of
+                .iter_row(p.index())
+                .next()
+                .expect("a parameter is a def site");
             problem.boundary.insert(si);
         }
         let mut site_idx = func.params.len();
@@ -89,20 +94,16 @@ impl ReachingDefs {
                     let si = site_idx;
                     site_idx += 1;
                     if inst.pred.is_none() {
-                        for &other in &sites_of[d.index()] {
-                            if other != si {
-                                problem.kill[bi].insert(other);
-                                problem.gen[bi].remove(other);
-                            }
-                        }
+                        problem.kill.union_row(bi, sites_of.row(d.index()));
+                        problem.gen.subtract_row(bi, sites_of.row(d.index()));
                     }
-                    problem.gen[bi].insert(si);
-                    problem.kill[bi].remove(si);
+                    problem.gen.insert(bi, si);
+                    problem.kill.remove(bi, si);
                 }
             }
         }
 
-        let sol = solve(func, &problem);
+        let sol = solve(cfg, &problem);
         ReachingDefs {
             sites,
             entry: sol.entry,
@@ -112,8 +113,8 @@ impl ReachingDefs {
 
     /// Sites defining `v` that may reach the entry of `b`.
     pub fn reaching_defs_of(&self, b: BlockId, v: VReg) -> Vec<&DefSite> {
-        self.entry[b.index()]
-            .iter()
+        self.entry
+            .iter_row(b.index())
             .map(|si| &self.sites[si])
             .filter(|s| s.vreg() == v)
             .collect()
@@ -139,16 +140,17 @@ pub enum PredicatedDefs {
 /// boundary.
 #[derive(Clone, Debug)]
 pub struct DefBeforeUse {
-    /// Registers definitely assigned at each block's entry.
-    pub entry: Vec<BitSet>,
+    /// Registers definitely assigned at each block's entry: one row per
+    /// block.
+    pub entry: BitMatrix,
     /// Registers definitely assigned at each block's exit.
-    pub exit: Vec<BitSet>,
+    pub exit: BitMatrix,
     mode: PredicatedDefs,
 }
 
 impl DefBeforeUse {
-    /// Compute definite assignment for `func`.
-    pub fn compute(func: &Function, mode: PredicatedDefs) -> Self {
+    /// Compute definite assignment for `func`, whose graph is `cfg`.
+    pub fn compute(func: &Function, cfg: &Cfg, mode: PredicatedDefs) -> Self {
         let nb = func.blocks.len();
         let nv = func.num_vregs();
         let mut problem = GenKill::new(Direction::Forward, Join::Must, nb, nv);
@@ -159,12 +161,12 @@ impl DefBeforeUse {
             for inst in &block.insts {
                 if let Some(d) = inst.dst {
                     if inst.pred.is_none() || mode == PredicatedDefs::CountAsAssign {
-                        problem.gen[bi].insert(d.index());
+                        problem.gen.insert(bi, d.index());
                     }
                 }
             }
         }
-        let sol = solve(func, &problem);
+        let sol = solve(cfg, &problem);
         DefBeforeUse {
             entry: sol.entry,
             exit: sol.exit,
@@ -173,25 +175,20 @@ impl DefBeforeUse {
     }
 
     /// Report every read of a register that is not assigned on some path
-    /// from entry, attributing findings to `pass`.
+    /// from entry, attributing findings to `pass`. `func` and `cfg` are the
+    /// function and graph this analysis was computed for.
     ///
     /// Blocks unreachable from the entry are skipped: no path reaches them,
     /// so no read in them can observe an unassigned register at run time
     /// (reachability itself is a separate check).
-    pub fn check(&self, func: &Function, pass: &str) -> Vec<Diagnostic> {
+    pub fn check(&self, func: &Function, cfg: &Cfg, pass: &str) -> Vec<Diagnostic> {
         let mut diags = Vec::new();
-        let reachable: BitSet = {
-            let mut r = BitSet::new(func.blocks.len());
-            for b in func.reverse_postorder() {
-                r.insert(b.index());
-            }
-            r
-        };
+        let mut assigned = BitSet::new(self.entry.cols());
         for (bi, block) in func.blocks.iter().enumerate() {
-            if !reachable.contains(bi) {
+            if !cfg.is_reachable(BlockId(bi as u32)) {
                 continue;
             }
-            let mut assigned = self.entry[bi].clone();
+            assigned.copy_from_row(&self.entry, bi);
             for (ii, inst) in block.insts.iter().enumerate() {
                 for r in inst.reads() {
                     if !assigned.contains(r.index()) {
@@ -264,60 +261,56 @@ impl ExprKey {
 pub struct AvailableExprs {
     /// The function's distinct pure expressions.
     pub exprs: Vec<ExprKey>,
-    /// Expressions (by index into `exprs`) available at each block's entry.
-    pub entry: Vec<BitSet>,
+    /// Expressions (by index into `exprs`) available at each block's
+    /// entry: one row per block.
+    pub entry: BitMatrix,
     /// Expressions available at each block's exit.
-    pub exit: Vec<BitSet>,
+    pub exit: BitMatrix,
 }
 
 impl AvailableExprs {
-    /// Compute available expressions for `func`.
-    pub fn compute(func: &Function) -> Self {
-        // Number the distinct expressions.
+    /// Compute available expressions for `func`, whose graph is `cfg`.
+    pub fn compute(func: &Function, cfg: &Cfg) -> Self {
+        // Number the distinct expressions; `key_of_inst` holds the
+        // expression of each instruction, in block then program order.
         let mut exprs: Vec<ExprKey> = Vec::new();
-        let mut key_of_inst: Vec<Vec<Option<usize>>> = Vec::with_capacity(func.blocks.len());
-        for block in &func.blocks {
-            let mut row = Vec::with_capacity(block.insts.len());
-            for inst in &block.insts {
-                row.push(ExprKey::of(inst).map(|k| {
-                    exprs.iter().position(|e| *e == k).unwrap_or_else(|| {
-                        exprs.push(k);
-                        exprs.len() - 1
-                    })
-                }));
-            }
-            key_of_inst.push(row);
+        let mut key_of_inst: Vec<Option<usize>> = Vec::with_capacity(func.num_insts());
+        for inst in func.blocks.iter().flat_map(|b| &b.insts) {
+            key_of_inst.push(ExprKey::of(inst).map(|k| {
+                exprs.iter().position(|e| *e == k).unwrap_or_else(|| {
+                    exprs.push(k);
+                    exprs.len() - 1
+                })
+            }));
         }
         let ne = exprs.len();
-        // users[v]: expressions with v as an operand.
-        let mut users: Vec<Vec<usize>> = vec![Vec::new(); func.num_vregs()];
+        // Row v of `users` holds the expressions with v as an operand.
+        let mut users = BitMatrix::new(func.num_vregs(), ne);
         for (ei, e) in exprs.iter().enumerate() {
             for a in &e.args {
-                users[a.index()].push(ei);
+                users.insert(a.index(), ei);
             }
         }
 
         let nb = func.blocks.len();
         let mut problem = GenKill::new(Direction::Forward, Join::Must, nb, ne);
+        let mut keys = key_of_inst.into_iter();
         for (bi, block) in func.blocks.iter().enumerate() {
-            for (ii, inst) in block.insts.iter().enumerate() {
-                let computed = key_of_inst[bi][ii];
-                if let Some(ei) = computed {
-                    problem.gen[bi].insert(ei);
-                    problem.kill[bi].remove(ei);
+            for inst in &block.insts {
+                if let Some(ei) = keys.next().flatten() {
+                    problem.gen.insert(bi, ei);
+                    problem.kill.remove(bi, ei);
                 }
                 if let Some(d) = inst.dst {
                     // Any def (even predicated: it *may* execute) invalidates
                     // expressions reading the overwritten register.
-                    for &ei in &users[d.index()] {
-                        problem.gen[bi].remove(ei);
-                        problem.kill[bi].insert(ei);
-                    }
+                    problem.gen.subtract_row(bi, users.row(d.index()));
+                    problem.kill.union_row(bi, users.row(d.index()));
                 }
             }
         }
 
-        let sol = solve(func, &problem);
+        let sol = solve(cfg, &problem);
         AvailableExprs {
             exprs,
             entry: sol.entry,
@@ -330,7 +323,7 @@ impl AvailableExprs {
         self.exprs
             .iter()
             .position(|e| e == key)
-            .is_some_and(|ei| self.entry[b.index()].contains(ei))
+            .is_some_and(|ei| self.entry.contains(b.index(), ei))
     }
 }
 
@@ -371,7 +364,7 @@ mod tests {
     #[test]
     fn reaching_defs_flow_around_the_loop() {
         let (f, n, _x, _t, i) = loop_function();
-        let rd = ReachingDefs::compute(&f);
+        let rd = ReachingDefs::compute(&f, &Cfg::new(&f));
         let hdr = BlockId(1);
         // Two defs of `i` (entry Mov and body Mov) both reach the header.
         assert_eq!(rd.reaching_defs_of(hdr, i).len(), 2);
@@ -395,7 +388,7 @@ mod tests {
         fb.switch_to(b1);
         fb.ret(Some(v));
         let f = fb.finish();
-        let rd = ReachingDefs::compute(&f);
+        let rd = ReachingDefs::compute(&f, &Cfg::new(&f));
         // Both the plain def and the predicated overwrite reach b1.
         assert_eq!(rd.reaching_defs_of(BlockId(1), v).len(), 2);
     }
@@ -403,8 +396,9 @@ mod tests {
     #[test]
     fn def_before_use_clean_on_loop() {
         let (f, ..) = loop_function();
-        let dbu = DefBeforeUse::compute(&f, PredicatedDefs::Strict);
-        assert!(dbu.check(&f, "test").is_empty());
+        let cfg = Cfg::new(&f);
+        let dbu = DefBeforeUse::compute(&f, &cfg, PredicatedDefs::Strict);
+        assert!(dbu.check(&f, &cfg, "test").is_empty());
     }
 
     #[test]
@@ -427,8 +421,9 @@ mod tests {
         fb.switch_to(j);
         fb.ret(Some(v));
         let f = fb.finish();
-        let dbu = DefBeforeUse::compute(&f, PredicatedDefs::Strict);
-        let diags = dbu.check(&f, "frontend");
+        let cfg = Cfg::new(&f);
+        let dbu = DefBeforeUse::compute(&f, &cfg, PredicatedDefs::Strict);
+        let diags = dbu.check(&f, &cfg, "frontend");
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].severity, Severity::Error);
         assert_eq!(diags[0].pass, "frontend");
@@ -450,16 +445,17 @@ mod tests {
         fb.push(Inst::new(Opcode::MovI).dst(v).imm(2).guarded(np));
         fb.ret(Some(v));
         let f = fb.finish();
-        let lax = DefBeforeUse::compute(&f, PredicatedDefs::CountAsAssign);
-        assert!(lax.check(&f, "hyperblock").is_empty());
-        let strict = DefBeforeUse::compute(&f, PredicatedDefs::Strict);
-        assert_eq!(strict.check(&f, "hyperblock").len(), 1);
+        let cfg = Cfg::new(&f);
+        let lax = DefBeforeUse::compute(&f, &cfg, PredicatedDefs::CountAsAssign);
+        assert!(lax.check(&f, &cfg, "hyperblock").is_empty());
+        let strict = DefBeforeUse::compute(&f, &cfg, PredicatedDefs::Strict);
+        assert_eq!(strict.check(&f, &cfg, "hyperblock").len(), 1);
     }
 
     #[test]
     fn available_exprs_must_join_at_loop_header() {
         let (f, n, x, ..) = loop_function();
-        let av = AvailableExprs::compute(&f);
+        let av = AvailableExprs::compute(&f, &Cfg::new(&f));
         let key = ExprKey {
             op: Opcode::Add,
             args: vec![x, n],
@@ -486,7 +482,7 @@ mod tests {
         fb.switch_to(b1);
         fb.ret(Some(cell));
         let f = fb.finish();
-        let av = AvailableExprs::compute(&f);
+        let av = AvailableExprs::compute(&f, &Cfg::new(&f));
         let key = ExprKey {
             op: Opcode::Add,
             args: vec![cell, a],
@@ -505,7 +501,7 @@ mod tests {
         let a = fb.movi(7);
         fb.ret(Some(a));
         let f = fb.finish();
-        let av = AvailableExprs::compute(&f);
+        let av = AvailableExprs::compute(&f, &Cfg::new(&f));
         assert!(av.exprs.is_empty());
     }
 }

@@ -28,8 +28,8 @@
 //! check) or not at all.
 
 use crate::diagnostics::{Diagnostic, Severity};
+use metaopt_ir::cfg::Cfg;
 use metaopt_ir::liveness::Liveness;
-use metaopt_ir::util::BitSet;
 use metaopt_ir::{BlockId, Function, Inst, Opcode, RegClass, VReg, Width};
 use metaopt_sim::machine::{unit_of, UnitKind};
 use metaopt_sim::{MachineConfig, MachineProgram};
@@ -447,25 +447,7 @@ pub fn validate_regalloc(
     // Interference cross-check against independently computed liveness:
     // two same-class vregs whose pre-allocation live ranges overlap must
     // not share a physical register or a spill slot.
-    let live = Liveness::compute(pre);
-    let nb = pre.blocks.len();
-    let mut range: Vec<BitSet> = vec![BitSet::new(nb); pre.num_vregs()];
-    for bi in 0..nb {
-        for v in live.live_in[bi].iter() {
-            range[v].insert(bi);
-        }
-        for v in live.live_out[bi].iter() {
-            range[v].insert(bi);
-        }
-        for inst in &pre.blocks[bi].insts {
-            for r in inst.reads() {
-                range[r.index()].insert(bi);
-            }
-            if let Some(d) = inst.dst {
-                range[d.index()].insert(bi);
-            }
-        }
-    }
+    let range = Liveness::compute(pre, &Cfg::new(pre)).ranges(pre);
     // Only vregs that share a location can clash: group the placed vregs
     // by location and test pairs within each group, then report the
     // clashes in increasing (v, w) order.
@@ -479,7 +461,7 @@ pub fn validate_regalloc(
     for group in placed.chunk_by(|a, b| a.0 == b.0) {
         for (i, &(l, v)) in group.iter().enumerate() {
             for &(_, w) in &group[i + 1..] {
-                if pre.vreg_class[v] == pre.vreg_class[w] && range[v].intersects(&range[w]) {
+                if pre.vreg_class[v] == pre.vreg_class[w] && range.rows_intersect(v, w) {
                     clashes.push((v, w, l));
                 }
             }
@@ -1114,7 +1096,8 @@ pub fn validate_prefetch(pre: &Function, post: &Function, pass: &str) -> Vec<Dia
 /// Opaque calls reachable from the entry. Counting only reachable blocks
 /// makes the count invariant under the pass's unreachable-block pruning.
 fn reachable_unsafe_calls(func: &Function) -> usize {
-    func.reverse_postorder()
+    Cfg::new(func)
+        .rpo()
         .iter()
         .map(|b| {
             func.block(*b)
@@ -1624,38 +1607,21 @@ mod tests {
             globals: usize,
         ) -> Result<usize, String> {
             let nv = func.num_vregs();
-            let live = Liveness::compute(func);
             let nb = func.blocks.len();
-            let mut range: Vec<BitSet> = vec![BitSet::new(nb); nv];
-            for bi in 0..nb {
-                for v in live.live_in[bi].iter() {
-                    range[v].insert(bi);
-                }
-                for v in live.live_out[bi].iter() {
-                    range[v].insert(bi);
-                }
-                for inst in &func.blocks[bi].insts {
-                    for r in inst.reads() {
-                        range[r.index()].insert(bi);
-                    }
-                    if let Some(d) = inst.dst {
-                        range[d.index()].insert(bi);
-                    }
-                }
-            }
+            let range = Liveness::compute(func, &Cfg::new(func)).ranges(func);
             let mut assignment: Vec<Option<u32>> = vec![None; nv];
             let mut spilled = vec![false; nv];
             let first = first_alloc(RegClass::Int);
             let count = machine.gpr as u32;
             for v in 0..nv {
-                if range[v].is_empty() || func.vreg_class[v] != RegClass::Int {
+                if range.row_is_empty(v) || func.vreg_class[v] != RegClass::Int {
                     continue;
                 }
                 let mut taken = vec![false; count.saturating_sub(first) as usize];
-                for w in 0..nv {
+                for (w, a) in assignment.iter().enumerate() {
                     if w != v && func.vreg_class[w] == RegClass::Int {
-                        if let Some(c) = assignment[w] {
-                            if range[v].intersects(&range[w]) {
+                        if let Some(c) = *a {
+                            if range.rows_intersect(v, w) {
                                 taken[(c - first) as usize] = true;
                             }
                         }

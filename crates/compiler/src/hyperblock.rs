@@ -24,6 +24,7 @@
 
 use crate::pass::{Pass, PassCtx};
 use crate::{CompileError, RealPriority};
+use metaopt_ir::cfg::Cfg;
 use metaopt_ir::profile::{BranchStats, FuncProfile};
 use metaopt_ir::verify::CfgForm;
 use metaopt_ir::{BlockId, Function, Inst, Opcode, RegClass, VReg};
@@ -324,7 +325,7 @@ struct Region {
 }
 
 /// Try to match a diamond or triangle rooted at `a`.
-fn match_region(func: &Function, a: BlockId, preds: &[Vec<BlockId>]) -> Option<Region> {
+fn match_region(func: &Function, a: BlockId, cfg: &Cfg) -> Option<Region> {
     let insts = &func.block(a).insts;
     let n = insts.len();
     if n < 2 {
@@ -356,7 +357,7 @@ fn match_region(func: &Function, a: BlockId, preds: &[Vec<BlockId>]) -> Option<R
             if chain.len() > 8 {
                 return None;
             }
-            if preds[cur.index()].len() != 1 || preds[cur.index()][0] != prev {
+            if cfg.preds(cur) != [prev] {
                 return Some((chain, cur));
             }
             let insts = &func.block(cur).insts;
@@ -419,11 +420,10 @@ pub fn form_hyperblocks(
     let mut result = HyperblockResult::default();
     loop {
         let mut changed = false;
-        let preds = func.predecessors();
+        let cfg = Cfg::new(func);
         let loaded = load_defined(func);
-        let blocks: Vec<BlockId> = (0..func.blocks.len() as u32).map(BlockId).collect();
-        for a in blocks {
-            let Some(region) = match_region(func, a, &preds) else {
+        for a in (0..func.blocks.len() as u32).map(BlockId) {
+            let Some(region) = match_region(func, a, &cfg) else {
                 continue;
             };
             let stats = branch_stats_of(profile, a);
@@ -744,10 +744,10 @@ mod tests {
         let func = &prepared.funcs[0];
         let loaded = load_defined(func);
         // Find any diamond and check the feature vector shape.
-        let preds = func.predecessors();
+        let cfg = Cfg::new(func);
         let mut found = false;
         for a in (0..func.blocks.len() as u32).map(BlockId) {
-            if let Some(region) = match_region(func, a, &preds) {
+            if let Some(region) = match_region(func, a, &cfg) {
                 let stats = branch_stats_of(&prof, a);
                 let p1 = path_info(func, &region.taken_path, 0.5, stats, &loaded);
                 let p2 = path_info(func, &region.fall_path, 0.5, stats, &loaded);

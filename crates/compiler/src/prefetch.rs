@@ -10,6 +10,7 @@
 
 use crate::pass::{Pass, PassCtx};
 use crate::{BoolPriority, CompileError};
+use metaopt_ir::cfg::Cfg;
 use metaopt_ir::dom::DomTree;
 use metaopt_ir::loops::LoopForest;
 use metaopt_ir::profile::FuncProfile;
@@ -178,8 +179,8 @@ pub fn insert_prefetches(
     confidence: &dyn BoolPriority,
     iters_ahead: i64,
 ) -> u64 {
-    let dt = DomTree::compute(func);
-    let forest = LoopForest::compute(func, &dt);
+    let cfg = Cfg::new(func);
+    let forest = LoopForest::compute(&cfg, &DomTree::compute(&cfg));
     let defs = single_defs(func);
     let line = machine.cache.line_bytes as f64;
 
@@ -382,8 +383,8 @@ mod tests {
         let (prepared, prof) = prepared_with_profile(STREAM);
         let func = &prepared.funcs[0];
         let _ = prof;
-        let dt = DomTree::compute(func);
-        let forest = LoopForest::compute(func, &dt);
+        let cfg = Cfg::new(func);
+        let forest = LoopForest::compute(&cfg, &DomTree::compute(&cfg));
         let defs = single_defs(func);
         let mut found_stride8 = false;
         for l in &forest.loops {

@@ -18,6 +18,7 @@
 
 use crate::pass::{Pass, PassCtx};
 use crate::CompileError;
+use metaopt_ir::cfg::Cfg;
 use metaopt_ir::dom::DomTree;
 use metaopt_ir::loops::LoopForest;
 use metaopt_ir::{Function, Inst, Opcode};
@@ -167,8 +168,8 @@ fn crate_step_of(func: &Function, body: usize, cell: u32) -> Option<i64> {
 /// Unroll eligible counted loops by the largest factor in `{8, 4, 2}` that
 /// divides their trip count. Returns the number of loops unrolled.
 pub fn unroll_loops(func: &mut Function, max_factor: u32) -> u64 {
-    let dt = DomTree::compute(func);
-    let forest = LoopForest::compute(func, &dt);
+    let cfg = Cfg::new(func);
+    let forest = LoopForest::compute(&cfg, &DomTree::compute(&cfg));
     let loops = recognize(func, &forest);
     let mut unrolled = 0;
     for c in loops {

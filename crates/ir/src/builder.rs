@@ -317,9 +317,10 @@ mod tests {
         fb.switch_to(j);
         fb.ret(None);
         let f = fb.finish();
-        assert_eq!(f.successors(f.entry), vec![t, e]);
-        assert_eq!(f.successors(t), vec![j]);
-        assert_eq!(f.predecessors()[j.index()].len(), 2);
+        let cfg = crate::cfg::Cfg::new(&f);
+        assert_eq!(cfg.succs(f.entry), [t, e]);
+        assert_eq!(cfg.succs(t), [j]);
+        assert_eq!(cfg.preds(j).len(), 2);
     }
 
     #[test]

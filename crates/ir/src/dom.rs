@@ -1,6 +1,6 @@
 //! Dominator-tree computation (Cooper–Harvey–Kennedy iterative algorithm).
 
-use crate::program::Function;
+use crate::cfg::Cfg;
 use crate::types::BlockId;
 
 /// Dominator tree of a function's CFG.
@@ -12,33 +12,28 @@ pub struct DomTree {
     /// Immediate dominator per block (`None` for the entry and unreachable
     /// blocks).
     pub idom: Vec<Option<BlockId>>,
-    /// Reverse postorder over reachable blocks.
-    pub rpo: Vec<BlockId>,
-    /// Position of each block in `rpo` (`usize::MAX` if unreachable).
-    pub rpo_pos: Vec<usize>,
+    entry: BlockId,
 }
 
-impl DomTree {
-    /// Compute the dominator tree.
-    pub fn compute(func: &Function) -> Self {
-        let n = func.blocks.len();
-        let rpo = func.reverse_postorder();
-        let mut rpo_pos = vec![usize::MAX; n];
-        for (i, b) in rpo.iter().enumerate() {
-            rpo_pos[b.index()] = i;
-        }
-        let preds = func.predecessors();
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        idom[func.entry.index()] = Some(func.entry); // sentinel: entry's idom = itself
+/// A block whose immediate dominator is not known yet.
+const UNDEF: usize = usize::MAX;
 
-        let intersect = |idom: &[Option<BlockId>], rpo_pos: &[usize], a: BlockId, b: BlockId| {
-            let (mut x, mut y) = (a, b);
+impl DomTree {
+    /// Compute the dominator tree of the graph `cfg`.
+    pub fn compute(cfg: &Cfg) -> Self {
+        let rpo = cfg.rpo();
+        // The iteration runs on reverse-postorder positions: `doms[i]` is
+        // the position of the immediate dominator of `rpo[i]`, and the
+        // entry (position 0) is its own, as the algorithm's sentinel.
+        let mut doms = vec![UNDEF; rpo.len()];
+        doms[0] = 0;
+        let intersect = |doms: &[usize], mut x: usize, mut y: usize| {
             while x != y {
-                while rpo_pos[x.index()] > rpo_pos[y.index()] {
-                    x = idom[x.index()].expect("processed block has idom");
+                while x > y {
+                    x = doms[x];
                 }
-                while rpo_pos[y.index()] > rpo_pos[x.index()] {
-                    y = idom[y.index()].expect("processed block has idom");
+                while y > x {
+                    y = doms[y];
                 }
             }
             x
@@ -47,30 +42,37 @@ impl DomTree {
         let mut changed = true;
         while changed {
             changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in &preds[b.index()] {
-                    if idom[p.index()].is_none() {
-                        continue; // unprocessed or unreachable
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, &rpo_pos, cur, p),
-                    });
+            for (i, &b) in rpo.iter().enumerate().skip(1) {
+                let mut new_idom = UNDEF;
+                for &p in cfg.preds(b) {
+                    // Unreachable and not-yet-processed predecessors don't count.
+                    let Some(pi) = cfg.rpo_pos(p).filter(|&pi| doms[pi] != UNDEF) else {
+                        continue;
+                    };
+                    new_idom = match new_idom {
+                        UNDEF => pi,
+                        cur => intersect(&doms, cur, pi),
+                    };
                 }
-                if new_idom.is_some() && idom[b.index()] != new_idom {
-                    idom[b.index()] = new_idom;
+                if new_idom != UNDEF && doms[i] != new_idom {
+                    doms[i] = new_idom;
                     changed = true;
                 }
             }
         }
-        idom[func.entry.index()] = None; // drop the sentinel
-        DomTree { idom, rpo, rpo_pos }
+        let mut idom = vec![None; cfg.num_blocks()];
+        for (&b, &d) in rpo.iter().zip(&doms).skip(1) {
+            idom[b.index()] = Some(rpo[d]);
+        }
+        DomTree {
+            idom,
+            entry: cfg.entry(),
+        }
     }
 
     /// Is `b` reachable from the entry?
     pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.rpo_pos[b.index()] != usize::MAX
+        b == self.entry || self.idom[b.index()].is_some()
     }
 
     /// Does `a` dominate `b`? (Reflexive: every block dominates itself.)
@@ -97,6 +99,7 @@ impl DomTree {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
+    use crate::program::Function;
     use crate::types::RegClass;
 
     /// Diamond: b0 -> {b1, b2} -> b3
@@ -122,7 +125,7 @@ mod tests {
     #[test]
     fn diamond_idoms() {
         let (f, [b0, b1, b2, b3]) = diamond();
-        let dt = DomTree::compute(&f);
+        let dt = DomTree::compute(&Cfg::new(&f));
         assert_eq!(dt.idom[b0.index()], None);
         assert_eq!(dt.idom[b1.index()], Some(b0));
         assert_eq!(dt.idom[b2.index()], Some(b0));
@@ -149,7 +152,7 @@ mod tests {
         fb.switch_to(b3);
         fb.ret(None);
         let f = fb.finish();
-        let dt = DomTree::compute(&f);
+        let dt = DomTree::compute(&Cfg::new(&f));
         assert!(dt.dominates(b1, b2));
         assert!(dt.dominates(b1, b3));
         assert!(!dt.dominates(b2, b3));
@@ -163,7 +166,7 @@ mod tests {
         fb.switch_to(dead);
         fb.ret(None);
         let f = fb.finish();
-        let dt = DomTree::compute(&f);
+        let dt = DomTree::compute(&Cfg::new(&f));
         assert!(!dt.is_reachable(dead));
         assert!(dt.is_reachable(f.entry));
     }

@@ -15,9 +15,11 @@
 //! * the IR data structures ([`Program`], [`Function`], [`Block`], [`Inst`],
 //!   [`Opcode`]) and a [`builder`] for constructing them,
 //! * structural verification ([`verify`]),
-//! * classic CFG analyses: reverse postorder, [`dom`]inators, natural
-//!   [`loops`], def-use information and [`liveness`] — the latter an instance
-//!   of the generic worklist [`dataflow`] solver,
+//! * classic CFG analyses over one flat [`cfg::Cfg`] (successors,
+//!   predecessors, reverse postorder): [`dom`]inators, natural [`loops`] and
+//!   [`liveness`] — the latter an instance of the generic worklist
+//!   [`dataflow`] solver, whose per-block facts are rows of one
+//!   [`util::BitMatrix`],
 //! * a reference [`interp`]reter that both executes programs and collects the
 //!   execution [`profile`]s (block counts, edge counts, branch-predictability
 //!   statistics) that the paper's priority functions consume.
@@ -47,6 +49,7 @@
 
 pub mod budget;
 pub mod builder;
+pub mod cfg;
 pub mod dataflow;
 pub mod dom;
 pub mod inst;

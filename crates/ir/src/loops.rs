@@ -1,7 +1,7 @@
 //! Natural-loop detection and loop nesting.
 
+use crate::cfg::Cfg;
 use crate::dom::DomTree;
-use crate::program::Function;
 use crate::types::BlockId;
 use crate::util::BitSet;
 
@@ -28,10 +28,10 @@ impl NaturalLoop {
     }
 
     /// Blocks outside the loop that the loop can exit to.
-    pub fn exit_targets(&self, func: &Function) -> Vec<BlockId> {
+    pub fn exit_targets(&self, cfg: &Cfg) -> Vec<BlockId> {
         let mut out = Vec::new();
         for bi in self.blocks.iter() {
-            for s in func.successors(BlockId(bi as u32)) {
+            for &s in cfg.succs(BlockId(bi as u32)) {
                 if !self.contains(s) && !out.contains(&s) {
                     out.push(s);
                 }
@@ -51,14 +51,14 @@ pub struct LoopForest {
 }
 
 impl LoopForest {
-    /// Detect natural loops using the dominator tree. Loops sharing a header
-    /// are merged (standard practice).
-    pub fn compute(func: &Function, dt: &DomTree) -> Self {
-        let n = func.blocks.len();
+    /// Detect the natural loops of the graph `cfg` using its dominator
+    /// tree. Loops sharing a header are merged (standard practice).
+    pub fn compute(cfg: &Cfg, dt: &DomTree) -> Self {
+        let n = cfg.num_blocks();
         // Collect backedges u -> h where h dominates u.
         let mut by_header: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
-        for &u in &dt.rpo {
-            for s in func.successors(u) {
+        for &u in cfg.rpo() {
+            for &s in cfg.succs(u) {
                 if dt.dominates(s, u) {
                     match by_header.iter_mut().find(|(h, _)| *h == s) {
                         Some((_, ls)) => ls.push(u),
@@ -68,21 +68,20 @@ impl LoopForest {
             }
         }
         // Build each loop's block set by walking predecessors from latches.
-        let preds = func.predecessors();
+        let mut stack: Vec<BlockId> = Vec::new();
         let mut loops: Vec<NaturalLoop> = by_header
             .into_iter()
             .map(|(header, latches)| {
                 let mut blocks = BitSet::new(n);
                 blocks.insert(header.index());
-                let mut stack: Vec<BlockId> = Vec::new();
                 for &l in &latches {
                     if blocks.insert(l.index()) {
                         stack.push(l);
                     }
                 }
                 while let Some(b) = stack.pop() {
-                    for &p in &preds[b.index()] {
-                        if dt.is_reachable(p) && blocks.insert(p.index()) {
+                    for &p in cfg.preds(b) {
+                        if cfg.is_reachable(p) && blocks.insert(p.index()) {
                             stack.push(p);
                         }
                     }
@@ -147,6 +146,7 @@ impl LoopForest {
 mod tests {
     use super::*;
     use crate::builder::FunctionBuilder;
+    use crate::program::Function;
     use crate::types::RegClass;
 
     /// Two-level nest:
@@ -181,8 +181,9 @@ mod tests {
     #[test]
     fn detects_nested_loops() {
         let (f, [b0, b1, b2, b3, b4, b5]) = nest();
-        let dt = DomTree::compute(&f);
-        let lf = LoopForest::compute(&f, &dt);
+        let cfg = Cfg::new(&f);
+        let dt = DomTree::compute(&cfg);
+        let lf = LoopForest::compute(&cfg, &dt);
         assert_eq!(lf.loops.len(), 2);
         let outer = lf.loops.iter().position(|l| l.header == b1).unwrap();
         let inner = lf.loops.iter().position(|l| l.header == b2).unwrap();
@@ -200,10 +201,11 @@ mod tests {
     #[test]
     fn exit_targets_found() {
         let (f, [_, b1, _, _, _, b5]) = nest();
-        let dt = DomTree::compute(&f);
-        let lf = LoopForest::compute(&f, &dt);
+        let cfg = Cfg::new(&f);
+        let dt = DomTree::compute(&cfg);
+        let lf = LoopForest::compute(&cfg, &dt);
         let outer = lf.loops.iter().position(|l| l.header == b1).unwrap();
-        assert_eq!(lf.loops[outer].exit_targets(&f), vec![b5]);
+        assert_eq!(lf.loops[outer].exit_targets(&cfg), vec![b5]);
     }
 
     #[test]
@@ -211,8 +213,9 @@ mod tests {
         let mut fb = FunctionBuilder::new("s");
         fb.ret(None);
         let f = fb.finish();
-        let dt = DomTree::compute(&f);
-        let lf = LoopForest::compute(&f, &dt);
+        let cfg = Cfg::new(&f);
+        let dt = DomTree::compute(&cfg);
+        let lf = LoopForest::compute(&cfg, &dt);
         assert!(lf.loops.is_empty());
     }
 }
