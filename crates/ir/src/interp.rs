@@ -41,6 +41,30 @@ impl fmt::Display for InterpError {
 
 impl std::error::Error for InterpError {}
 
+/// A memory access outside the memory image: the one failure of
+/// [`read_mem`] and [`write_mem`]. The interpreter reports it as
+/// [`InterpError::OutOfBounds`]; the simulator converts it into its own
+/// error without ever seeing the interpreter's other failures.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OutOfBounds {
+    /// The faulting byte address.
+    pub addr: i64,
+}
+
+impl fmt::Display for OutOfBounds {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "memory access out of bounds at {}", self.addr)
+    }
+}
+
+impl std::error::Error for OutOfBounds {}
+
+impl From<OutOfBounds> for InterpError {
+    fn from(e: OutOfBounds) -> Self {
+        InterpError::OutOfBounds { addr: e.addr }
+    }
+}
+
 /// Configuration for a run.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
@@ -137,12 +161,12 @@ fn new_frame(prog: &Program, func: FuncId, ret_dst: Option<VReg>) -> Frame {
 /// Read `w` bytes at `addr` (shared by interpreter and simulator).
 ///
 /// # Errors
-/// Returns [`InterpError::OutOfBounds`] on an out-of-range access.
+/// Returns [`OutOfBounds`] on an out-of-range access.
 #[inline]
-pub fn read_mem(mem: &[u8], addr: i64, w: Width) -> Result<i64, InterpError> {
+pub fn read_mem(mem: &[u8], addr: i64, w: Width) -> Result<i64, OutOfBounds> {
     let a = addr as usize;
     if addr < 0 || a + w.bytes() > mem.len() {
-        return Err(InterpError::OutOfBounds { addr });
+        return Err(OutOfBounds { addr });
     }
     Ok(match w {
         Width::B1 => mem[a] as i64,
@@ -154,12 +178,12 @@ pub fn read_mem(mem: &[u8], addr: i64, w: Width) -> Result<i64, InterpError> {
 /// Write `w` bytes at `addr` (shared by interpreter and simulator).
 ///
 /// # Errors
-/// Returns [`InterpError::OutOfBounds`] on an out-of-range access.
+/// Returns [`OutOfBounds`] on an out-of-range access.
 #[inline]
-pub fn write_mem(mem: &mut [u8], addr: i64, w: Width, v: i64) -> Result<(), InterpError> {
+pub fn write_mem(mem: &mut [u8], addr: i64, w: Width, v: i64) -> Result<(), OutOfBounds> {
     let a = addr as usize;
     if addr < 0 || a + w.bytes() > mem.len() {
-        return Err(InterpError::OutOfBounds { addr });
+        return Err(OutOfBounds { addr });
     }
     match w {
         Width::B1 => mem[a] = v as u8,
@@ -633,8 +657,22 @@ mod tests {
         p.add_function(fb.finish());
         assert!(matches!(
             run(&p, &RunConfig::default()),
-            Err(InterpError::OutOfBounds { .. })
+            Err(InterpError::OutOfBounds { addr: -8 })
         ));
+    }
+
+    #[test]
+    fn memory_helpers_report_only_out_of_bounds() {
+        let mut mem = [0u8; 8];
+        assert_eq!(write_mem(&mut mem, 0, Width::B4, -2), Ok(()));
+        assert_eq!(read_mem(&mem, 0, Width::B4), Ok(-2));
+        assert_eq!(read_mem(&mem, 5, Width::B4), Err(OutOfBounds { addr: 5 }));
+        assert_eq!(
+            write_mem(&mut mem, -1, Width::B1, 0),
+            Err(OutOfBounds { addr: -1 })
+        );
+        let e = InterpError::from(OutOfBounds { addr: 9 });
+        assert_eq!(e.to_string(), OutOfBounds { addr: 9 }.to_string());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::code::MachineProgram;
 use crate::machine::{latency_of, MachineConfig};
 use crate::predictor::TwoBitPredictor;
 use metaopt_ir::interp::{
-    f2i_sat, read_mem, unsafe_call_semantics, unsafe_call_slot, write_mem, InterpError,
+    f2i_sat, read_mem, unsafe_call_semantics, unsafe_call_slot, write_mem, OutOfBounds,
 };
 use metaopt_ir::{Opcode, RegClass, Width};
 use std::fmt;
@@ -96,12 +96,9 @@ impl std::str::FromStr for SimTier {
     }
 }
 
-impl From<InterpError> for SimError {
-    fn from(e: InterpError) -> Self {
-        match e {
-            InterpError::OutOfBounds { addr } => SimError::OutOfBounds { addr },
-            other => unreachable!("interpreter error {other} cannot occur in simulation"),
-        }
+impl From<OutOfBounds> for SimError {
+    fn from(e: OutOfBounds) -> Self {
+        SimError::OutOfBounds { addr: e.addr }
     }
 }
 
@@ -529,6 +526,13 @@ mod tests {
     use super::*;
     use crate::code::Bundle;
     use metaopt_ir::{BlockId, Inst, VReg};
+
+    #[test]
+    fn memory_faults_convert_to_the_simulator_error() {
+        let e = SimError::from(OutOfBounds { addr: -8 });
+        assert_eq!(e, SimError::OutOfBounds { addr: -8 });
+        assert_eq!(e.to_string(), "memory access out of bounds at -8");
+    }
 
     fn bundle(insts: Vec<Inst>) -> Bundle {
         Bundle { insts }
