@@ -65,9 +65,17 @@ fn tokenize(src: &str) -> Vec<Tok> {
     out
 }
 
+/// Deepest operator nesting the parser accepts. Search trees stay within
+/// `GpParams::max_depth` (12 by default); the bound keeps the recursive
+/// descent, and every recursive walk over the tree it returns, off the end
+/// of the stack on hostile input.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser<'a> {
     toks: Vec<Tok>,
     pos: usize,
+    /// Operator forms currently open.
+    depth: usize,
     fs: &'a FeatureSet,
 }
 
@@ -84,7 +92,21 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn expect_close(&mut self) -> Result<(), ParseError> {
+    /// Step into an operator form: consume its `(` and read its operator.
+    fn open(&mut self) -> Result<String, ParseError> {
+        self.pos += 1;
+        self.depth += 1;
+        if self.depth > MAX_NESTING {
+            return err(format!(
+                "expression nested deeper than {MAX_NESTING} levels"
+            ));
+        }
+        self.head()
+    }
+
+    /// Step out of an operator form: consume its `)`.
+    fn close(&mut self) -> Result<(), ParseError> {
+        self.depth -= 1;
         match self.next()? {
             Tok::Close => Ok(()),
             t => err(format!("expected ')', found {t:?}")),
@@ -101,8 +123,7 @@ impl<'a> Parser<'a> {
     fn real(&mut self) -> Result<RExpr, ParseError> {
         match self.peek() {
             Some(Tok::Open) => {
-                self.pos += 1;
-                let op = self.head()?;
+                let op = self.open()?;
                 let e = match op.as_str() {
                     "add" => RExpr::Add(Box::new(self.real()?), Box::new(self.real()?)),
                     "sub" => RExpr::Sub(Box::new(self.real()?), Box::new(self.real()?)),
@@ -128,7 +149,7 @@ impl<'a> Parser<'a> {
                     },
                     other => return err(format!("unknown real operator {other}")),
                 };
-                self.expect_close()?;
+                self.close()?;
                 Ok(e)
             }
             Some(Tok::Sym(_)) => {
@@ -154,8 +175,7 @@ impl<'a> Parser<'a> {
     fn boolean(&mut self) -> Result<BExpr, ParseError> {
         match self.peek() {
             Some(Tok::Open) => {
-                self.pos += 1;
-                let op = self.head()?;
+                let op = self.open()?;
                 let e = match op.as_str() {
                     "and" => BExpr::And(Box::new(self.boolean()?), Box::new(self.boolean()?)),
                     "or" => BExpr::Or(Box::new(self.boolean()?), Box::new(self.boolean()?)),
@@ -177,7 +197,7 @@ impl<'a> Parser<'a> {
                     },
                     other => return err(format!("unknown bool operator {other}")),
                 };
-                self.expect_close()?;
+                self.close()?;
                 Ok(e)
             }
             Some(Tok::Sym(_)) => {
@@ -218,6 +238,7 @@ pub fn parse_real(src: &str, fs: &FeatureSet) -> Result<RExpr, ParseError> {
     let mut p = Parser {
         toks: tokenize(src),
         pos: 0,
+        depth: 0,
         fs,
     };
     let e = p.real()?;
@@ -233,6 +254,7 @@ pub fn parse_bool(src: &str, fs: &FeatureSet) -> Result<BExpr, ParseError> {
     let mut p = Parser {
         toks: tokenize(src),
         pos: 0,
+        depth: 0,
         fs,
     };
     let e = p.boolean()?;
