@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """CI throughput gate: compare a fresh fixed-seed smoke-run digest against
 the committed BENCH_evals.json baseline and fail on a >2x regression in
-evaluation throughput, simulator speed or compiler pass time per compile.
+evaluation throughput, simulator speed, evaluation time per evaluation or
+compiler pass time per compile.
 
 Usage: bench_gate.py BENCH_evals.json target/BENCH_evals.json
 
@@ -46,28 +47,14 @@ def main() -> int:
         if got * 2 < b:
             print(f"FAIL: {key} regressed more than 2x against BENCH_evals.json")
             failed = True
-    # Latency keys gate in the other direction: a regression is the fresh
-    # value growing, not shrinking. The histogram quantiles are log2-bucket
-    # upper bounds (quantized up to 2x), so use a 4x margin: 2x quantization
-    # plus the same 2x runner-noise allowance as the throughput keys.
-    for key in ["eval_p50_ms", "eval_p99_ms"]:
-        if key not in base or key not in fresh:
-            print(f"{key}: SKIP (older digest lacks the latency key)")
-            continue
-        b, got = base[key], fresh[key]
-        if b <= 0:
-            print(f"{key}: SKIP (baseline {b} is ungateable; fresh measured {got:.3f}ms)")
-            continue
-        ratio = got / b
-        print(f"{key}: baseline {b:.3f}ms, fresh {got:.3f}ms ({ratio:.2f}x)")
-        if got > b * 4:
-            print(f"FAIL: {key} regressed more than 4x against BENCH_evals.json")
-            failed = True
     # Cost keys derived from exact spans gate lower-is-better at the same 2x
     # margin as the throughput keys: there is no bucket quantization to
-    # absorb. `pass_us_per_compile` is the summed `pass` wall time over the
-    # number of compiles (one `schedule` run each).
-    for key in ["pass_us_per_compile"]:
+    # absorb. `eval_us_per_eval` is the summed `eval` span time over the
+    # number of evaluations; `pass_us_per_compile` is the summed `pass` wall
+    # time over the number of compiles (one `schedule` run each). The
+    # digest's log2-bucket `eval_p50_ms` / `eval_p99_ms` are reported there
+    # but not gated: a bucket bound moves in 2x steps.
+    for key in ["eval_us_per_eval", "pass_us_per_compile"]:
         b, got = base.get(key), fresh.get(key)
         if b is None or got is None:
             side = "baseline" if b is None else "fresh"

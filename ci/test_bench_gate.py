@@ -21,6 +21,7 @@ def digest(**kv):
         "warm_evals_per_sec": 0,
         "eval_p50_ms": 30.0,
         "eval_p99_ms": 40.0,
+        "eval_us_per_eval": 20000.0,
         "pass_us_per_compile": 300.0,
         "cache_hit_rate": 0.5,
     }
@@ -78,19 +79,44 @@ class BenchGate(unittest.TestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("FAIL: evals_per_sec", out)
 
-    def test_latency_regression_fails(self):
-        code, out = run_gate(digest(), digest(eval_p99_ms=200.0))
+    def test_eval_cost_within_margin_passes(self):
+        code, out = run_gate(digest(), digest(eval_us_per_eval=39000.0))
+        self.assertEqual(code, 0, out)
+        self.assertIn(
+            "eval_us_per_eval: baseline 20000.0us, fresh 39000.0us (1.95x)", out
+        )
+
+    def test_eval_cost_regression_fails(self):
+        # Lower is better: more time per evaluation is the regression.
+        code, out = run_gate(digest(), digest(eval_us_per_eval=41000.0))
         self.assertEqual(code, 1, out)
-        self.assertIn("FAIL: eval_p99_ms", out)
+        self.assertIn("FAIL: eval_us_per_eval", out)
+        code, out = run_gate(digest(), digest(eval_us_per_eval=5000.0))
+        self.assertEqual(code, 0, out)
+
+    def test_eval_cost_skips_without_a_floor(self):
+        base = digest()
+        del base["eval_us_per_eval"]
+        code, out = run_gate(base, digest(eval_us_per_eval=1e9))
+        self.assertEqual(code, 0, out)
+        self.assertIn("eval_us_per_eval: SKIP (baseline digest lacks the key)", out)
+        code, out = run_gate(digest(eval_us_per_eval=0), digest())
+        self.assertEqual(code, 0, out)
+        self.assertIn("eval_us_per_eval: SKIP (baseline 0 is ungateable", out)
+
+    def test_bucket_latency_keys_are_not_gated(self):
+        # The log2-bucket quantiles move in 2x steps; only the exact-span
+        # mean gates evaluation latency.
+        code, out = run_gate(digest(), digest(eval_p50_ms=300.0, eval_p99_ms=400.0))
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("eval_p50_ms", out)
+        self.assertNotIn("eval_p99_ms", out)
 
     def test_missing_keys_skip(self):
         base = digest()
-        del base["eval_p50_ms"]
-        del base["eval_p99_ms"]
         del base["warm_evals_per_sec"]
         code, out = run_gate(base, digest())
         self.assertEqual(code, 0, out)
-        self.assertIn("eval_p50_ms: SKIP", out)
         self.assertIn("warm_evals_per_sec: SKIP", out)
 
     def test_pass_cost_within_margin_passes(self):

@@ -154,6 +154,9 @@ pub struct Report {
     /// pairs over every `eval` event's `dur_ns` (the same bucket scheme as
     /// [`crate::metrics::Histogram`]). Empty when the trace has no evals.
     pub eval_latency: Vec<(usize, u64)>,
+    /// Number of `eval` events and their summed `dur_ns`: the exact spans
+    /// behind [`Report::eval_us_per_eval`].
+    pub eval_spans: (u64, u64),
     /// Containment and persistent-cache counters.
     pub reliability: Reliability,
     /// Final Pareto front of a co-evolved run; `None` on scalar traces
@@ -233,6 +236,18 @@ impl Report {
         self.eval_latency_quantile_ns(99, 100) as f64 / 1e6
     }
 
+    /// Mean evaluation latency in microseconds: the `eval` events' summed
+    /// `dur_ns` over their count. Exact spans, not histogram buckets; 0
+    /// when the trace holds no evaluation.
+    pub fn eval_us_per_eval(&self) -> f64 {
+        let (evals, ns) = self.eval_spans;
+        if evals == 0 {
+            0.0
+        } else {
+            ns as f64 / 1e3 / evals as f64
+        }
+    }
+
     /// Compiler pass wall time per compile in microseconds: the `pass`
     /// events' summed `wall_ns` over the runs of the `schedule` pass, which
     /// ends every compile exactly once. Exact spans, not histogram buckets;
@@ -305,6 +320,10 @@ impl Report {
             ),
             ("eval_p50_ms".to_string(), Value::Num(self.eval_p50_ms())),
             ("eval_p99_ms".to_string(), Value::Num(self.eval_p99_ms())),
+            (
+                "eval_us_per_eval".to_string(),
+                Value::Num(self.eval_us_per_eval()),
+            ),
             (
                 "pass_us_per_compile".to_string(),
                 Value::Num(self.pass_us_per_compile()),
@@ -521,6 +540,8 @@ pub fn analyze(text: &str) -> Result<Report, SchemaError> {
                 if matches!(v.get("warm"), Some(Value::Bool(true))) {
                     report.reliability.warm_evals += 1;
                 }
+                report.eval_spans.0 += 1;
+                report.eval_spans.1 += u("dur_ns");
                 // Same bucket scheme as metrics::Histogram: index = bit
                 // length of the duration.
                 let idx = (64 - u("dur_ns").leading_zeros()) as usize;
@@ -882,6 +903,19 @@ mod tests {
         assert!((p50 - 511e-6).abs() < 1e-12, "p50 {p50}");
         assert!((p99 - 511e-6).abs() < 1e-12, "p99 {p99}");
         assert!(r.render().contains("eval latency: p50"));
+    }
+
+    #[test]
+    fn eval_time_per_eval_comes_from_exact_spans() {
+        let r = analyze(&synthetic_trace()).unwrap();
+        // Six evals of 500ns each: 3000ns over 6 events.
+        assert_eq!(r.eval_spans, (6, 3000));
+        assert!((r.eval_us_per_eval() - 0.5).abs() < 1e-12);
+        let v = crate::json::parse(&r.bench_json()).unwrap();
+        let per_eval = v.get("eval_us_per_eval").and_then(Value::as_f64);
+        assert_eq!(per_eval, Some(r.eval_us_per_eval()));
+        let empty = analyze(&Tracer::in_memory().lines().unwrap().join("\n")).unwrap();
+        assert_eq!(empty.eval_us_per_eval(), 0.0);
     }
 
     #[test]
