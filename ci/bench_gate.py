@@ -51,9 +51,10 @@ def main() -> int:
     # margin as the throughput keys: there is no bucket quantization to
     # absorb. `eval_us_per_eval` is the summed `eval` span time over the
     # number of evaluations; `pass_us_per_compile` is the summed `pass` wall
-    # time over the number of compiles (one `schedule` run each). The
-    # digest's log2-bucket `eval_p50_ms` / `eval_p99_ms` are reported there
-    # but not gated: a bucket bound moves in 2x steps.
+    # time over the number of compiles (one `schedule` run each). Digests
+    # written before the log2-bucket `eval_p50_ms` / `eval_p99_ms` keys were
+    # retired may still carry them; they are ignored, since a bucket bound
+    # moves in 2x steps.
     for key in ["eval_us_per_eval", "pass_us_per_compile"]:
         b, got = base.get(key), fresh.get(key)
         if b is None or got is None:

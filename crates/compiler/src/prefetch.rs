@@ -12,11 +12,10 @@ use crate::pass::{Pass, PassCtx};
 use crate::{BoolPriority, CompileError};
 use metaopt_ir::cfg::Cfg;
 use metaopt_ir::dom::DomTree;
-use metaopt_ir::loops::LoopForest;
+use metaopt_ir::loops::{LoopForest, NaturalLoop};
 use metaopt_ir::profile::FuncProfile;
 use metaopt_ir::{Function, Inst, Opcode, VReg};
 use metaopt_sim::MachineConfig;
-use std::collections::HashMap;
 
 /// Real-valued features per candidate load. Index order is the public
 /// contract for confidence functions.
@@ -51,69 +50,71 @@ impl BoolPriority for BaselineTripCount {
     }
 }
 
-/// Definition map: vreg -> its unique defining instruction `(block, index)`,
-/// absent for multiply-defined cells.
-fn single_defs(func: &Function) -> HashMap<u32, (usize, usize)> {
-    let mut count: HashMap<u32, u32> = HashMap::new();
-    let mut site: HashMap<u32, (usize, usize)> = HashMap::new();
+/// Definition sites indexed by vreg: the unique defining instruction
+/// `(block, index)`, `None` for cells defined more than once or never.
+fn single_defs(func: &Function) -> Vec<Option<(usize, usize)>> {
+    let mut defs = vec![(0u32, (0, 0)); func.num_vregs()];
     for (bi, b) in func.blocks.iter().enumerate() {
         for (ii, inst) in b.insts.iter().enumerate() {
             if let Some(d) = inst.dst {
-                *count.entry(d.0).or_insert(0) += 1;
-                site.insert(d.0, (bi, ii));
+                let (count, site) = &mut defs[d.index()];
+                *count += 1;
+                *site = (bi, ii);
             }
         }
     }
-    site.retain(|r, _| count[r] == 1);
-    site
+    defs.into_iter()
+        .map(|(count, site)| (count == 1).then_some(site))
+        .collect()
 }
 
-/// Basic induction variables of a loop: cells `i` whose only in-loop
-/// definition is `Mov i, t` with `t = AddI(i, c)` (the frontend's canonical
-/// update), or a direct `AddI i <- i, c`. Returns vreg -> step.
+/// Basic induction variables of loop `l`, indexed by vreg: cells `i` whose
+/// only in-loop definition is `Mov i, t` with `t = AddI(i, c)` (the
+/// frontend's canonical update), or a direct `AddI i <- i, c`. Each holds
+/// its step; every other cell `None`.
 fn induction_steps(
     func: &Function,
-    blocks: &[usize],
-    defs: &HashMap<u32, (usize, usize)>,
-) -> HashMap<u32, i64> {
-    // Collect in-loop defs per vreg.
-    let mut in_loop_defs: HashMap<u32, Vec<(usize, usize)>> = HashMap::new();
-    for &bi in blocks {
+    l: &NaturalLoop,
+    defs: &[Option<(usize, usize)>],
+) -> Vec<Option<i64>> {
+    // In-loop definitions per vreg: how many, and the last one's site.
+    let mut in_loop = vec![(0u32, (0, 0)); defs.len()];
+    for bi in l.blocks.iter() {
         for (ii, inst) in func.blocks[bi].insts.iter().enumerate() {
             if let Some(d) = inst.dst {
-                in_loop_defs.entry(d.0).or_default().push((bi, ii));
+                let (count, site) = &mut in_loop[d.index()];
+                *count += 1;
+                *site = (bi, ii);
             }
         }
     }
-    let mut out = HashMap::new();
-    for (reg, sites) in &in_loop_defs {
-        if sites.len() != 1 {
-            continue;
-        }
-        let (bi, ii) = sites[0];
-        let inst = &func.blocks[bi].insts[ii];
-        if inst.pred.is_some() {
-            continue;
-        }
-        match inst.op {
-            Opcode::AddI if inst.args[0].0 == *reg => {
-                out.insert(*reg, inst.imm);
+    in_loop
+        .iter()
+        .enumerate()
+        .map(|(reg, &(count, (bi, ii)))| {
+            if count != 1 {
+                return None;
             }
-            Opcode::Mov => {
-                let src = inst.args[0].0;
-                if let Some(&(sbi, sii)) = defs.get(&src) {
-                    if blocks.contains(&sbi) {
-                        let s = &func.blocks[sbi].insts[sii];
-                        if s.op == Opcode::AddI && s.args[0].0 == *reg && s.pred.is_none() {
-                            out.insert(*reg, s.imm);
-                        }
-                    }
+            let inst = &func.blocks[bi].insts[ii];
+            if inst.pred.is_some() {
+                return None;
+            }
+            let reg = reg as u32;
+            match inst.op {
+                Opcode::AddI if inst.args[0].0 == reg => Some(inst.imm),
+                Opcode::Mov => {
+                    let (sbi, sii) = defs[inst.args[0].index()]?;
+                    let s = &func.blocks[sbi].insts[sii];
+                    let update = l.blocks.contains(sbi)
+                        && s.op == Opcode::AddI
+                        && s.args[0].0 == reg
+                        && s.pred.is_none();
+                    update.then_some(s.imm)
                 }
+                _ => None,
             }
-            _ => {}
-        }
-    }
-    out
+        })
+        .collect()
 }
 
 /// Per-iteration address stride of `reg` (bytes), if derivable: walk the
@@ -121,52 +122,35 @@ fn induction_steps(
 fn stride_of(
     func: &Function,
     reg: u32,
-    ivs: &HashMap<u32, i64>,
-    defs: &HashMap<u32, (usize, usize)>,
-    blocks: &[usize],
+    ivs: &[Option<i64>],
+    defs: &[Option<(usize, usize)>],
+    l: &NaturalLoop,
     depth: usize,
 ) -> Option<i64> {
     if depth == 0 {
         return None;
     }
-    if let Some(&s) = ivs.get(&reg) {
+    if let Some(s) = ivs[reg as usize] {
         return Some(s);
     }
-    match defs.get(&reg) {
-        None => None, // multiply-defined, not an IV
-        Some(&(bi, ii)) => {
-            if !blocks.contains(&bi) {
-                return Some(0); // loop-invariant
-            }
-            let inst = &func.blocks[bi].insts[ii];
-            if inst.pred.is_some() {
-                return None;
-            }
-            match inst.op {
-                Opcode::MovI => Some(0),
-                Opcode::Mov => stride_of(func, inst.args[0].0, ivs, defs, blocks, depth - 1),
-                Opcode::AddI => stride_of(func, inst.args[0].0, ivs, defs, blocks, depth - 1),
-                Opcode::Add => {
-                    let a = stride_of(func, inst.args[0].0, ivs, defs, blocks, depth - 1)?;
-                    let b = stride_of(func, inst.args[1].0, ivs, defs, blocks, depth - 1)?;
-                    Some(a + b)
-                }
-                Opcode::Sub => {
-                    let a = stride_of(func, inst.args[0].0, ivs, defs, blocks, depth - 1)?;
-                    let b = stride_of(func, inst.args[1].0, ivs, defs, blocks, depth - 1)?;
-                    Some(a - b)
-                }
-                Opcode::MulI => {
-                    let a = stride_of(func, inst.args[0].0, ivs, defs, blocks, depth - 1)?;
-                    Some(a.wrapping_mul(inst.imm))
-                }
-                Opcode::ShlI => {
-                    let a = stride_of(func, inst.args[0].0, ivs, defs, blocks, depth - 1)?;
-                    Some(a.wrapping_shl(inst.imm as u32 & 63))
-                }
-                _ => None,
-            }
-        }
+    // Multiply-defined cells are not induction variables.
+    let (bi, ii) = defs[reg as usize]?;
+    if !l.blocks.contains(bi) {
+        return Some(0); // loop-invariant
+    }
+    let inst = &func.blocks[bi].insts[ii];
+    if inst.pred.is_some() {
+        return None;
+    }
+    let arg = |k: usize| stride_of(func, inst.args[k].0, ivs, defs, l, depth - 1);
+    match inst.op {
+        Opcode::MovI => Some(0),
+        Opcode::Mov | Opcode::AddI => arg(0),
+        Opcode::Add => Some(arg(0)? + arg(1)?),
+        Opcode::Sub => Some(arg(0)? - arg(1)?),
+        Opcode::MulI => Some(arg(0)?.wrapping_mul(inst.imm)),
+        Opcode::ShlI => Some(arg(0)?.wrapping_shl(inst.imm as u32 & 63)),
+        _ => None,
     }
 }
 
@@ -186,9 +170,8 @@ pub fn insert_prefetches(
 
     // Collect insertion requests first (block, inst index, prefetch inst).
     let mut requests: Vec<(usize, usize, Inst)> = Vec::new();
-    for l in &forest.loops {
-        let blocks: Vec<usize> = l.blocks.iter().collect();
-        let ivs = induction_steps(func, &blocks, &defs);
+    for (li, l) in forest.loops.iter().enumerate() {
+        let ivs = induction_steps(func, l, &defs);
 
         // Loop statistics.
         let header_count = profile.block_count(l.header) as f64;
@@ -203,27 +186,15 @@ pub fn insert_prefetches(
         } else {
             0.0
         };
-        let body_insts: usize = blocks.iter().map(|&b| func.blocks[b].insts.len()).sum();
-        let mem_ops = blocks
-            .iter()
-            .flat_map(|&b| &func.blocks[b].insts)
-            .filter(|i| i.op.is_mem())
-            .count() as f64;
-        let num_loads = blocks
-            .iter()
-            .flat_map(|&b| &func.blocks[b].insts)
-            .filter(|i| i.op.is_load())
-            .count() as f64;
+        let body = || l.blocks.iter().flat_map(|b| &func.blocks[b].insts);
+        let body_insts = body().count();
+        let mem_ops = body().filter(|i| i.op.is_mem()).count() as f64;
+        let num_loads = body().filter(|i| i.op.is_load()).count() as f64;
 
-        for &bi in &blocks {
+        for bi in l.blocks.iter() {
             // Only innermost placement: skip blocks whose innermost loop is
             // a different (deeper) loop.
-            let this = forest
-                .loops
-                .iter()
-                .position(|x| std::ptr::eq(x, l))
-                .unwrap_or(usize::MAX);
-            if forest.innermost[bi] != Some(this) {
+            if forest.innermost[bi] != Some(li) {
                 continue;
             }
             for (ii, inst) in func.blocks[bi].insts.iter().enumerate() {
@@ -231,7 +202,7 @@ pub fn insert_prefetches(
                     continue;
                 }
                 let addr = inst.args[0];
-                let stride = stride_of(func, addr.0, &ivs, &defs, &blocks, 16);
+                let stride = stride_of(func, addr.0, &ivs, &defs, l, 16);
                 let stride_known = stride.is_some_and(|s| s != 0);
                 let s = stride.unwrap_or(0);
                 let trip_known = trip > 2.0;
@@ -388,12 +359,11 @@ mod tests {
         let defs = single_defs(func);
         let mut found_stride8 = false;
         for l in &forest.loops {
-            let blocks: Vec<usize> = l.blocks.iter().collect();
-            let ivs = induction_steps(func, &blocks, &defs);
-            for &bi in &blocks {
+            let ivs = induction_steps(func, l, &defs);
+            for bi in l.blocks.iter() {
                 for inst in &func.blocks[bi].insts {
                     if inst.op.is_load() {
-                        if let Some(8) = stride_of(func, inst.args[0].0, &ivs, &defs, &blocks, 16) {
+                        if let Some(8) = stride_of(func, inst.args[0].0, &ivs, &defs, l, 16) {
                             found_stride8 = true;
                         }
                     }

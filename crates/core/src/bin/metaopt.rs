@@ -69,9 +69,10 @@
 //! in-process metrics registry — counters, gauges, and log2-bucket latency
 //! histograms updated on the hot path with relaxed atomics. `metaopt top
 //! <trace.jsonl> --follow` tails a running trace and renders a live status
-//! view (generation progress, eval throughput, latency quantiles, worker
-//! pool health). `--metrics-addr 127.0.0.1:9184` additionally serves the
-//! registry as Prometheus text exposition on `GET /metrics`.
+//! view (generation progress, eval throughput, exact latency quantiles,
+//! simulator speed) from the same digest `trace-report` prints.
+//! `--metrics-addr 127.0.0.1:9184` additionally serves the registry as
+//! Prometheus text exposition on `GET /metrics`.
 
 use metaopt::experiment::{ExperimentError, RunControl};
 use metaopt::{experiment, study, EvalRequest, PreparedBench, StudyConfig};
@@ -362,14 +363,15 @@ fn co_evolve_command(
 }
 
 /// `metaopt top <trace.jsonl> [--follow]` — render a live status view of a
-/// trace. Without `--follow` it reads the file once and prints one frame;
+/// trace. The lines fold into the same `report::Report` that `trace-report`
+/// prints. Without `--follow` it reads the file once and prints one frame;
 /// with it, the file is tailed (partial trailing lines are buffered until
 /// their newline arrives) and the screen repainted until `run-end` appears.
 fn top_command(path: &str, follow: bool) -> ExitCode {
-    use metaopt_trace::live::LiveStatus;
+    use metaopt_trace::{live, report::Report};
     use std::io::{Read as _, Seek as _};
 
-    let mut status = LiveStatus::new();
+    let mut report = Report::default();
     let mut offset = 0u64;
     let mut partial = String::new();
     loop {
@@ -384,7 +386,7 @@ fn top_command(path: &str, follow: bool) -> ExitCode {
         if len < offset {
             // Truncated underneath us (a fresh run reusing the path):
             // start over rather than resuming mid-file.
-            status = LiveStatus::new();
+            report = Report::default();
             offset = 0;
             partial.clear();
         }
@@ -404,24 +406,24 @@ fn top_command(path: &str, follow: bool) -> ExitCode {
             partial.push_str(&chunk);
             while let Some(nl) = partial.find('\n') {
                 let line: String = partial.drain(..=nl).collect();
-                status.push_line(line.trim_end());
+                report.push_line(line.trim_end());
             }
         }
         if follow {
             // Repaint in place: clear screen, home the cursor.
-            print!("\x1b[2J\x1b[H{}", status.render());
+            print!("\x1b[2J\x1b[H{}", live::render(&report));
             use std::io::Write as _;
             let _ = std::io::stdout().flush();
-            if status.finished() {
+            if report.run.finished {
                 return ExitCode::SUCCESS;
             }
             std::thread::sleep(std::time::Duration::from_millis(250));
         } else {
             // One-shot: flush any unterminated final line, print one frame.
             if !partial.is_empty() {
-                status.push_line(partial.trim_end());
+                report.push_line(partial.trim_end());
             }
-            print!("{}", status.render());
+            print!("{}", live::render(&report));
             return ExitCode::SUCCESS;
         }
     }

@@ -389,7 +389,7 @@ impl Checkpoint {
                 message: "expected `population <n>`".to_string(),
             })
             .and_then(|s| parse_usize(s, ln, "population size"))?;
-        let mut population = Vec::with_capacity(npop);
+        let mut population = Vec::new();
         for _ in 0..npop {
             let (ln, l) = next("population genome")?;
             population.push(unescape(l).ok_or_else(|| CheckpointError::Parse {
@@ -415,7 +415,7 @@ impl Checkpoint {
                     message: format!("{nplans} plans for {npop} genomes"),
                 });
             }
-            let mut plans = Vec::with_capacity(nplans);
+            let mut plans = Vec::new();
             for _ in 0..nplans {
                 let (ln, l) = next("plan")?;
                 plans.push(unescape(l).ok_or_else(|| CheckpointError::Parse {
@@ -473,7 +473,7 @@ impl Checkpoint {
                 message: "expected `log <n>`".to_string(),
             })
             .and_then(|s| parse_usize(s, ln, "log length"))?;
-        let mut log = Vec::with_capacity(nlog);
+        let mut log = Vec::new();
         for _ in 0..nlog {
             let (ln, l) = next("log entry")?;
             let words: Vec<&str> = l
@@ -511,7 +511,7 @@ impl Checkpoint {
                 message: "expected `quarantine <n>`".to_string(),
             })
             .and_then(|s| parse_usize(s, ln, "quarantine length"))?;
-        let mut quarantined = Vec::with_capacity(nq);
+        let mut quarantined = Vec::new();
         for _ in 0..nq {
             let (ln, l) = next("quarantine record")?;
             quarantined.push(QuarantineRecord::from_line(l).ok_or_else(|| {

@@ -4,8 +4,8 @@
 //! Where the trace layer records *events* (what happened, in order), this
 //! module maintains *aggregated state* (how much, how fast, right now) that
 //! can be read while the run is in flight: by the per-generation
-//! `metrics-snapshot` trace events, by `metaopt top`, and by the optional
-//! Prometheus exposition endpoint ([`crate::serve`]).
+//! `metrics-snapshot` trace events (the trace's copy of `/metrics`) and by
+//! the optional Prometheus exposition endpoint ([`crate::serve`]).
 //!
 //! Design constraints, in order:
 //!
@@ -16,11 +16,11 @@
 //!    touched only at registration and snapshot time.
 //! 2. **Derived state only.** Nothing in the search reads a metric back;
 //!    a run with metrics enabled is bit-identical to one without.
-//! 3. **Integer-only quantiles.** Histograms bucket by bit length
-//!    (`bucket i` holds values of `i` bits, i.e. `[2^(i-1), 2^i)`), so
-//!    p50/p90/p99 are derived by an integer walk over at most
-//!    [`HISTOGRAM_BUCKETS`] cumulative counts — no float math anywhere
-//!    near the recording path.
+//! 3. **Buckets, not quantiles.** Histograms bucket by bit length
+//!    (`bucket i` holds values of `i` bits, i.e. `[2^(i-1), 2^i)`), so a
+//!    bound read from them is within 2x at best. Nothing here derives a
+//!    quantile: the run digest ([`crate::report`]) takes exact ones from
+//!    the trace's spans.
 //!
 //! Snapshots ([`MetricsRegistry::snapshot_value`]) serialize every metric
 //! in name-sorted order, so two registries holding the same values render
@@ -56,8 +56,8 @@ impl Counter {
     }
 }
 
-/// A gauge: a value that can move both ways (queue depth, busy workers,
-/// current generation).
+/// A gauge: a value that can move both ways (population, current
+/// generation, quarantined genomes).
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
@@ -93,8 +93,7 @@ fn bucket_index(v: u64) -> usize {
 }
 
 /// Inclusive upper bound of bucket `i` (`2^i - 1`; `u64::MAX` for the
-/// last). Quantiles report this bound, so they overestimate by at most 2x —
-/// the price of float-free recording.
+/// last): the `le` label of its Prometheus `_bucket` line.
 pub fn bucket_upper_bound(i: usize) -> u64 {
     if i >= 64 {
         u64::MAX
@@ -103,31 +102,8 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
     }
 }
 
-/// Derive the `q_num/q_den` quantile from `(bucket index, count)` pairs
-/// (e.g. a deserialized snapshot): the upper bound of the bucket where the
-/// cumulative count first reaches the target rank. Returns 0 for an empty
-/// histogram. Integer math only.
-pub fn quantile_from_buckets(pairs: &[(usize, u64)], q_num: u64, q_den: u64) -> u64 {
-    let total: u64 = pairs.iter().map(|(_, n)| n).sum();
-    if total == 0 {
-        return 0;
-    }
-    let rank = (total * q_num).div_ceil(q_den).max(1);
-    let mut sorted: Vec<(usize, u64)> = pairs.to_vec();
-    sorted.sort_by_key(|(i, _)| *i);
-    let mut cum = 0u64;
-    for (i, n) in sorted {
-        cum += n;
-        if cum >= rank {
-            return bucket_upper_bound(i);
-        }
-    }
-    bucket_upper_bound(64)
-}
-
 /// A fixed-boundary log₂-bucket histogram. Recording is two relaxed atomic
-/// adds and a `leading_zeros`; quantiles are integer walks over the bucket
-/// counts.
+/// adds and a `leading_zeros`.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -161,12 +137,6 @@ impl Histogram {
     /// Sum of all observations.
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
-    }
-
-    /// The `q_num/q_den` quantile (e.g. `quantile(99, 100)` for p99) as a
-    /// bucket upper bound; 0 when empty.
-    pub fn quantile(&self, q_num: u64, q_den: u64) -> u64 {
-        quantile_from_buckets(&self.nonzero_buckets(), q_num, q_den)
     }
 
     /// The non-empty `(bucket index, count)` pairs, in index order.
@@ -302,20 +272,6 @@ impl MetricsRegistry {
         }) {
             Metric::Histogram(h) => h,
             other => panic!("metric {name:?} is a {}, not a histogram", other.kind()),
-        }
-    }
-
-    /// Get or register one member of a labeled gauge family, e.g.
-    /// `gauge_labeled("queue_depth", "shard", "3")`.
-    ///
-    /// # Panics
-    /// Panics if the member is already registered as a different kind.
-    pub fn gauge_labeled(&self, family: &str, key: &str, value: &str) -> Arc<Gauge> {
-        match self.get_or_register(family, Some((key, value)), || {
-            Metric::Gauge(Arc::new(Gauge::default()))
-        }) {
-            Metric::Gauge(g) => g,
-            other => panic!("metric {family:?} is a {}, not a gauge", other.kind()),
         }
     }
 
@@ -466,28 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn quantiles_walk_cumulative_counts() {
-        let h = Histogram::default();
-        for _ in 0..90 {
-            h.record(100); // bucket 7, bound 127
-        }
-        for _ in 0..10 {
-            h.record(100_000); // bucket 17, bound 131071
-        }
-        assert_eq!(h.quantile(50, 100), 127);
-        assert_eq!(h.quantile(90, 100), 127);
-        assert_eq!(h.quantile(99, 100), 131_071);
-        let empty = Histogram::default();
-        assert_eq!(empty.quantile(50, 100), 0);
-        // The free function agrees on deserialized pairs.
-        assert_eq!(
-            quantile_from_buckets(&[(7, 90), (17, 10)], 99, 100),
-            131_071
-        );
-        assert_eq!(quantile_from_buckets(&[], 50, 100), 0);
-    }
-
-    #[test]
     fn snapshot_is_name_sorted_and_deterministic() {
         let m = MetricsRegistry::new();
         m.counter("zebra").inc();
@@ -528,8 +462,8 @@ mod tests {
         let h = m.histogram("metaopt_eval_latency_ns");
         h.record(100);
         h.record(100_000);
-        m.gauge_labeled("metaopt_service_queue_depth", "shard", "0")
-            .set(5);
+        m.histogram_labeled("metaopt_pass_wall_ns", "pass", "regalloc")
+            .record(5);
         let text = m.render_prometheus();
         for needle in [
             "# TYPE metaopt_evaluations_total counter\nmetaopt_evaluations_total 42\n",
@@ -540,7 +474,8 @@ mod tests {
             "metaopt_eval_latency_ns_bucket{le=\"+Inf\"} 2\n",
             "metaopt_eval_latency_ns_sum 100100\n",
             "metaopt_eval_latency_ns_count 2\n",
-            "metaopt_service_queue_depth{shard=\"0\"} 5\n",
+            "metaopt_pass_wall_ns_bucket{pass=\"regalloc\",le=\"7\"} 1\n",
+            "metaopt_pass_wall_ns_count{pass=\"regalloc\"} 1\n",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }

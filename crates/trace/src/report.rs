@@ -1,9 +1,13 @@
-//! Aggregate a `run-trace.v1` JSONL file into a human-readable report:
+//! The one digest of a `run-trace.v1` JSONL stream, [`Report`]:
 //! per-generation evaluation throughput and cache behaviour, the slowest
-//! compiler passes, simulation volume, and quarantine pressure.
+//! compiler passes, simulation volume, exact evaluation latency, and
+//! quarantine pressure. `metaopt trace-report` builds it from a finished
+//! trace after strict validation ([`analyze`]); `metaopt top` folds a
+//! still-growing trace into it line by line ([`Report::push_line`]) and
+//! renders it with [`crate::live::render`], so the two views cannot
+//! disagree.
 
-use crate::json::Value;
-use crate::metrics::quantile_from_buckets;
+use crate::json::{self, Value};
 use crate::schema::{validate_line, SchemaError, OUTCOME_SCORE};
 
 /// One generation's aggregated row.
@@ -76,19 +80,13 @@ pub struct ValidateRow {
 }
 
 /// Reliability counters: containment activity (`retry` events from the
-/// evaluation core's bounded retries; `timeout` and `worker-restart`
-/// events, which no current producer emits, are only read from older
-/// traces) plus persistent fitness-cache behaviour (`cache-recovered`
-/// events and warm `eval`s). All zero on a healthy run without a
-/// persistent cache.
+/// evaluation core's bounded retries) plus persistent fitness-cache
+/// behaviour (`cache-recovered` events and warm `eval`s). All zero on a
+/// healthy run without a persistent cache.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Reliability {
     /// Transient evaluation failures that were retried.
     pub retries: u64,
-    /// Stalled jobs reclaimed by a wall-clock watchdog (older traces).
-    pub timeouts: u64,
-    /// Worker threads respawned by a supervisor (older traces).
-    pub worker_restarts: u64,
     /// Store opens that recovered a truncated/corrupt tail.
     pub cache_recovered: u64,
     /// Store opens (or appends) that degraded to in-memory-only.
@@ -123,11 +121,29 @@ pub struct FrontDigest {
     pub events: u64,
 }
 
-/// Aggregated view of one trace file.
+/// What the run is and how far it got: the `run-start` command, the shape
+/// of the latest `evolution-start`, and whether `run-end` arrived.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RunInfo {
+    /// The CLI command line, once `run-start` is seen.
+    pub command: Option<String>,
+    /// Population size of the latest evolution.
+    pub population: u64,
+    /// Generations the latest evolution runs to.
+    pub generations: u64,
+    /// Evaluation threads of the latest evolution.
+    pub threads: u64,
+    /// Whether the producing process wrote its `run-end` event.
+    pub finished: bool,
+}
+
+/// Aggregated view of one trace.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Report {
     /// Total events.
     pub events: usize,
+    /// The run's command, shape and state.
+    pub run: RunInfo,
     /// Per-generation rows, in emission order.
     pub generations: Vec<GenRow>,
     /// Per-pass totals, sorted by total wall time (descending).
@@ -150,13 +166,12 @@ pub struct Report {
     pub total_evals: u64,
     /// Cache hits across the whole trace.
     pub total_hits: u64,
-    /// Log₂-bucketed evaluation latency: non-empty `(bucket index, count)`
-    /// pairs over every `eval` event's `dur_ns` (the same bucket scheme as
-    /// [`crate::metrics::Histogram`]). Empty when the trace has no evals.
-    pub eval_latency: Vec<(usize, u64)>,
     /// Number of `eval` events and their summed `dur_ns`: the exact spans
     /// behind [`Report::eval_us_per_eval`].
     pub eval_spans: (u64, u64),
+    /// Every `eval` event's `dur_ns`, in emission order: the samples behind
+    /// [`Report::eval_latency_ns`].
+    pub eval_ns: Vec<u64>,
     /// Containment and persistent-cache counters.
     pub reliability: Reliability,
     /// Final Pareto front of a co-evolved run; `None` on scalar traces
@@ -165,6 +180,148 @@ pub struct Report {
 }
 
 impl Report {
+    /// Fold one JSONL event into the digest. A line that does not parse as
+    /// JSON, or has no string `type`, is ignored: a live tail races the
+    /// writer, so its last line may be torn. Attributes are read leniently
+    /// (absent counts as 0); [`analyze`] validates every line first.
+    pub fn push_line(&mut self, line: &str) {
+        let Ok(v) = json::parse(line) else { return };
+        let Some(ty) = v.get("type").and_then(Value::as_str) else {
+            return;
+        };
+        self.events += 1;
+        let u = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
+        let f = |key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
+        let pass = || v.get("pass").and_then(Value::as_str).unwrap_or("?");
+        match ty {
+            "run-start" => {
+                self.run.command = v.get("command").and_then(Value::as_str).map(str::to_string);
+            }
+            "run-end" => self.run.finished = true,
+            "evolution-start" => {
+                self.run.population = u("population");
+                self.run.generations = u("generations");
+                self.run.threads = u("threads");
+            }
+            "generation" => {
+                let row = GenRow {
+                    gen: u("gen"),
+                    subset_len: v
+                        .get("subset")
+                        .and_then(Value::as_arr)
+                        .map_or(0, <[Value]>::len),
+                    evals: u("evals"),
+                    cache_hits: u("cache_hits"),
+                    best_fitness: f("best_fitness"),
+                    mean_fitness: f("mean_fitness"),
+                    dur_ns: u("dur_ns"),
+                };
+                self.total_evals += row.evals;
+                self.total_hits += row.cache_hits;
+                self.generations.push(row);
+            }
+            "pass" => {
+                let wall = u("wall_ns");
+                match self.passes.iter_mut().find(|p| p.pass == pass()) {
+                    Some(p) => {
+                        p.runs += 1;
+                        p.total_ns += wall;
+                        p.max_ns = p.max_ns.max(wall);
+                    }
+                    None => self.passes.push(PassRow {
+                        pass: pass().to_string(),
+                        runs: 1,
+                        total_ns: wall,
+                        max_ns: wall,
+                    }),
+                }
+                self.passes
+                    .sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.pass.cmp(&b.pass)));
+            }
+            "eval" => {
+                let outcome = v.get("outcome").and_then(Value::as_str).unwrap_or("?");
+                if outcome != OUTCOME_SCORE {
+                    match self.quarantine.iter_mut().find(|(k, _)| k == outcome) {
+                        Some((_, n)) => *n += 1,
+                        None => self.quarantine.push((outcome.to_string(), 1)),
+                    }
+                }
+                if matches!(v.get("warm"), Some(Value::Bool(true))) {
+                    self.reliability.warm_evals += 1;
+                }
+                self.eval_spans.0 += 1;
+                self.eval_spans.1 += u("dur_ns");
+                self.eval_ns.push(u("dur_ns"));
+            }
+            "retry" => self.reliability.retries += 1,
+            "cache-recovered" => match v.get("mode").and_then(Value::as_str) {
+                Some("recovered") => self.reliability.cache_recovered += 1,
+                _ => self.reliability.cache_degraded += 1,
+            },
+            "sim" => {
+                self.sims.0 += 1;
+                self.sims.1 += u("cycles");
+                self.sim_ns += u("dur_ns");
+            }
+            "validate" => {
+                let ok = matches!(v.get("ok"), Some(Value::Bool(true)));
+                let wall = u("wall_ns");
+                let found = u("findings");
+                match self.validation.iter_mut().find(|r| r.pass == pass()) {
+                    Some(r) => {
+                        r.runs += 1;
+                        r.failures += u64::from(!ok);
+                        r.findings += found;
+                        r.total_ns += wall;
+                    }
+                    None => self.validation.push(ValidateRow {
+                        pass: pass().to_string(),
+                        runs: 1,
+                        failures: u64::from(!ok),
+                        findings: found,
+                        total_ns: wall,
+                    }),
+                }
+                self.validation
+                    .sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.pass.cmp(&b.pass)));
+            }
+            "checkpoint" => {
+                self.checkpoints.0 += 1;
+                self.checkpoints.1 += u("dur_ns");
+            }
+            "pareto-front" => {
+                // Keep the last event (the final front); the running count
+                // carries over so the digest also says how many fronts the
+                // run reported.
+                let mut best: Vec<u64> = Vec::new();
+                if let Some(points) = v.get("points").and_then(Value::as_arr) {
+                    for point in points {
+                        let objectives = point
+                            .get("objectives")
+                            .and_then(Value::as_arr)
+                            .unwrap_or(&[]);
+                        for (k, o) in objectives.iter().enumerate() {
+                            let val = o.as_u64().unwrap_or(0);
+                            match best.get_mut(k) {
+                                Some(b) => *b = (*b).min(val),
+                                None => best.push(val),
+                            }
+                        }
+                    }
+                }
+                let events = self.front.as_ref().map_or(0, |f| f.events) + 1;
+                self.front = Some(FrontDigest {
+                    gen: u("gen"),
+                    size: u("size"),
+                    hypervolume: u("hypervolume"),
+                    best,
+                    events,
+                });
+            }
+            _ => {}
+        }
+    }
+
     /// Overall cache hit rate in [0, 1].
     pub fn hit_rate(&self) -> f64 {
         let lookups = self.total_hits + self.total_evals;
@@ -218,22 +375,20 @@ impl Report {
         }
     }
 
-    /// The `q_num/q_den` quantile of per-evaluation latency in nanoseconds,
-    /// derived from the log₂ buckets (so an upper bound, within 2x);
-    /// 0 when the trace recorded no evaluations.
-    pub fn eval_latency_quantile_ns(&self, q_num: u64, q_den: u64) -> u64 {
-        quantile_from_buckets(&self.eval_latency, q_num, q_den)
-    }
-
-    /// Median evaluation latency in milliseconds (log₂-bucket upper bound).
-    pub fn eval_p50_ms(&self) -> f64 {
-        self.eval_latency_quantile_ns(50, 100) as f64 / 1e6
-    }
-
-    /// 99th-percentile evaluation latency in milliseconds (log₂-bucket
-    /// upper bound).
-    pub fn eval_p99_ms(&self) -> f64 {
-        self.eval_latency_quantile_ns(99, 100) as f64 / 1e6
+    /// Exact nearest-rank quantiles of the `eval` events' `dur_ns`, as
+    /// `(percentile, ns)` pairs: the median whenever the trace holds an
+    /// evaluation, p90 from 100 samples and p99 from 1,000, so that at
+    /// least ten samples lie beyond every tail reported. Empty without
+    /// evaluations.
+    pub fn eval_latency_ns(&self) -> Vec<(u64, u64)> {
+        let mut sorted = self.eval_ns.clone();
+        sorted.sort_unstable();
+        let n = sorted.len() as u64;
+        [(50, 1), (90, 100), (99, 1000)]
+            .into_iter()
+            .filter(|&(_, min_samples)| n >= min_samples)
+            .map(|(p, _)| (p, sorted[((n * p).div_ceil(100) - 1) as usize]))
+            .collect()
     }
 
     /// Mean evaluation latency in microseconds: the `eval` events' summed
@@ -318,8 +473,6 @@ impl Report {
                 "warm_evals_per_sec".to_string(),
                 Value::Num(self.warm_evals_per_sec()),
             ),
-            ("eval_p50_ms".to_string(), Value::Num(self.eval_p50_ms())),
-            ("eval_p99_ms".to_string(), Value::Num(self.eval_p99_ms())),
             (
                 "eval_us_per_eval".to_string(),
                 Value::Num(self.eval_us_per_eval()),
@@ -439,9 +592,8 @@ impl Report {
         if !self.reliability.is_quiet() {
             let r = &self.reliability;
             out.push_str(&format!(
-                "reliability: {} retries, {} timeouts, {} worker restarts, \
-                 {} cache recoveries, {} cache degradations\n",
-                r.retries, r.timeouts, r.worker_restarts, r.cache_recovered, r.cache_degraded
+                "reliability: {} retries, {} cache recoveries, {} cache degradations\n",
+                r.retries, r.cache_recovered, r.cache_degraded
             ));
             if r.warm_evals > 0 {
                 out.push_str(&format!(
@@ -452,11 +604,16 @@ impl Report {
                 ));
             }
         }
-        if !self.eval_latency.is_empty() {
+        let latency = self.eval_latency_ns();
+        if !latency.is_empty() {
+            let quantiles: Vec<String> = latency
+                .iter()
+                .map(|(p, ns)| format!("p{p} {:.3}ms", *ns as f64 / 1e6))
+                .collect();
             out.push_str(&format!(
-                "eval latency: p50 {:.3}ms, p99 {:.3}ms (log2-bucket upper bounds)\n",
-                self.eval_p50_ms(),
-                self.eval_p99_ms()
+                "eval latency: {} ({} samples, exact)\n",
+                quantiles.join(", "),
+                self.eval_ns.len()
             ));
         }
         if self.quarantine.is_empty() {
@@ -482,161 +639,20 @@ impl Report {
 /// Fails (with the offending line) when any line violates `run-trace.v1`.
 pub fn analyze(text: &str) -> Result<Report, SchemaError> {
     let mut report = Report::default();
-    let mut any = false;
     for (ix, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        any = true;
-        let ty = validate_line(ix + 1, line)?;
-        report.events += 1;
-        // validate_line proved every field below present and typed.
-        let v = crate::json::parse(line).expect("validated line parses");
-        let u = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
-        let f = |key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
-        match ty.as_str() {
-            "generation" => {
-                let row = GenRow {
-                    gen: u("gen"),
-                    subset_len: v
-                        .get("subset")
-                        .and_then(Value::as_arr)
-                        .map_or(0, <[Value]>::len),
-                    evals: u("evals"),
-                    cache_hits: u("cache_hits"),
-                    best_fitness: f("best_fitness"),
-                    mean_fitness: f("mean_fitness"),
-                    dur_ns: u("dur_ns"),
-                };
-                report.total_evals += row.evals;
-                report.total_hits += row.cache_hits;
-                report.generations.push(row);
-            }
-            "pass" => {
-                let name = v.get("pass").and_then(Value::as_str).unwrap_or("?");
-                let wall = u("wall_ns");
-                match report.passes.iter_mut().find(|p| p.pass == name) {
-                    Some(p) => {
-                        p.runs += 1;
-                        p.total_ns += wall;
-                        p.max_ns = p.max_ns.max(wall);
-                    }
-                    None => report.passes.push(PassRow {
-                        pass: name.to_string(),
-                        runs: 1,
-                        total_ns: wall,
-                        max_ns: wall,
-                    }),
-                }
-            }
-            "eval" => {
-                let outcome = v.get("outcome").and_then(Value::as_str).unwrap_or("?");
-                if outcome != OUTCOME_SCORE {
-                    match report.quarantine.iter_mut().find(|(k, _)| k == outcome) {
-                        Some((_, n)) => *n += 1,
-                        None => report.quarantine.push((outcome.to_string(), 1)),
-                    }
-                }
-                if matches!(v.get("warm"), Some(Value::Bool(true))) {
-                    report.reliability.warm_evals += 1;
-                }
-                report.eval_spans.0 += 1;
-                report.eval_spans.1 += u("dur_ns");
-                // Same bucket scheme as metrics::Histogram: index = bit
-                // length of the duration.
-                let idx = (64 - u("dur_ns").leading_zeros()) as usize;
-                match report.eval_latency.iter_mut().find(|(i, _)| *i == idx) {
-                    Some((_, n)) => *n += 1,
-                    None => {
-                        report.eval_latency.push((idx, 1));
-                        report.eval_latency.sort_unstable_by_key(|(i, _)| *i);
-                    }
-                }
-            }
-            "retry" => report.reliability.retries += 1,
-            "timeout" => report.reliability.timeouts += 1,
-            "worker-restart" => report.reliability.worker_restarts += 1,
-            "cache-recovered" => match v.get("mode").and_then(Value::as_str) {
-                Some("recovered") => report.reliability.cache_recovered += 1,
-                _ => report.reliability.cache_degraded += 1,
-            },
-            "sim" => {
-                report.sims.0 += 1;
-                report.sims.1 += u("cycles");
-                report.sim_ns += u("dur_ns");
-            }
-            "validate" => {
-                let name = v.get("pass").and_then(Value::as_str).unwrap_or("?");
-                let ok = matches!(v.get("ok"), Some(Value::Bool(true)));
-                let wall = u("wall_ns");
-                let found = u("findings");
-                match report.validation.iter_mut().find(|r| r.pass == name) {
-                    Some(r) => {
-                        r.runs += 1;
-                        r.failures += u64::from(!ok);
-                        r.findings += found;
-                        r.total_ns += wall;
-                    }
-                    None => report.validation.push(ValidateRow {
-                        pass: name.to_string(),
-                        runs: 1,
-                        failures: u64::from(!ok),
-                        findings: found,
-                        total_ns: wall,
-                    }),
-                }
-            }
-            "checkpoint" => {
-                report.checkpoints.0 += 1;
-                report.checkpoints.1 += u("dur_ns");
-            }
-            "pareto-front" => {
-                // Keep the last event (the final front); the running count
-                // carries over so the digest also says how many fronts the
-                // run reported.
-                let mut best: Vec<u64> = Vec::new();
-                if let Some(points) = v.get("points").and_then(Value::as_arr) {
-                    for point in points {
-                        let objectives = point
-                            .get("objectives")
-                            .and_then(Value::as_arr)
-                            .unwrap_or(&[]);
-                        for (k, o) in objectives.iter().enumerate() {
-                            let val = o.as_u64().unwrap_or(0);
-                            match best.get_mut(k) {
-                                Some(b) => *b = (*b).min(val),
-                                None => best.push(val),
-                            }
-                        }
-                    }
-                }
-                let events = report.front.as_ref().map_or(0, |f| f.events) + 1;
-                report.front = Some(FrontDigest {
-                    gen: u("gen"),
-                    size: u("size"),
-                    hypervolume: u("hypervolume"),
-                    best,
-                    events,
-                });
-            }
-            _ => {}
+        if !line.is_empty() {
+            validate_line(ix + 1, line)?;
+            report.push_line(line);
         }
     }
-    if !any {
+    if report.events == 0 {
         return Err(SchemaError {
             line: 1,
             message: "empty trace".to_string(),
         });
     }
-    report
-        .passes
-        .sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.pass.cmp(&b.pass)));
-    report
-        .validation
-        .sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.pass.cmp(&b.pass)));
     Ok(report)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -644,6 +660,20 @@ mod tests {
 
     fn synthetic_trace() -> String {
         let t = Tracer::in_memory();
+        t.emit(
+            "run-start",
+            [("command", Value::str("specialize hyperblock x"))],
+        );
+        t.emit(
+            "evolution-start",
+            [
+                ("population", Value::UInt(3)),
+                ("generations", Value::UInt(2)),
+                ("start_gen", Value::UInt(0)),
+                ("threads", Value::UInt(1)),
+                ("resumed", Value::Bool(false)),
+            ],
+        );
         for gen in 0..2u64 {
             for case in 0..3u64 {
                 t.emit(
@@ -721,6 +751,17 @@ mod tests {
                     ("dur_ns", Value::UInt(2_000_000)),
                 ],
             );
+            t.emit(
+                "metrics-snapshot",
+                [
+                    ("seq", Value::UInt(gen)),
+                    ("gen", Value::UInt(gen)),
+                    (
+                        "counters",
+                        Value::Obj(vec![("evaluations".to_string(), Value::UInt(3))]),
+                    ),
+                ],
+            );
         }
         // Reliability events from a contained run over a recovered cache.
         t.emit(
@@ -758,7 +799,114 @@ mod tests {
                 ("dropped_bytes", Value::UInt(12)),
             ],
         );
+        t.emit(
+            "evolution-end",
+            [
+                ("evaluations", Value::UInt(6)),
+                ("successes", Value::UInt(5)),
+                ("failures", Value::UInt(1)),
+                ("quarantined", Value::UInt(1)),
+                ("best_fitness", Value::Num(1.5)),
+                ("best", Value::str("(g1-0)")),
+                ("dur_ns", Value::UInt(6_000_000)),
+            ],
+        );
+        t.emit(
+            "run-end",
+            [
+                ("command", Value::str("specialize")),
+                ("dur_ns", Value::UInt(7_000_000)),
+            ],
+        );
         t.lines().unwrap().join("\n")
+    }
+
+    /// Feed `text` line by line, the way `metaopt top` tails a trace.
+    fn fed(text: &str) -> Report {
+        let mut report = Report::default();
+        for line in text.lines() {
+            report.push_line(line);
+        }
+        report
+    }
+
+    #[test]
+    fn line_by_line_feed_equals_analyze() {
+        // The synthetic trace plus a co-evolved run's fronts: every event
+        // type the schema knows.
+        let t = Tracer::in_memory();
+        front_event(&t, 0, &[[900, 170, 500]]);
+        front_event(&t, 1, &[[901, 168, 504], [950, 180, 360]]);
+        let fronts = t.lines().unwrap();
+        let text = format!("{}\n{}", synthetic_trace(), fronts[1..].join("\n"));
+        let whole = analyze(&text).unwrap();
+        assert_eq!(fed(&text), whole);
+        assert_eq!(
+            whole.run.command.as_deref(),
+            Some("specialize hyperblock x")
+        );
+        assert_eq!(
+            (
+                whole.run.population,
+                whole.run.generations,
+                whole.run.threads
+            ),
+            (3, 2, 1)
+        );
+        assert!(whole.run.finished && whole.front.is_some());
+        // A torn last line, as a live tail may read it, is ignored.
+        let torn = format!("{text}\n{}", &fronts[1][..fronts[1].len() / 2]);
+        assert_eq!(fed(&torn), whole);
+    }
+
+    #[test]
+    fn eval_latency_is_exact_nearest_rank_behind_a_tail_rule() {
+        // `n` evaluations taking 1..=n microseconds, emitted slowest first.
+        let digest = |n: u64| {
+            let t = Tracer::in_memory();
+            for i in 0..n {
+                t.emit(
+                    "eval",
+                    [
+                        ("gen", Value::UInt(0)),
+                        ("genome", Value::str("g")),
+                        ("case", Value::UInt(i)),
+                        ("outcome", Value::str(OUTCOME_SCORE)),
+                        ("score", Value::Num(1.0)),
+                        ("dur_ns", Value::UInt((n - i) * 1000)),
+                    ],
+                );
+            }
+            analyze(&t.lines().unwrap().join("\n")).unwrap()
+        };
+        // Rank ⌈p·n/100⌉: the median of 99 is the 50th value. p90 needs 100
+        // samples and p99 1,000, so ten samples lie beyond either tail.
+        let r = digest(99);
+        assert_eq!(r.eval_latency_ns(), vec![(50, 50_000)]);
+        assert!(r
+            .render()
+            .contains("eval latency: p50 0.050ms (99 samples, exact)"));
+        assert!(crate::live::render(&r).contains("eval latency p50 50µs (99 samples)"));
+        let r = digest(100);
+        assert_eq!(r.eval_latency_ns(), vec![(50, 50_000), (90, 90_000)]);
+        let r = digest(999);
+        assert_eq!(r.eval_latency_ns(), vec![(50, 500_000), (90, 900_000)]);
+        assert!(r
+            .render()
+            .contains("eval latency: p50 0.500ms, p90 0.900ms (999 samples, exact)"));
+        assert!(
+            crate::live::render(&r).contains("eval latency p50 500µs · p90 900µs (999 samples)")
+        );
+        let r = digest(1000);
+        assert_eq!(
+            r.eval_latency_ns(),
+            vec![(50, 500_000), (90, 900_000), (99, 990_000)]
+        );
+        assert!(r
+            .render()
+            .contains("eval latency: p50 0.500ms, p90 0.900ms, p99 0.990ms (1000 samples, exact)"));
+        assert!(crate::live::render(&r)
+            .contains("eval latency p50 500µs · p90 900µs · p99 990µs (1000 samples)"));
     }
 
     #[test]
@@ -845,7 +993,7 @@ mod tests {
             "validate",
             "failures",
             "simulations: 6 runs for 6 evaluations, 600 cycles total",
-            "reliability: 1 retries, 1 timeouts, 1 worker restarts",
+            "reliability: 1 retries, 1 cache recoveries, 0 cache degradations",
             "warm cache: 1 evals served",
             "quarantine: budget x1",
         ] {
@@ -869,8 +1017,6 @@ mod tests {
             r.reliability,
             Reliability {
                 retries: 1,
-                timeouts: 1,
-                worker_restarts: 1,
                 cache_recovered: 1,
                 cache_degraded: 0,
                 warm_evals: 1,
@@ -893,16 +1039,15 @@ mod tests {
     #[test]
     fn eval_latency_quantiles_ride_the_digest() {
         let r = analyze(&synthetic_trace()).unwrap();
-        // Every synthetic eval takes 500ns -> bucket 9 (upper bound 511).
-        assert_eq!(r.eval_latency, vec![(9, 6)]);
-        assert_eq!(r.eval_latency_quantile_ns(50, 100), 511);
-        assert_eq!(r.eval_latency_quantile_ns(99, 100), 511);
-        let v = crate::json::parse(&r.bench_json()).unwrap();
-        let p50 = v.get("eval_p50_ms").and_then(Value::as_f64).unwrap();
-        let p99 = v.get("eval_p99_ms").and_then(Value::as_f64).unwrap();
-        assert!((p50 - 511e-6).abs() < 1e-12, "p50 {p50}");
-        assert!((p99 - 511e-6).abs() < 1e-12, "p99 {p99}");
+        // Every synthetic eval takes 500ns; six samples report the median
+        // only, and the exact value, not a bucket bound.
+        assert_eq!(r.eval_ns, vec![500; 6]);
+        assert_eq!(r.eval_latency_ns(), vec![(50, 500)]);
         assert!(r.render().contains("eval latency: p50"));
+        // The digest carries no latency quantile: the gate reads
+        // `eval_us_per_eval`.
+        let v = crate::json::parse(&r.bench_json()).unwrap();
+        assert!(v.get("eval_p50_ms").is_none() && v.get("eval_p99_ms").is_none());
     }
 
     #[test]
@@ -926,7 +1071,7 @@ mod tests {
         assert_eq!(r.evals_per_sec(), 0.0);
         assert_eq!(r.sim_cycles_per_sec(), 0.0);
         assert_eq!(r.warm_evals_per_sec(), 0.0);
-        assert_eq!(r.eval_p50_ms(), 0.0);
+        assert!(r.eval_latency_ns().is_empty());
         let digest = r.bench_json();
         // The digest stays finite JSON: no NaN/Inf leaks (which would
         // serialize as null) and every figure is a number.

@@ -133,7 +133,7 @@ pub const EVENT_TYPES: &[(&str, &[(&str, FieldKind)])] = &[
     // Reliability events (additive within v1): retry comes from the
     // evaluation core's bounded retries and cache-recovered from the
     // persistent fitness store; timeout and worker-restart have no current
-    // producer and are only read from older traces.
+    // producer and are only validated, so older traces still load.
     (
         "retry",
         &[
