@@ -9,7 +9,7 @@
 //! miscompile or simulator divergence.
 
 use crate::diagnostics::{first_error, render_lines, Diagnostic, Severity};
-use crate::instances::{DefBeforeUse, PredicatedDefs};
+use crate::instances::DefBeforeUse;
 use metaopt_ir::cfg::Cfg;
 use metaopt_ir::verify::{verify_program, CfgForm};
 use metaopt_ir::{BlockId, Function, Program, RegClass};
@@ -196,7 +196,7 @@ fn check_reachability(func: &Function, cfg: &Cfg, pass: &str, diags: &mut Vec<Di
 /// complementary predicates, which this path-insensitive check cannot see
 /// through (the structural verifier owns guard well-formedness).
 fn check_def_before_use(func: &Function, cfg: &Cfg, pass: &str, diags: &mut Vec<Diagnostic>) {
-    let dbu = DefBeforeUse::compute(func, cfg, PredicatedDefs::CountAsAssign);
+    let dbu = DefBeforeUse::compute(func, cfg);
     diags.extend(dbu.check(func, cfg, pass));
 }
 

@@ -6,6 +6,7 @@
 //! output for tooling.
 
 use metaopt_ir::BlockId;
+use metaopt_trace::json::Value;
 use std::fmt;
 
 /// How bad a finding is.
@@ -113,24 +114,30 @@ impl Diagnostic {
         format!("{}[{}] {}: {}", self.severity, origin, loc, self.message)
     }
 
-    /// Machine-readable rendering as one JSON object.
-    pub fn to_json(&self) -> String {
+    /// Machine-readable form: one JSON object, with `block`, `inst` and
+    /// `plan` present only when known.
+    pub fn to_value(&self) -> Value {
         let mut fields = vec![
-            format!("\"severity\":\"{}\"", self.severity),
-            format!("\"pass\":{}", json_string(&self.pass)),
-            format!("\"function\":{}", json_string(&self.function)),
+            ("severity", Value::str(self.severity.label())),
+            ("pass", Value::str(&self.pass)),
+            ("function", Value::str(&self.function)),
         ];
         if let Some(b) = self.block {
-            fields.push(format!("\"block\":{}", b.index()));
+            fields.push(("block", Value::UInt(b.index() as u64)));
         }
         if let Some(i) = self.inst {
-            fields.push(format!("\"inst\":{i}"));
+            fields.push(("inst", Value::UInt(i as u64)));
         }
         if let Some(plan) = &self.plan {
-            fields.push(format!("\"plan\":{}", json_string(plan)));
+            fields.push(("plan", Value::str(plan)));
         }
-        fields.push(format!("\"message\":{}", json_string(&self.message)));
-        format!("{{{}}}", fields.join(","))
+        fields.push(("message", Value::str(&self.message)));
+        Value::obj(fields)
+    }
+
+    /// [`Diagnostic::to_value`] printed as one line of JSON.
+    pub fn to_json(&self) -> String {
+        self.to_value().to_string()
     }
 }
 
@@ -142,8 +149,7 @@ impl fmt::Display for Diagnostic {
 
 /// Render a batch of diagnostics as a JSON array (one object per finding).
 pub fn render_json(diags: &[Diagnostic]) -> String {
-    let items: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
-    format!("[{}]", items.join(","))
+    Value::Arr(diags.iter().map(Diagnostic::to_value).collect()).to_string()
 }
 
 /// Render a batch of diagnostics as human-readable lines.
@@ -158,24 +164,6 @@ pub fn render_lines(diags: &[Diagnostic]) -> String {
 /// The first error-severity diagnostic, if any — the checker's pass/fail bit.
 pub fn first_error(diags: &[Diagnostic]) -> Option<&Diagnostic> {
     diags.iter().find(|d| d.severity == Severity::Error)
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

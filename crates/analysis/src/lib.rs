@@ -8,9 +8,9 @@
 //!
 //! The generic worklist solver itself lives in [`metaopt_ir::dataflow`]
 //! (liveness in `metaopt-ir` is an instance of it and the IR crate cannot
-//! depend on this one); this crate re-exports it and adds the classical
-//! [`instances`] — reaching definitions, def-before-use, and available
-//! expressions — plus everything built on top of them.
+//! depend on this one); this crate re-exports it and adds the
+//! def-before-use instance ([`instances`]) the checker runs, plus
+//! everything built on top of it.
 //!
 //! On top of the structural checker sit two semantic tiers (DESIGN.md §13):
 //! [`absint`], an abstract interpreter over intervals and initialization
@@ -30,7 +30,7 @@ pub use checker::{
     enforce_machine_function, CheckFailure,
 };
 pub use diagnostics::{first_error, render_json, render_lines, Diagnostic, Severity};
-pub use instances::{AvailableExprs, DefBeforeUse, DefSite, ExprKey, PredicatedDefs, ReachingDefs};
+pub use instances::DefBeforeUse;
 /// The generic worklist dataflow solver these analyses are instances of.
 pub use metaopt_ir::dataflow;
 pub use validate::{

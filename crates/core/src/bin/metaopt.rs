@@ -728,11 +728,13 @@ fn run(opts: &Options, tracer: &Tracer) -> ExitCode {
                         }
                     };
                     if opts.json {
-                        results.push(format!(
-                            "{{\"bench\":\"{}\",\"plan\":\"{plan}\",\"ok\":{ok},\"diagnostics\":{}}}",
-                            bench.name,
-                            metaopt_analysis::render_json(&diags)
-                        ));
+                        let diags = diags.iter().map(metaopt_analysis::Diagnostic::to_value);
+                        results.push(Value::obj([
+                            ("bench", Value::str(bench.name)),
+                            ("plan", Value::str(plan.to_string())),
+                            ("ok", Value::Bool(ok)),
+                            ("diagnostics", Value::Arr(diags.collect())),
+                        ]));
                     } else if !ok {
                         let blame = metaopt_analysis::first_error(&diags)
                             .map_or_else(String::new, |d| format!(": {}", d.render()));
@@ -743,11 +745,14 @@ fn run(opts: &Options, tracer: &Tracer) -> ExitCode {
                 }
             }
             if opts.json {
-                println!(
-                    "{{\"study\":\"{study_name}\",\"level\":\"{level}\",\"compiles\":{compiles},\
-                     \"failures\":{failures},\"results\":[{}]}}",
-                    results.join(",")
-                );
+                let summary = Value::obj([
+                    ("study", Value::str(*study_name)),
+                    ("level", Value::str(level.to_string())),
+                    ("compiles", Value::UInt(compiles as u64)),
+                    ("failures", Value::UInt(failures as u64)),
+                    ("results", Value::Arr(results)),
+                ]);
+                println!("{summary}");
             } else {
                 println!(
                     "check {study_name} ({level}): {} benchmark(s) x {} plan(s), {} compile(s), {} validation failure(s)",

@@ -1,8 +1,7 @@
 //! The IR analyses pinned to straightforward references kept in this file.
 //!
 //! Under test: the flat [`Cfg`], [`Liveness`] (with its live ranges),
-//! [`DomTree`], [`LoopForest`], [`ReachingDefs`], [`DefBeforeUse`] in both
-//! [`PredicatedDefs`] modes, and [`AvailableExprs`]. The references rescan
+//! [`DomTree`], [`LoopForest`] and [`DefBeforeUse`]. The references rescan
 //! each block's branches for its edges, walk each block's instructions as
 //! its transfer function over per-block sets iterated round-robin to a
 //! fixpoint from the same initialisation (⊥ for may problems, ⊤ for must
@@ -16,9 +15,7 @@
 
 use metaopt::study::ExprPriority;
 use metaopt::{experiment, study, PreparedBench};
-use metaopt_analysis::{
-    AvailableExprs, DefBeforeUse, DefSite, ExprKey, PredicatedDefs, ReachingDefs,
-};
+use metaopt_analysis::DefBeforeUse;
 use metaopt_compiler::{PassCtx, PassManager, Passes, PipelinePlan};
 use metaopt_ir::builder::FunctionBuilder;
 use metaopt_ir::cfg::Cfg;
@@ -372,71 +369,8 @@ fn check_liveness(f: &Function, cfg: &Cfg, r: &RefCfg, at: &str) {
     }
 }
 
-fn check_reaching_defs(f: &Function, cfg: &Cfg, r: &RefCfg, at: &str) {
-    let mut sites: Vec<DefSite> = f.params.iter().map(|&p| DefSite::Param(p)).collect();
-    for (b, block) in f.blocks.iter().enumerate() {
-        for (i, inst) in block.insts.iter().enumerate() {
-            if let Some(vreg) = inst.dst {
-                sites.push(DefSite::Inst {
-                    block: bid(b),
-                    inst: i,
-                    vreg,
-                });
-            }
-        }
-    }
-    let ns = sites.len();
-    let mut boundary = vec![false; ns];
-    for &p in &f.params {
-        let first = sites
-            .iter()
-            .position(|s| s.vreg() == p)
-            .expect("param site");
-        boundary[first] = true;
-    }
-    // First site index of each block's instructions.
-    let mut first_site = vec![f.params.len(); f.blocks.len()];
-    for b in 1..f.blocks.len() {
-        let defs = f.blocks[b - 1]
-            .insts
-            .iter()
-            .filter(|i| i.dst.is_some())
-            .count();
-        first_site[b] = first_site[b - 1] + defs;
-    }
-    let (entry, exit) = round_robin(
-        r,
-        f.entry.index(),
-        ns,
-        true,
-        false,
-        &boundary,
-        |b, input| {
-            let mut reach = input.to_vec();
-            let mut si = first_site[b];
-            for inst in &f.blocks[b].insts {
-                if let Some(d) = inst.dst {
-                    if inst.pred.is_none() {
-                        for (x, s) in reach.iter_mut().zip(&sites) {
-                            if s.vreg() == d {
-                                *x = false;
-                            }
-                        }
-                    }
-                    reach[si] = true;
-                    si += 1;
-                }
-            }
-            reach
-        },
-    );
-    let rd = ReachingDefs::compute(f, cfg);
-    assert_eq!(rd.sites, sites, "{at}: definition sites");
-    assert_eq!(sets(&rd.entry), entry, "{at}: defs reaching block entries");
-    assert_eq!(sets(&rd.exit), exit, "{at}: defs reaching block exits");
-}
-
-fn check_def_before_use(f: &Function, cfg: &Cfg, r: &RefCfg, mode: PredicatedDefs, at: &str) {
+/// Predicated definitions count as assignments.
+fn check_def_before_use(f: &Function, cfg: &Cfg, r: &RefCfg, at: &str) {
     let nv = f.num_vregs();
     let mut boundary = vec![false; nv];
     for p in &f.params {
@@ -446,60 +380,14 @@ fn check_def_before_use(f: &Function, cfg: &Cfg, r: &RefCfg, mode: PredicatedDef
         let mut assigned = input.to_vec();
         for inst in &f.blocks[b].insts {
             if let Some(d) = inst.dst {
-                if inst.pred.is_none() || mode == PredicatedDefs::CountAsAssign {
-                    assigned[d.index()] = true;
-                }
+                assigned[d.index()] = true;
             }
         }
         assigned
     });
-    let dbu = DefBeforeUse::compute(f, cfg, mode);
-    assert_eq!(
-        sets(&dbu.entry),
-        entry,
-        "{at}: {mode:?} assigned at entries"
-    );
-    assert_eq!(sets(&dbu.exit), exit, "{at}: {mode:?} assigned at exits");
-}
-
-fn check_available_exprs(f: &Function, cfg: &Cfg, r: &RefCfg, at: &str) {
-    let mut exprs: Vec<ExprKey> = Vec::new();
-    for inst in f.blocks.iter().flat_map(|b| &b.insts) {
-        if let Some(k) = ExprKey::of(inst) {
-            if !exprs.contains(&k) {
-                exprs.push(k);
-            }
-        }
-    }
-    let ne = exprs.len();
-    let (entry, exit) = round_robin(
-        r,
-        f.entry.index(),
-        ne,
-        true,
-        true,
-        &vec![false; ne],
-        |b, input| {
-            let mut avail = input.to_vec();
-            for inst in &f.blocks[b].insts {
-                if let Some(k) = ExprKey::of(inst) {
-                    avail[exprs.iter().position(|e| *e == k).unwrap()] = true;
-                }
-                if let Some(d) = inst.dst {
-                    for (x, e) in avail.iter_mut().zip(&exprs) {
-                        if e.args.contains(&d) {
-                            *x = false;
-                        }
-                    }
-                }
-            }
-            avail
-        },
-    );
-    let av = AvailableExprs::compute(f, cfg);
-    assert_eq!(av.exprs, exprs, "{at}: expressions");
-    assert_eq!(sets(&av.entry), entry, "{at}: available at entries");
-    assert_eq!(sets(&av.exit), exit, "{at}: available at exits");
+    let dbu = DefBeforeUse::compute(f, cfg);
+    assert_eq!(sets(&dbu.entry), entry, "{at}: assigned at entries");
+    assert_eq!(sets(&dbu.exit), exit, "{at}: assigned at exits");
 }
 
 /// Compare every analysis of `f` with its reference. `virtual_regs` is
@@ -522,11 +410,7 @@ fn check_all(f: &Function, virtual_regs: bool, at: &str) {
     );
     if virtual_regs {
         check_liveness(f, &cfg, &r, at);
-        check_reaching_defs(f, &cfg, &r, at);
-        for mode in [PredicatedDefs::Strict, PredicatedDefs::CountAsAssign] {
-            check_def_before_use(f, &cfg, &r, mode, at);
-        }
-        check_available_exprs(f, &cfg, &r, at);
+        check_def_before_use(f, &cfg, &r, at);
     }
 }
 

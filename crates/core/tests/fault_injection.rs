@@ -46,7 +46,7 @@ fn dump_ledger(study: &str, result: &EvolutionResult) {
     let _ = std::fs::create_dir_all(&dir);
     if let Ok(mut f) = std::fs::File::create(dir.join(format!("quarantine-ledger-{study}.txt"))) {
         for r in &result.quarantined {
-            let _ = writeln!(f, "{}", r.to_line());
+            let _ = writeln!(f, "{r}");
         }
     }
 }

@@ -49,7 +49,11 @@ fn assert_one_digest(text: &str) -> Report {
     let half = last.char_indices().nth(last.chars().count() / 2).unwrap().0;
     assert_eq!(fed(&format!("{text}\n{}", &last[..half])), whole);
     assert!(!whole.eval_ns.is_empty() && whole.sims.0 > 0);
-    assert_eq!(whole.eval_ns.len() as u64, whole.eval_spans.0);
+    let evals = text
+        .lines()
+        .filter(|l| l.starts_with("{\"type\":\"eval\","))
+        .count();
+    assert_eq!(whole.eval_ns.len(), evals);
     let frame = live::render(&whole);
     assert!(
         frame.contains(&format!("evals {} (", whole.total_evals)),

@@ -9,28 +9,22 @@
 //! (xoshiro state snapshot) and every float crosses the file boundary as its
 //! IEEE-754 bit pattern, never as a rounded decimal.
 //!
-//! The format is a versioned, line-oriented text file (no external
-//! serialization dependency is available in this build environment):
+//! The file is one JSON document, written and read through
+//! [`metaopt_trace::json`] (the serializer behind every trace), so any JSON
+//! tool can read it. `bits` below is an `f64`'s bit pattern as an unsigned
+//! integer, which keeps NaN, −0.0 and ∞ exact:
 //!
 //! ```text
-//! metaopt-checkpoint v3
-//! fingerprint <escaped params fingerprint>
-//! next-generation <g>
-//! rng <hex> <hex> <hex> <hex>
-//! counters <evaluations> <successes> <failures>
-//! memo-entries <n>
-//! population <n>
-//! <genome s-expression> × n
-//! plans <n> | plans none
-//! <escaped pipeline plan> × n
-//! dss <subset_size> <n> | dss none
-//! <difficulty f64-bits hex, space-separated>
-//! <age f64-bits hex, space-separated>
-//! log <n>
-//! gen <idx> <best-bits> <mean-bits> <best-size> <subset csv>  × n
-//! quarantine <n>
-//! <ledger line> × n
-//! end
+//! {"format": "metaopt-checkpoint v4", "fingerprint": "<params fingerprint>",
+//!  "next_generation": g, "rng": [w0, w1, w2, w3],
+//!  "evaluations": n, "successes": n, "failures": n, "memo_entries": n,
+//!  "population": ["<genome s-expression>", …],
+//!  "plans": ["<pipeline plan>", …] | null,
+//!  "dss": {"subset_size": k, "difficulty": [bits, …], "age": [bits, …]} | null,
+//!  "log": [{"generation": g, "best_fitness": bits, "mean_fitness": bits,
+//!           "best_size": n, "subset": [case, …]}, …],
+//!  "quarantine": [{"genome": "…", "case": c, "kind": "<error kind>",
+//!                  "injected": false, "message": "…"}, …]}
 //! ```
 //!
 //! The fingerprint captures every [`GpParams`] field that shapes the random
@@ -43,7 +37,8 @@
 //! per genome and the partitioning is deterministic).
 
 use crate::engine::{GenLog, GpParams};
-use crate::eval::{escape, unescape, QuarantineRecord};
+use crate::eval::{EvalError, EvalErrorKind, QuarantineRecord};
+use metaopt_trace::json::{self, Value};
 use std::fmt;
 use std::fs;
 use std::io;
@@ -55,12 +50,13 @@ use std::path::Path;
 /// compiler's pipeline plan), so v1 checkpoints — which cannot prove which
 /// pipeline produced their fitness values — are no longer resumable.
 ///
-/// v3: co-evolution serializes a per-genome pipeline-plan section
-/// (`plans <n>` / `plans none`) after the population block. Earlier
-/// versions cannot represent a co-evolved population, so cross-version
-/// resume is rejected with a version-aware error instead of a parse
-/// failure deep inside the file.
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// v3: co-evolution serializes a per-genome pipeline-plan section after
+/// the population block.
+///
+/// v4: the file is one JSON document in place of v1–v3's line grammar.
+/// Cross-version resume is rejected with a version-aware error instead of
+/// a parse failure deep inside the file.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// Serialized DSS (dynamic subset selection) state.
 #[derive(Clone, Debug, PartialEq)]
@@ -133,6 +129,9 @@ impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
+            CheckpointError::Parse { line: 0, message } => {
+                write!(f, "checkpoint parse error: {message}")
+            }
             CheckpointError::Parse { line, message } => {
                 write!(f, "checkpoint parse error at line {line}: {message}")
             }
@@ -180,31 +179,97 @@ pub fn fingerprint(p: &GpParams, config_tag: &str) -> String {
     )
 }
 
-fn fmt_bits(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+fn bad(message: String) -> CheckpointError {
+    CheckpointError::Parse { line: 0, message }
 }
 
-fn parse_bits(s: &str, line: usize) -> Result<f64, CheckpointError> {
-    u64::from_str_radix(s, 16)
-        .map(f64::from_bits)
-        .map_err(|_| CheckpointError::Parse {
-            line,
-            message: format!("bad f64 bit pattern {s:?}"),
-        })
+fn format_tag() -> String {
+    format!("metaopt-checkpoint v{CHECKPOINT_VERSION}")
 }
 
-fn parse_u64(s: &str, line: usize, what: &str) -> Result<u64, CheckpointError> {
-    s.parse().map_err(|_| CheckpointError::Parse {
-        line,
-        message: format!("bad {what} {s:?}"),
+/// For a `metaopt-checkpoint vN` header naming another version, an error
+/// message that names both, so users know to restart rather than suspect
+/// corruption.
+fn unsupported(header: &str) -> Option<String> {
+    let found: u32 = header.strip_prefix("metaopt-checkpoint v")?.parse().ok()?;
+    (found != CHECKPOINT_VERSION).then(|| {
+        format!(
+            "unsupported checkpoint version v{found}: this build reads v{CHECKPOINT_VERSION} \
+             (one JSON document since v4); restart the run from scratch"
+        )
     })
 }
 
-fn parse_usize(s: &str, line: usize, what: &str) -> Result<usize, CheckpointError> {
-    s.parse().map_err(|_| CheckpointError::Parse {
-        line,
-        message: format!("bad {what} {s:?}"),
-    })
+fn as_usize(v: &Value) -> Option<usize> {
+    v.as_u64().and_then(|n| usize::try_from(n).ok())
+}
+
+fn as_bits(v: &Value) -> Option<f64> {
+    v.as_u64().map(f64::from_bits)
+}
+
+fn as_string(v: &Value) -> Option<String> {
+    v.as_str().map(str::to_string)
+}
+
+/// `v` as a list whose every item `item` converts.
+fn list<'v, T>(v: &'v Value, item: impl Fn(&'v Value) -> Option<T>) -> Option<Vec<T>> {
+    v.as_arr()?.iter().map(item).collect()
+}
+
+/// One object of a checkpoint document and its path there, so that every
+/// error names the field it is about.
+struct Fields<'a>(&'a Value, String);
+
+impl<'a> Fields<'a> {
+    /// The field under `key` converted by `read`; `what` names the type
+    /// `read` accepts.
+    fn read<T>(
+        &self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, CheckpointError> {
+        let Fields(obj, path) = self;
+        let v = obj
+            .get(key)
+            .ok_or_else(|| bad(format!("missing field `{path}{key}`")))?;
+        read(v).ok_or_else(|| bad(format!("field `{path}{key}` is not {what}")))
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, CheckpointError> {
+        self.read(key, "an unsigned integer", Value::as_u64)
+    }
+
+    fn usize(&self, key: &str) -> Result<usize, CheckpointError> {
+        self.read(key, "an unsigned integer", as_usize)
+    }
+
+    fn bits(&self, key: &str) -> Result<f64, CheckpointError> {
+        self.read(key, "an f64 bit pattern", as_bits)
+    }
+
+    fn string(&self, key: &str) -> Result<String, CheckpointError> {
+        self.read(key, "a string", as_string)
+    }
+
+    /// The list of objects under `key`, each read by `read` at its own
+    /// path.
+    fn objects<T>(
+        &self,
+        key: &str,
+        read: impl Fn(&Fields<'a>) -> Result<T, CheckpointError>,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let objects = self.read(key, "a list of objects", |v| {
+            list(v, |o| o.as_obj().map(|_| o))
+        })?;
+        let path = &self.1;
+        objects
+            .into_iter()
+            .enumerate()
+            .map(|(i, o)| read(&Fields(o, format!("{path}{key}[{i}]."))))
+            .collect()
+    }
 }
 
 impl Checkpoint {
@@ -220,329 +285,147 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Serialize to the versioned text format.
+    /// Serialize to the versioned JSON document, one line long.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("metaopt-checkpoint v{CHECKPOINT_VERSION}\n"));
-        out.push_str(&format!("fingerprint {}\n", escape(&self.fingerprint)));
-        out.push_str(&format!("next-generation {}\n", self.next_generation));
-        let [a, b, c, d] = self.rng_state;
-        out.push_str(&format!("rng {a:016x} {b:016x} {c:016x} {d:016x}\n"));
-        out.push_str(&format!(
-            "counters {} {} {}\n",
-            self.evaluations, self.successes, self.failures
-        ));
-        out.push_str(&format!("memo-entries {}\n", self.memo_entries));
-        out.push_str(&format!("population {}\n", self.population.len()));
-        for g in &self.population {
-            out.push_str(&escape(g));
-            out.push('\n');
-        }
-        match &self.plans {
-            None => out.push_str("plans none\n"),
-            Some(plans) => {
-                out.push_str(&format!("plans {}\n", plans.len()));
-                for p in plans {
-                    out.push_str(&escape(p));
-                    out.push('\n');
-                }
-            }
-        }
-        match &self.dss {
-            None => out.push_str("dss none\n"),
-            Some(st) => {
-                out.push_str(&format!("dss {} {}\n", st.subset_size, st.difficulty.len()));
-                let join = |v: &[f64]| v.iter().map(|&x| fmt_bits(x)).collect::<Vec<_>>().join(" ");
-                out.push_str(&join(&st.difficulty));
-                out.push('\n');
-                out.push_str(&join(&st.age));
-                out.push('\n');
-            }
-        }
-        out.push_str(&format!("log {}\n", self.log.len()));
-        for l in &self.log {
-            let subset = l
-                .subset
-                .iter()
-                .map(|c| c.to_string())
-                .collect::<Vec<_>>()
-                .join(",");
-            out.push_str(&format!(
-                "gen {} {} {} {} {}\n",
-                l.generation,
-                fmt_bits(l.best_fitness),
-                fmt_bits(l.mean_fitness),
-                l.best_size,
-                if subset.is_empty() {
-                    "-".to_string()
-                } else {
-                    subset
-                },
-            ));
-        }
-        out.push_str(&format!("quarantine {}\n", self.quarantined.len()));
-        for q in &self.quarantined {
-            out.push_str(&q.to_line());
-            out.push('\n');
-        }
-        out.push_str("end\n");
-        out
+        let uint = |n: usize| Value::UInt(n as u64);
+        let bits = |x: f64| Value::UInt(x.to_bits());
+        let strings = |v: &[String]| Value::Arr(v.iter().map(Value::str).collect());
+        let floats = |v: &[f64]| Value::Arr(v.iter().map(|&x| bits(x)).collect());
+        let dss = self.dss.as_ref().map_or(Value::Null, |d| {
+            Value::obj([
+                ("subset_size", uint(d.subset_size)),
+                ("difficulty", floats(&d.difficulty)),
+                ("age", floats(&d.age)),
+            ])
+        });
+        let log = self.log.iter().map(|l| {
+            Value::obj([
+                ("generation", uint(l.generation)),
+                ("best_fitness", bits(l.best_fitness)),
+                ("mean_fitness", bits(l.mean_fitness)),
+                ("best_size", uint(l.best_size)),
+                (
+                    "subset",
+                    Value::Arr(l.subset.iter().map(|&c| uint(c)).collect()),
+                ),
+            ])
+        });
+        let quarantine = self.quarantined.iter().map(|q| {
+            Value::obj([
+                ("genome", Value::str(&q.genome)),
+                ("case", uint(q.case)),
+                ("kind", Value::str(q.error.kind.label())),
+                ("injected", Value::Bool(q.error.injected)),
+                ("message", Value::str(&q.error.message)),
+            ])
+        });
+        let doc = Value::obj([
+            ("format", Value::str(format_tag())),
+            ("fingerprint", Value::str(&self.fingerprint)),
+            ("next_generation", uint(self.next_generation)),
+            ("rng", Value::Arr(self.rng_state.map(Value::UInt).to_vec())),
+            ("evaluations", Value::UInt(self.evaluations)),
+            ("successes", Value::UInt(self.successes)),
+            ("failures", Value::UInt(self.failures)),
+            ("memo_entries", Value::UInt(self.memo_entries)),
+            ("population", strings(&self.population)),
+            ("plans", self.plans.as_deref().map_or(Value::Null, strings)),
+            ("dss", dss),
+            ("log", Value::Arr(log.collect())),
+            ("quarantine", Value::Arr(quarantine.collect())),
+        ]);
+        format!("{doc}\n")
     }
 
-    /// Parse the text format produced by [`Checkpoint::to_text`].
+    /// Parse the document produced by [`Checkpoint::to_text`]. Every error
+    /// names the field it is in; a file of another format version gets an
+    /// error that names both versions.
     pub fn parse(text: &str) -> Result<Self, CheckpointError> {
-        let mut lines = text.lines().enumerate().map(|(i, l)| (i + 1, l));
-        let mut next = |what: &str| {
-            lines.next().ok_or_else(|| CheckpointError::Parse {
-                line: 0,
-                message: format!("truncated checkpoint: missing {what}"),
-            })
-        };
-
-        let (ln, header) = next("header")?;
-        let expected = format!("metaopt-checkpoint v{CHECKPOINT_VERSION}");
-        if header != expected {
-            // Distinguish "a checkpoint from another format version" from
-            // "not a checkpoint at all": the former gets a version-aware
-            // message so users know to restart rather than suspect
-            // corruption.
-            let message = match header
-                .strip_prefix("metaopt-checkpoint v")
-                .and_then(|v| v.parse::<u32>().ok())
-            {
-                Some(found) => format!(
-                    "unsupported checkpoint version v{found}: this build reads \
-                     v{CHECKPOINT_VERSION} (the format changed when pipeline-plan \
-                     genomes were added); restart the run from scratch"
-                ),
-                None => format!("bad header {header:?} (expected {expected:?})"),
-            };
-            return Err(CheckpointError::Parse { line: ln, message });
+        let doc = json::parse(text).map_err(|e| {
+            // v1–v3 files open with a text header line.
+            match unsupported(text.lines().next().unwrap_or("")) {
+                Some(message) => CheckpointError::Parse { line: 1, message },
+                None => bad(format!("not a JSON checkpoint: {e}")),
+            }
+        })?;
+        let top = Fields(&doc, String::new());
+        let format = top.string("format")?;
+        if format != format_tag() {
+            return Err(bad(unsupported(&format).unwrap_or_else(|| {
+                format!("field `format` is {format:?}, expected {:?}", format_tag())
+            })));
         }
 
-        let (ln, l) = next("fingerprint")?;
-        let fingerprint = l
-            .strip_prefix("fingerprint ")
-            .and_then(unescape)
-            .ok_or_else(|| CheckpointError::Parse {
-                line: ln,
-                message: "expected `fingerprint <text>`".to_string(),
-            })?;
-
-        let (ln, l) = next("next-generation")?;
-        let next_generation = l
-            .strip_prefix("next-generation ")
-            .ok_or_else(|| CheckpointError::Parse {
-                line: ln,
-                message: "expected `next-generation <n>`".to_string(),
-            })
-            .and_then(|s| parse_usize(s, ln, "generation"))?;
-
-        let (ln, l) = next("rng")?;
-        let words: Vec<&str> = l
-            .strip_prefix("rng ")
-            .map(|s| s.split_whitespace().collect())
-            .unwrap_or_default();
-        if words.len() != 4 {
-            return Err(CheckpointError::Parse {
-                line: ln,
-                message: "expected `rng <4 hex words>`".to_string(),
-            });
+        let strings = |v| list(v, as_string);
+        let population = top.read("population", "a list of strings", strings)?;
+        let plans = top.read("plans", "null or a list of strings", |v| match v {
+            Value::Null => Some(None),
+            _ => strings(v).map(Some),
+        })?;
+        if let Some(plans) = plans.as_ref().filter(|p| p.len() != population.len()) {
+            return Err(bad(format!(
+                "field `plans` has {} entries for {} genomes",
+                plans.len(),
+                population.len()
+            )));
         }
-        let mut rng_state = [0u64; 4];
-        for (i, w) in words.iter().enumerate() {
-            rng_state[i] = u64::from_str_radix(w, 16).map_err(|_| CheckpointError::Parse {
-                line: ln,
-                message: format!("bad rng word {w:?}"),
-            })?;
-        }
-
-        let (ln, l) = next("counters")?;
-        let words: Vec<&str> = l
-            .strip_prefix("counters ")
-            .map(|s| s.split_whitespace().collect())
-            .unwrap_or_default();
-        if words.len() != 3 {
-            return Err(CheckpointError::Parse {
-                line: ln,
-                message: "expected `counters <evals> <successes> <failures>`".to_string(),
-            });
-        }
-        let evaluations = parse_u64(words[0], ln, "evaluation count")?;
-        let successes = parse_u64(words[1], ln, "success count")?;
-        let failures = parse_u64(words[2], ln, "failure count")?;
-
-        let (ln, l) = next("memo-entries")?;
-        let memo_entries = l
-            .strip_prefix("memo-entries ")
-            .ok_or_else(|| CheckpointError::Parse {
-                line: ln,
-                message: "expected `memo-entries <n>`".to_string(),
-            })
-            .and_then(|s| parse_u64(s, ln, "memo entry count"))?;
-
-        let (ln, l) = next("population")?;
-        let npop = l
-            .strip_prefix("population ")
-            .ok_or_else(|| CheckpointError::Parse {
-                line: ln,
-                message: "expected `population <n>`".to_string(),
-            })
-            .and_then(|s| parse_usize(s, ln, "population size"))?;
-        let mut population = Vec::new();
-        for _ in 0..npop {
-            let (ln, l) = next("population genome")?;
-            population.push(unescape(l).ok_or_else(|| CheckpointError::Parse {
-                line: ln,
-                message: "bad escape in genome".to_string(),
-            })?);
-        }
-
-        let (ln, l) = next("plans")?;
-        let plans = if l == "plans none" {
-            None
-        } else {
-            let nplans = l
-                .strip_prefix("plans ")
-                .ok_or_else(|| CheckpointError::Parse {
-                    line: ln,
-                    message: "expected `plans none` or `plans <n>`".to_string(),
+        let dss = match top.read("dss", "null or an object", |v| {
+            (*v == Value::Null || v.as_obj().is_some()).then_some(v)
+        })? {
+            Value::Null => None,
+            obj => {
+                let d = Fields(obj, "dss.".to_string());
+                let floats = |v| list(v, as_bits);
+                Some(DssState {
+                    subset_size: d.usize("subset_size")?,
+                    difficulty: d.read("difficulty", "a list of f64 bit patterns", floats)?,
+                    age: d.read("age", "a list of f64 bit patterns", floats)?,
                 })
-                .and_then(|s| parse_usize(s, ln, "plan count"))?;
-            if nplans != npop {
-                return Err(CheckpointError::Parse {
-                    line: ln,
-                    message: format!("{nplans} plans for {npop} genomes"),
-                });
             }
-            let mut plans = Vec::new();
-            for _ in 0..nplans {
-                let (ln, l) = next("plan")?;
-                plans.push(unescape(l).ok_or_else(|| CheckpointError::Parse {
-                    line: ln,
-                    message: "bad escape in plan".to_string(),
-                })?);
-            }
-            Some(plans)
         };
-
-        let (ln, l) = next("dss")?;
-        let dss = if l == "dss none" {
-            None
-        } else {
-            let words: Vec<&str> = l
-                .strip_prefix("dss ")
-                .map(|s| s.split_whitespace().collect())
-                .unwrap_or_default();
-            if words.len() != 2 {
-                return Err(CheckpointError::Parse {
-                    line: ln,
-                    message: "expected `dss none` or `dss <subset> <n>`".to_string(),
-                });
-            }
-            let subset_size = parse_usize(words[0], ln, "subset size")?;
-            let n = parse_usize(words[1], ln, "case count")?;
-            let mut read_vec = |what: &str| -> Result<Vec<f64>, CheckpointError> {
-                let (ln, l) = next(what)?;
-                let v = l
-                    .split_whitespace()
-                    .map(|w| parse_bits(w, ln))
-                    .collect::<Result<Vec<f64>, _>>()?;
-                if v.len() != n {
-                    return Err(CheckpointError::Parse {
-                        line: ln,
-                        message: format!("{what} has {} entries, expected {n}", v.len()),
-                    });
-                }
-                Ok(v)
-            };
-            let difficulty = read_vec("dss difficulty")?;
-            let age = read_vec("dss age")?;
-            Some(DssState {
-                subset_size,
-                difficulty,
-                age,
+        let log = top.objects("log", |l| {
+            Ok(GenLog {
+                generation: l.usize("generation")?,
+                best_fitness: l.bits("best_fitness")?,
+                mean_fitness: l.bits("mean_fitness")?,
+                best_size: l.usize("best_size")?,
+                subset: l.read("subset", "a list of unsigned integers", |v| {
+                    list(v, as_usize)
+                })?,
             })
-        };
-
-        let (ln, l) = next("log")?;
-        let nlog = l
-            .strip_prefix("log ")
-            .ok_or_else(|| CheckpointError::Parse {
-                line: ln,
-                message: "expected `log <n>`".to_string(),
+        })?;
+        let quarantined = top.objects("quarantine", |q| {
+            Ok(QuarantineRecord {
+                genome: q.string("genome")?,
+                case: q.usize("case")?,
+                error: EvalError {
+                    kind: q.read("kind", "an error kind", |v| {
+                        v.as_str().and_then(EvalErrorKind::from_label)
+                    })?,
+                    message: q.string("message")?,
+                    injected: q.read("injected", "a boolean", |v| match v {
+                        Value::Bool(b) => Some(*b),
+                        _ => None,
+                    })?,
+                },
             })
-            .and_then(|s| parse_usize(s, ln, "log length"))?;
-        let mut log = Vec::new();
-        for _ in 0..nlog {
-            let (ln, l) = next("log entry")?;
-            let words: Vec<&str> = l
-                .strip_prefix("gen ")
-                .map(|s| s.split_whitespace().collect())
-                .unwrap_or_default();
-            if words.len() != 5 {
-                return Err(CheckpointError::Parse {
-                    line: ln,
-                    message: "expected `gen <idx> <best> <mean> <size> <subset>`".to_string(),
-                });
-            }
-            let subset = if words[4] == "-" {
-                Vec::new()
-            } else {
-                words[4]
-                    .split(',')
-                    .map(|w| parse_usize(w, ln, "subset case"))
-                    .collect::<Result<Vec<_>, _>>()?
-            };
-            log.push(GenLog {
-                generation: parse_usize(words[0], ln, "generation index")?,
-                best_fitness: parse_bits(words[1], ln)?,
-                mean_fitness: parse_bits(words[2], ln)?,
-                best_size: parse_usize(words[3], ln, "best size")?,
-                subset,
-            });
-        }
-
-        let (ln, l) = next("quarantine")?;
-        let nq = l
-            .strip_prefix("quarantine ")
-            .ok_or_else(|| CheckpointError::Parse {
-                line: ln,
-                message: "expected `quarantine <n>`".to_string(),
-            })
-            .and_then(|s| parse_usize(s, ln, "quarantine length"))?;
-        let mut quarantined = Vec::new();
-        for _ in 0..nq {
-            let (ln, l) = next("quarantine record")?;
-            quarantined.push(QuarantineRecord::from_line(l).ok_or_else(|| {
-                CheckpointError::Parse {
-                    line: ln,
-                    message: "bad quarantine record".to_string(),
-                }
-            })?);
-        }
-
-        let (ln, l) = next("end marker")?;
-        if l != "end" {
-            return Err(CheckpointError::Parse {
-                line: ln,
-                message: format!("expected `end`, found {l:?}"),
-            });
-        }
+        })?;
 
         Ok(Checkpoint {
-            fingerprint,
-            next_generation,
-            rng_state,
+            fingerprint: top.string("fingerprint")?,
+            next_generation: top.usize("next_generation")?,
+            rng_state: top.read("rng", "a list of 4 unsigned integers", |v| {
+                list(v, Value::as_u64)?.try_into().ok()
+            })?,
             population,
             plans,
             dss,
             log,
-            evaluations,
-            successes,
-            failures,
+            evaluations: top.u64("evaluations")?,
+            successes: top.u64("successes")?,
+            failures: top.u64("failures")?,
             quarantined,
-            memo_entries,
+            memo_entries: top.u64("memo_entries")?,
         })
     }
 
@@ -566,7 +449,6 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::{EvalError, EvalErrorKind};
 
     fn sample() -> Checkpoint {
         Checkpoint {
@@ -597,6 +479,13 @@ mod tests {
             }],
             memo_entries: 9,
         }
+    }
+
+    /// `sample()`'s text with `from` replaced by `to` (which must occur).
+    fn edited(from: &str, to: &str) -> String {
+        let text = sample().to_text();
+        assert!(text.contains(from), "{from} not in {text}");
+        text.replacen(from, to, 1)
     }
 
     #[test]
@@ -631,14 +520,87 @@ mod tests {
     #[test]
     fn truncated_and_corrupt_files_error_cleanly() {
         let text = sample().to_text();
-        for cut in [0, 1, 10, text.len() / 2] {
+        for cut in [0, 1, 10, text.len() / 2, text.len() - 2] {
             let truncated = &text[..cut.min(text.len())];
             assert!(Checkpoint::parse(truncated).is_err(), "cut at {cut}");
         }
-        let corrupt = text.replace("rng ", "rgn ");
-        assert!(Checkpoint::parse(&corrupt).is_err());
-        let bad_float = text.replace("counters 10 8 2", "counters ten 8 2");
-        assert!(Checkpoint::parse(&bad_float).is_err());
+        assert!(Checkpoint::parse(&edited("\"rng\"", "\"rgn\"")).is_err());
+        assert!(
+            Checkpoint::parse(&edited("\"evaluations\":10", "\"evaluations\":\"ten\"")).is_err()
+        );
+    }
+
+    #[test]
+    fn malformed_fields_are_named_in_the_error() {
+        for (from, to, field) in [
+            ("\"memo_entries\":9", "\"memo_entry\":9", "`memo_entries`"),
+            (
+                "\"next_generation\":3",
+                "\"next_generation\":\"3\"",
+                "`next_generation`",
+            ),
+            (
+                "\"next_generation\":3",
+                "\"next_generation\":-3",
+                "`next_generation`",
+            ),
+            (
+                "\"successes\":8",
+                "\"successes\":18446744073709551616",
+                "`successes`",
+            ),
+            (
+                "\"plans\":null",
+                "\"plans\":[\"regalloc,schedule\"]",
+                "`plans`",
+            ),
+            ("\"rng\":[1,", "\"rng\":[", "`rng`"),
+            ("\"rng\":[1,", "\"rng\":[0,1,", "`rng`"),
+            ("\"best_size\":7", "\"best_size\":7.5", "`log[0].best_size`"),
+            ("\"subset\":[0,2]", "\"subset\":[0,null]", "`log[0].subset`"),
+            (
+                "\"subset_size\":2",
+                "\"subset_size\":-2",
+                "`dss.subset_size`",
+            ),
+            (
+                "\"kind\":\"budget\"",
+                "\"kind\":\"gremlin\"",
+                "`quarantine[0].kind`",
+            ),
+            (
+                "\"injected\":false",
+                "\"injected\":0",
+                "`quarantine[0].injected`",
+            ),
+            ("\"case\":1", "\"case\":{}", "`quarantine[0].case`"),
+        ] {
+            match Checkpoint::parse(&edited(from, to)) {
+                Err(CheckpointError::Parse { message, .. }) => {
+                    assert!(message.contains(field), "{to}: {message}")
+                }
+                other => panic!("{to}: expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn quarantine_records_round_trip_hostile_strings() {
+        let mut ck = sample();
+        ck.quarantined = vec![QuarantineRecord {
+            genome: "(add r0 1.0)\"\\".to_string(),
+            case: 7,
+            error: EvalError::injected(
+                EvalErrorKind::WrongAnswer,
+                "diverged\ton unepic\nexpected 3 \\ got 4\r\u{1}\u{1f} é ✓",
+            ),
+        }];
+        let text = ck.to_text();
+        assert_eq!(text.lines().count(), 1);
+        assert_eq!(
+            Checkpoint::parse(&text).unwrap().quarantined,
+            ck.quarantined
+        );
     }
 
     #[test]
@@ -707,26 +669,31 @@ mod tests {
 
     #[test]
     fn earlier_version_checkpoints_are_rejected_with_a_version_error() {
-        // A v2 (or v1) file must be refused at the header with a message
-        // that names both versions — a clean rejection, not a parse panic
-        // somewhere inside the body the old format lays out differently.
-        for old_version in ["v1", "v2"] {
-            let old = sample().to_text().replace(
-                "metaopt-checkpoint v3",
-                &format!("metaopt-checkpoint {old_version}"),
-            );
+        // A v1–v3 file (a text header line, then one field per line) must
+        // be refused with a message that names both versions — a clean
+        // rejection, not a JSON syntax error about its first byte.
+        for old_version in ["v1", "v2", "v3"] {
+            let old =
+                format!("metaopt-checkpoint {old_version}\nfingerprint pop=8\nnext-generation 3\n");
             let err = Checkpoint::parse(&old).unwrap_err();
             match &err {
                 CheckpointError::Parse { line: 1, message } => {
                     assert!(
                         message.contains(&format!("unsupported checkpoint version {old_version}"))
-                            && message.contains("v3"),
+                            && message.contains("v4"),
                         "unhelpful message: {message}"
                     );
                 }
                 other => panic!("expected a line-1 parse error, got {other:?}"),
             }
         }
+        // A JSON document that names another version is refused the same way.
+        let err = Checkpoint::parse(&edited("checkpoint v4", "checkpoint v5")).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("unsupported checkpoint version v5"),
+            "{err}"
+        );
     }
 
     #[test]

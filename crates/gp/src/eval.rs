@@ -172,11 +172,6 @@ impl EvalOutcome {
             EvalOutcome::Failed(_) => None,
         }
     }
-
-    /// True when the evaluation failed.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, EvalOutcome::Failed(_))
-    }
 }
 
 impl From<Result<f64, EvalError>> for EvalOutcome {
@@ -200,90 +195,10 @@ pub struct QuarantineRecord {
     pub error: EvalError,
 }
 
-impl QuarantineRecord {
-    /// One-line ledger form: `case<TAB>kind<TAB>injected<TAB>message<TAB>genome`
-    /// with tabs/newlines/backslashes escaped inside fields.
-    pub fn to_line(&self) -> String {
-        format!(
-            "{}\t{}\t{}\t{}\t{}",
-            self.case,
-            self.error.kind.label(),
-            if self.error.injected {
-                "injected"
-            } else {
-                "organic"
-            },
-            escape(&self.error.message),
-            escape(&self.genome),
-        )
-    }
-
-    /// Parse a [`QuarantineRecord::to_line`] line.
-    pub fn from_line(line: &str) -> Option<Self> {
-        let mut it = line.split('\t');
-        let case = it.next()?.parse().ok()?;
-        let kind = EvalErrorKind::from_label(it.next()?)?;
-        let injected = match it.next()? {
-            "injected" => true,
-            "organic" => false,
-            _ => return None,
-        };
-        let message = unescape(it.next()?)?;
-        let genome = unescape(it.next()?)?;
-        if it.next().is_some() {
-            return None;
-        }
-        Some(QuarantineRecord {
-            genome,
-            case,
-            error: EvalError {
-                kind,
-                message,
-                injected,
-            },
-        })
-    }
-}
-
 impl fmt::Display for QuarantineRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "case {}: {} [{}]", self.case, self.error, self.genome)
     }
-}
-
-/// Escape a field for tab-separated serialization.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Invert [`escape`]; `None` on a malformed escape.
-pub(crate) fn unescape(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut it = s.chars();
-    while let Some(c) = it.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match it.next()? {
-            '\\' => out.push('\\'),
-            't' => out.push('\t'),
-            'n' => out.push('\n'),
-            'r' => out.push('\r'),
-            _ => return None,
-        }
-    }
-    Some(out)
 }
 
 #[cfg(test)]
@@ -303,39 +218,6 @@ mod tests {
         for k in EvalErrorKind::ALL {
             assert_eq!(k.is_transient(), k == EvalErrorKind::Timeout, "{k:?}");
         }
-    }
-
-    #[test]
-    fn ledger_line_round_trips_hostile_strings() {
-        let r = QuarantineRecord {
-            genome: "(add r0 1.0)".to_string(),
-            case: 7,
-            error: EvalError::injected(
-                EvalErrorKind::WrongAnswer,
-                "diverged\ton unepic\nexpected 3 \\ got 4",
-            ),
-        };
-        let line = r.to_line();
-        assert!(!line.contains('\n'));
-        assert_eq!(QuarantineRecord::from_line(&line), Some(r));
-    }
-
-    #[test]
-    fn malformed_ledger_lines_are_rejected() {
-        assert_eq!(QuarantineRecord::from_line(""), None);
-        assert_eq!(
-            QuarantineRecord::from_line("x\tcompile\torganic\tm\tg"),
-            None
-        );
-        assert_eq!(QuarantineRecord::from_line("1\tnope\torganic\tm\tg"), None);
-        assert_eq!(
-            QuarantineRecord::from_line("1\tcompile\torganic\tbad\\escape\tg"),
-            None
-        );
-        assert_eq!(
-            QuarantineRecord::from_line("1\tcompile\torganic\tm\tg\textra"),
-            None
-        );
     }
 
     #[test]

@@ -1,68 +1,145 @@
 //! The checkpoint parser is an input boundary (`--resume <file>`): on any
-//! text it returns `Ok` or a typed `CheckpointError` and never panics. In
-//! particular no count read from the file sizes an allocation, so a file
-//! that claims more records than it holds is a truncated checkpoint.
+//! text it returns `Ok` or a typed `CheckpointError` and never panics, and
+//! a checkpoint it prints reads back to the same text, bit for bit, NaN
+//! payloads and control characters included.
 
 use metaopt_gp::checkpoint::{fingerprint, DssState, CHECKPOINT_VERSION};
 use metaopt_gp::QuarantineRecord;
 use metaopt_gp::{Checkpoint, CheckpointError, EvalError, EvalErrorKind, GenLog, GpParams};
 use proptest::prelude::*;
 
-/// A valid checkpoint whose shape follows the drawn sizes; genomes and
-/// messages carry the characters the format escapes.
-fn checkpoint(pop: usize, plans: bool, dss: usize, log: usize, quarantine: usize) -> Checkpoint {
-    let genome = |i: usize| format!("(add r{i} 1.5)\t\\\n\r");
-    Checkpoint {
-        fingerprint: fingerprint(&GpParams::quick(), "regalloc,schedule"),
-        next_generation: log,
-        rng_state: [1, u64::MAX, 0xDEAD_BEEF, 42],
-        population: (0..pop).map(genome).collect(),
-        plans: plans.then(|| vec!["unroll(2),regalloc,schedule".to_string(); pop]),
-        dss: (dss > 0).then(|| DssState {
-            subset_size: dss / 2,
-            difficulty: vec![f64::NAN; dss],
-            age: vec![1.0; dss],
-        }),
-        log: (0..log)
-            .map(|g| GenLog {
-                generation: g,
-                best_fitness: 1.25,
-                mean_fitness: f64::INFINITY,
-                best_size: 7,
-                subset: (0..g).collect(),
-            })
-            .collect(),
-        evaluations: 10,
-        successes: 8,
-        failures: 2,
-        quarantined: (0..quarantine)
-            .map(|case| QuarantineRecord {
-                genome: genome(case),
-                case,
-                error: EvalError::new(EvalErrorKind::Budget, "limit\tof 9\n"),
-            })
-            .collect(),
-        memo_entries: 9,
-    }
+/// Floats a decimal round trip would not keep: NaNs with a sign and a
+/// payload, ±0.0, ±∞, subnormals, and any bit pattern.
+fn arb_f64() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(f64::NAN),
+        Just(-f64::NAN),
+        Just(f64::from_bits(0x7ff0_0000_0000_0001)),
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(f64::MIN_POSITIVE / 2.0),
+        Just(-f64::from_bits(1)),
+        any::<u64>().prop_map(f64::from_bits),
+    ]
+}
+
+/// Words at the edges of `u64`, and any word.
+fn arb_u64() -> impl Strategy<Value = u64> {
+    prop_oneof![Just(0), Just(u64::MAX), any::<u64>()]
+}
+
+/// Quotes, backslashes, tabs, newlines, other control characters and
+/// non-ASCII text, among ordinary genome characters.
+#[rustfmt::skip]
+const CHARS: &[char] = &[
+    '"', '\\', '\t', '\n', '\r', '\u{0}', '\u{1}', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}', '/',
+    'é', '✓', '😀', '\u{2028}', '(', ')', ' ', 'r', '0', '1', '.', 'x',
+];
+
+fn arb_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..CHARS.len(), 0..12)
+        .prop_map(|ix| ix.into_iter().map(|i| CHARS[i]).collect())
+}
+
+fn arb_checkpoint() -> impl Strategy<Value = Checkpoint> {
+    let genomes = proptest::collection::vec((arb_string(), arb_string()), 0..4);
+    let dss = prop_oneof![
+        Just(None),
+        (
+            0usize..4,
+            proptest::collection::vec((arb_f64(), arb_f64()), 1..4)
+        )
+            .prop_map(|(subset_size, cases)| Some(DssState {
+                subset_size,
+                difficulty: cases.iter().map(|c| c.0).collect(),
+                age: cases.iter().map(|c| c.1).collect(),
+            })),
+    ];
+    let subset = proptest::collection::vec(0usize..40, 0..4);
+    let log = proptest::collection::vec((arb_f64(), arb_f64(), arb_u64(), subset), 0..4);
+    let kind = 0..EvalErrorKind::ALL.len();
+    let quarantine =
+        proptest::collection::vec((arb_string(), arb_string(), kind, any::<bool>()), 0..3);
+    let counters = (arb_u64(), arb_u64(), arb_u64(), arb_u64());
+    let rng = (arb_u64(), arb_u64(), arb_u64(), arb_u64());
+    (
+        (arb_string(), arb_u64(), genomes, any::<bool>()),
+        (dss, log, quarantine),
+        (counters, rng),
+    )
+        .prop_map(|(head, body, (counters, rng))| {
+            let (tag, next_generation, genomes, plans) = head;
+            let (dss, log, quarantine) = body;
+            let (evaluations, successes, failures, memo_entries) = counters;
+            Checkpoint {
+                fingerprint: fingerprint(&GpParams::quick(), &tag),
+                next_generation: next_generation as usize,
+                rng_state: [rng.0, rng.1, rng.2, rng.3],
+                population: genomes.iter().map(|g| g.0.clone()).collect(),
+                plans: plans.then(|| genomes.iter().map(|g| g.1.clone()).collect()),
+                dss,
+                log: log
+                    .into_iter()
+                    .enumerate()
+                    .map(|(generation, (best, mean, size, subset))| GenLog {
+                        generation,
+                        best_fitness: best,
+                        mean_fitness: mean,
+                        best_size: size as usize,
+                        subset,
+                    })
+                    .collect(),
+                evaluations,
+                successes,
+                failures,
+                quarantined: quarantine
+                    .into_iter()
+                    .enumerate()
+                    .map(
+                        |(case, (genome, message, kind, injected))| QuarantineRecord {
+                            genome,
+                            case,
+                            error: EvalError {
+                                kind: EvalErrorKind::ALL[kind],
+                                message,
+                                injected,
+                            },
+                        },
+                    )
+                    .collect(),
+                memo_entries,
+            }
+        })
 }
 
 fn arb_checkpoint_text() -> impl Strategy<Value = String> {
-    (
-        (0usize..4, any::<bool>()),
-        (0usize..4, 0usize..4, 0usize..3),
-    )
-        .prop_map(|((pop, plans), (dss, log, q))| checkpoint(pop, plans, dss, log, q).to_text())
+    arb_checkpoint().prop_map(|ck| ck.to_text())
 }
 
-/// Line heads and values the format gives meaning to, counts at the edges
-/// of `usize`, and anything else.
+/// JSON tokens, the document's keys and values, a v3 header, numbers at
+/// and past the edges of `u64`, and anything else.
 #[rustfmt::skip]
 const FRAGMENTS: &[&str] = &[
-    "\n", " ", "\t", "\\", "\\t", "\\q", "metaopt-checkpoint v", "fingerprint ", "next-generation ",
-    "rng ", "counters ", "memo-entries ", "population ", "plans ", "plans none", "dss ",
-    "dss none", "log ", "gen ", "quarantine ", "end", "-", ",", "0", "1", "3", "budget",
-    "organic", "injected", "7ff8000000000000", "18446744073709551615", "18446744073709551616",
-    "1000000000000", "-1", "é",
+    "{", "}", "[", "]", ":", ",", "\"", "\\", "\\u", "\\ud800", "\\u0000", "null", "true",
+    "false", " ", "\n", "\"format\"", "\"metaopt-checkpoint v4\"", "\"metaopt-checkpoint v3\"",
+    "metaopt-checkpoint v3\n", "\"fingerprint\"", "\"next_generation\"", "\"rng\"",
+    "\"evaluations\"", "\"memo_entries\"", "\"population\"", "\"plans\"", "\"dss\"",
+    "\"difficulty\"", "\"age\"", "\"log\"", "\"best_fitness\"", "\"subset\"", "\"quarantine\"",
+    "\"case\"", "\"kind\"", "\"budget\"", "\"injected\"", "0", "1", "-1", "1.5", "1e999", "-0",
+    "18446744073709551615", "18446744073709551616", "1000000000000", "é",
+];
+
+/// Numbers at and past the edges of what the document's fields hold.
+const EDGE_NUMBERS: &[&str] = &[
+    "18446744073709551615",
+    "18446744073709551616",
+    "1000000000000",
+    "-1",
+    "1.5",
+    "1e999",
+    "0",
 ];
 
 fn arb_text() -> impl Strategy<Value = String> {
@@ -86,18 +163,13 @@ fn parse_is_total(text: &str) -> Result<Checkpoint, CheckpointError> {
     parsed
 }
 
-/// Replace the count (the last word) on the lines starting with `head`.
-fn with_count(text: &str, head: &str, count: &str) -> String {
-    text.lines()
-        .map(|l| match l.rsplit_once(' ') {
-            Some((rest, n)) if l.starts_with(head) && n != "none" => format!("{rest} {count}"),
-            _ => l.to_string(),
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
+/// The byte offset of every character of `text`, and its end.
+fn boundaries(text: &str) -> Vec<usize> {
+    text.char_indices()
+        .map(|(i, _)| i)
+        .chain([text.len()])
+        .collect()
 }
-
-const COUNTED: &[&str] = &["population ", "plans ", "dss ", "log ", "quarantine "];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -105,80 +177,53 @@ proptest! {
     #[test]
     fn arbitrary_text_parses_or_errs(text in arb_text()) {
         parse_is_total(&text).ok();
-        parse_is_total(&format!("metaopt-checkpoint v{CHECKPOINT_VERSION}\n{text}")).ok();
+        let open = format!("{{\"format\":\"metaopt-checkpoint v{CHECKPOINT_VERSION}\",");
+        parse_is_total(&format!("{open}{text}")).ok();
     }
 
     #[test]
     fn valid_checkpoints_round_trip(text in arb_checkpoint_text()) {
         let ck = parse_is_total(&text).expect("a printed checkpoint parses");
-        prop_assert_eq!(ck.to_text(), text);
+        prop_assert_eq!(ck.to_text(), text.clone());
+        prop_assert_eq!(text.lines().count(), 1);
     }
 
     #[test]
     fn truncated_checkpoints_parse_or_err(text in arb_checkpoint_text(), cut in any::<usize>()) {
-        let ends: Vec<usize> = text.char_indices().map(|(i, _)| i).collect();
-        let end = ends.get(cut % (ends.len() + 1)).copied().unwrap_or(text.len());
-        parse_is_total(&text[..end]).ok();
+        let ends = boundaries(&text);
+        parse_is_total(&text[..ends[cut % ends.len()]]).ok();
     }
 
     #[test]
     fn mutated_checkpoints_parse_or_err(
         text in arb_checkpoint_text(),
-        line in any::<usize>(),
+        at in any::<usize>(),
+        span in 0usize..8,
         pick in 0..FRAGMENTS.len(),
-        replace in any::<bool>(),
     ) {
-        // Swap one line for, or prefix it with, one fragment.
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let i = line % lines.len();
-        lines[i] = if replace {
-            FRAGMENTS[pick].to_string()
-        } else {
-            format!("{}{}", FRAGMENTS[pick], lines[i])
-        };
-        parse_is_total(&lines.join("\n")).ok();
+        // Swap up to `span` characters at one point for one fragment.
+        let ends = boundaries(&text);
+        let i = at % ends.len();
+        let j = (i + span).min(ends.len() - 1);
+        let mutated = format!("{}{}{}", &text[..ends[i]], FRAGMENTS[pick], &text[ends[j]..]);
+        parse_is_total(&mutated).ok();
     }
 
     #[test]
     fn huge_counts_parse_or_err(
         text in arb_checkpoint_text(),
-        head in 0..COUNTED.len(),
-        count in prop_oneof![
-            Just(u64::MAX),
-            Just(1_000_000_000_000u64),
-            any::<u64>(),
-            (0u32..8).prop_map(u64::from),
-        ],
+        which in any::<usize>(),
+        edge in 0..EDGE_NUMBERS.len(),
     ) {
-        parse_is_total(&with_count(&text, COUNTED[head], &count.to_string())).ok();
-    }
-}
-
-/// `text` up to the line starting with `head`, whose count becomes
-/// `count`: a file that claims `count` records and ends there.
-fn ending_at(text: &str, head: &str, count: &str) -> String {
-    let at = text.lines().position(|l| l.starts_with(head)).unwrap();
-    let prefix: Vec<&str> = text.lines().take(at + 1).collect();
-    with_count(&prefix.join("\n"), head, count)
-}
-
-/// Regression: a population count of `usize::MAX` used to reach
-/// `Vec::with_capacity` and panic with "capacity overflow", and 10^12 asked
-/// for a 24 TB allocation; the plan, log and quarantine counts sized their
-/// vectors the same way.
-#[test]
-fn counts_past_the_file_are_a_truncated_checkpoint() {
-    let text = checkpoint(2, true, 3, 2, 1).to_text();
-    for count in ["18446744073709551615", "1000000000000"] {
-        for head in ["population ", "log ", "quarantine "] {
-            let err = Checkpoint::parse(&ending_at(&text, head, count)).unwrap_err();
-            assert!(
-                err.to_string().contains("truncated checkpoint"),
-                "{head}{count}: {err}"
-            );
-        }
-        for head in COUNTED {
-            assert!(Checkpoint::parse(&with_count(&text, head, count)).is_err());
-        }
+        // Swap one run of digits (a count, counter, index, bit pattern or
+        // part of a string) for a number at or past the edge of `u64`.
+        let bytes = text.as_bytes();
+        let starts: Vec<usize> = (0..bytes.len())
+            .filter(|&i| bytes[i].is_ascii_digit() && (i == 0 || !bytes[i - 1].is_ascii_digit()))
+            .collect();
+        let start = starts[which % starts.len()];
+        let end = (start..bytes.len()).find(|&i| !bytes[i].is_ascii_digit()).unwrap_or(bytes.len());
+        let swapped = format!("{}{}{}", &text[..start], EDGE_NUMBERS[edge], &text[end..]);
+        parse_is_total(&swapped).ok();
     }
 }

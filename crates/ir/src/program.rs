@@ -41,11 +41,6 @@ impl Block {
                 _ => None,
             })
     }
-
-    /// Does this block end the function?
-    pub fn ends_with_ret(&self) -> bool {
-        matches!(self.terminator().map(|i| i.op), Some(Opcode::Ret))
-    }
 }
 
 /// A function: a CFG of basic blocks over a local virtual-register space.

@@ -165,18 +165,6 @@ impl BitMatrix {
         !had
     }
 
-    /// Clear bit `(r, c)`; returns `true` if it was set.
-    ///
-    /// # Panics
-    /// Panics if `c` is out of range.
-    pub fn remove(&mut self, r: usize, c: usize) -> bool {
-        assert!(c < self.cols, "bit matrix column {c} out of {}", self.cols);
-        let w = &mut self.words[r * self.stride + c / 64];
-        let had = *w & (1 << (c % 64)) != 0;
-        *w &= !(1 << (c % 64));
-        had
-    }
-
     /// Is bit `(r, c)` set? Columns out of range read as clear.
     pub fn contains(&self, r: usize, c: usize) -> bool {
         c < self.cols && self.words[r * self.stride + c / 64] & (1 << (c % 64)) != 0
@@ -195,22 +183,6 @@ impl BitMatrix {
     /// Is row `r` clear?
     pub fn row_is_empty(&self, r: usize) -> bool {
         self.row(r).iter().all(|w| *w == 0)
-    }
-
-    /// Row `r` |= `words` (a row of a matrix with as many columns).
-    pub fn union_row(&mut self, r: usize, words: &[u64]) {
-        assert_eq!(words.len(), self.stride, "bit matrix row width mismatch");
-        for (a, w) in self.row_mut(r).iter_mut().zip(words) {
-            *a |= w;
-        }
-    }
-
-    /// Row `r` −= `words` (a row of a matrix with as many columns).
-    pub fn subtract_row(&mut self, r: usize, words: &[u64]) {
-        assert_eq!(words.len(), self.stride, "bit matrix row width mismatch");
-        for (a, w) in self.row_mut(r).iter_mut().zip(words) {
-            *a &= !w;
-        }
     }
 
     /// Do rows `a` and `b` share a set column?
@@ -290,17 +262,10 @@ mod tests {
         assert!(!m.rows_intersect(1, 2));
         m.insert(2, 69);
         assert!(m.rows_intersect(1, 2));
-        assert!(m.remove(2, 69) && !m.remove(2, 69));
         m.fill_row(0);
         assert_eq!(m.count_row(0), 70, "a full row stops at the column count");
         let mut s = BitSet::new(70);
         s.copy_from_row(&m, 2);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3]);
-        let full = m.row(0).to_vec();
-        m.union_row(1, &full);
-        assert_eq!(m.count_row(1), 70);
-        m.subtract_row(1, m.clone().row(2));
-        assert_eq!(m.count_row(1), 69);
-        assert!(!m.contains(1, 3));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 69]);
     }
 }

@@ -1,8 +1,9 @@
 //! A minimal JSON value model, writer, and parser.
 //!
 //! The build environment has no registry access, so the trace layer carries
-//! its own (small, strict) JSON implementation instead of serde. Two
-//! properties matter for the trace format and are guaranteed here:
+//! its own (small, strict) JSON implementation instead of serde. It is the
+//! workspace's one JSON serializer: traces, checkpoints and diagnostics all
+//! go through it. Two properties matter and are guaranteed here:
 //!
 //! * **Deterministic serialization** — object keys keep insertion order and
 //!   numbers format identically across runs, so event payloads are
@@ -38,6 +39,16 @@ impl Value {
     /// Convenience: a string value from anything string-like.
     pub fn str(s: impl Into<String>) -> Value {
         Value::Str(s.into())
+    }
+
+    /// Convenience: an object from `(key, value)` pairs, in order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+        Value::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
     }
 
     /// The value under `key`, when this is an object containing it.

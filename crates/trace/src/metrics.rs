@@ -67,20 +67,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Increment by one.
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Decrement by one, saturating at zero.
-    pub fn dec(&self) {
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
-    }
-
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -398,13 +384,9 @@ mod tests {
 
         let g = m.gauge("depth");
         g.set(7);
-        g.inc();
-        g.dec();
-        g.dec();
-        assert_eq!(g.get(), 6);
-        let empty = m.gauge("zero");
-        empty.dec(); // saturates, never wraps
-        assert_eq!(empty.get(), 0);
+        assert_eq!(g.get(), 7);
+        g.set(6);
+        assert_eq!(m.gauge("depth").get(), 6);
     }
 
     #[test]

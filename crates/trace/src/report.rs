@@ -166,11 +166,8 @@ pub struct Report {
     pub total_evals: u64,
     /// Cache hits across the whole trace.
     pub total_hits: u64,
-    /// Number of `eval` events and their summed `dur_ns`: the exact spans
-    /// behind [`Report::eval_us_per_eval`].
-    pub eval_spans: (u64, u64),
-    /// Every `eval` event's `dur_ns`, in emission order: the samples behind
-    /// [`Report::eval_latency_ns`].
+    /// Every `eval` event's `dur_ns`, in emission order: the exact spans
+    /// behind [`Report::eval_latency_ns`] and [`Report::eval_us_per_eval`].
     pub eval_ns: Vec<u64>,
     /// Containment and persistent-cache counters.
     pub reliability: Reliability,
@@ -249,8 +246,6 @@ impl Report {
                 if matches!(v.get("warm"), Some(Value::Bool(true))) {
                     self.reliability.warm_evals += 1;
                 }
-                self.eval_spans.0 += 1;
-                self.eval_spans.1 += u("dur_ns");
                 self.eval_ns.push(u("dur_ns"));
             }
             "retry" => self.reliability.retries += 1,
@@ -395,11 +390,10 @@ impl Report {
     /// `dur_ns` over their count. Exact spans, not histogram buckets; 0
     /// when the trace holds no evaluation.
     pub fn eval_us_per_eval(&self) -> f64 {
-        let (evals, ns) = self.eval_spans;
-        if evals == 0 {
+        if self.eval_ns.is_empty() {
             0.0
         } else {
-            ns as f64 / 1e3 / evals as f64
+            self.eval_ns.iter().sum::<u64>() as f64 / 1e3 / self.eval_ns.len() as f64
         }
     }
 
@@ -1054,7 +1048,7 @@ mod tests {
     fn eval_time_per_eval_comes_from_exact_spans() {
         let r = analyze(&synthetic_trace()).unwrap();
         // Six evals of 500ns each: 3000ns over 6 events.
-        assert_eq!(r.eval_spans, (6, 3000));
+        assert_eq!((r.eval_ns.len(), r.eval_ns.iter().sum::<u64>()), (6, 3000));
         assert!((r.eval_us_per_eval() - 0.5).abs() < 1e-12);
         let v = crate::json::parse(&r.bench_json()).unwrap();
         let per_eval = v.get("eval_us_per_eval").and_then(Value::as_f64);

@@ -11,7 +11,7 @@
 //! `curl` in CI and a Prometheus scraper on a trusted host.
 
 use crate::metrics::MetricsRegistry;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -84,30 +84,50 @@ pub fn serve(
     })
 }
 
-fn answer(stream: TcpStream, registry: &MetricsRegistry) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
-    // Drain headers until the blank line so the client sees a clean close.
+/// Most bytes of request head (request line and headers) read from one
+/// client. A scrape's head is under 200 bytes; the bound keeps a client
+/// that never sends the blank line from growing the server's buffer.
+const MAX_HEAD: u64 = 8 * 1024;
+
+fn answer(mut stream: TcpStream, registry: &MetricsRegistry) -> std::io::Result<()> {
+    let (status, body) = match request_line(&stream)? {
+        None => ("400 Bad Request", "bad request\n".to_string()),
+        Some(line) => match line.split_whitespace().nth(1) {
+            Some("/metrics" | "/") => ("200 OK", registry.render_prometheus()),
+            _ => ("404 Not Found", "not found\n".to_string()),
+        },
+    };
+    // One write: closing with part of a refused request unread resets the
+    // connection, and a reset discards whatever is still unsent.
+    let response = format!(
+        "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(response.as_bytes())
+}
+
+/// Read the request head up to its blank line, so the client sees a clean
+/// close, and return the request line. `None` when the head runs past
+/// [`MAX_HEAD`] bytes or the request line is not UTF-8.
+fn request_line(stream: &TcpStream) -> std::io::Result<Option<String>> {
+    let mut reader = BufReader::new(stream.take(MAX_HEAD));
+    let mut request_line = Vec::new();
+    reader.read_until(b'\n', &mut request_line)?;
+    let mut header = Vec::new();
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 || header == "\r\n" || header == "\n" {
+        header.clear();
+        if reader.read_until(b'\n', &mut header)? == 0 {
+            // The client stopped sending, or the head reached the bound.
+            if reader.get_ref().limit() == 0 {
+                return Ok(None);
+            }
+            break;
+        }
+        if header == b"\r\n" || header == b"\n" {
             break;
         }
     }
-    let path = request_line.split_whitespace().nth(1).unwrap_or("");
-    let (status, body) = if path == "/metrics" || path == "/" {
-        ("200 OK", registry.render_prometheus())
-    } else {
-        ("404 Not Found", "not found\n".to_string())
-    };
-    let mut stream = reader.into_inner();
-    write!(
-        stream,
-        "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )?;
-    stream.flush()
+    Ok(String::from_utf8(request_line).ok())
 }
 
 #[cfg(test)]
@@ -147,6 +167,57 @@ mod tests {
         server.shutdown();
         // After shutdown the port stops answering (connect may succeed
         // briefly on some platforms; a second shutdown is a no-op).
+        server.shutdown();
+    }
+
+    /// Send `request` from a second thread and return the response. The
+    /// server may close with part of an oversized request unread, and the
+    /// reset that follows ends the read like a close.
+    fn send_raw(addr: SocketAddr, request: Vec<u8>) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let sender = std::thread::spawn(move || writer.write_all(&request).is_ok());
+        let mut response = Vec::new();
+        let mut buf = [0u8; 4096];
+        while let Ok(n @ 1..) = stream.read(&mut buf) {
+            response.extend_from_slice(&buf[..n]);
+        }
+        sender.join().unwrap();
+        String::from_utf8_lossy(&response).into_owned()
+    }
+
+    #[test]
+    fn oversized_or_malformed_request_heads_are_refused() {
+        let registry = MetricsRegistry::new();
+        registry.counter("metaopt_evaluations_total").add(7);
+        let mut server = serve("127.0.0.1:0", registry).unwrap();
+        let addr = server.local_addr();
+        let long_line = vec![b'A'; 1 << 20];
+        let not_utf8 = b"GET /metrics\xff\xfe HTTP/1.0\r\n\r\n".to_vec();
+        let many_headers = [
+            b"GET /metrics HTTP/1.0\r\n".to_vec(),
+            b"X-Pad: 1\r\n".repeat(10_000),
+            b"\r\n".to_vec(),
+        ]
+        .concat();
+        for (name, request) in [
+            ("a 1 MiB request line without a newline", long_line),
+            ("a request line that is not UTF-8", not_utf8),
+            ("10,000 header lines", many_headers),
+        ] {
+            let response = send_raw(addr, request);
+            assert!(
+                response.starts_with("HTTP/1.0 400 "),
+                "{name}: {response:?}"
+            );
+            // The endpoint still serves the next scrape.
+            let next = fetch(addr, "/metrics");
+            assert!(
+                next.starts_with("HTTP/1.0 200 OK\r\n"),
+                "after {name}: {next}"
+            );
+            assert!(next.contains("metaopt_evaluations_total 7\n"), "{next}");
+        }
         server.shutdown();
     }
 }
