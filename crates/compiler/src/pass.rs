@@ -169,10 +169,6 @@ impl PassManager {
                 validate_after(pre.as_ref(), func, ctx, pass.name())?;
             }
             let delta = ctx.stats.counters.delta_since(before);
-            if let Some(m) = ctx.config.tracer.metrics() {
-                m.histogram_labeled("metaopt_pass_wall_ns", "pass", pass.name())
-                    .record(wall_nanos);
-            }
             if ctx.config.tracer.enabled() {
                 use metaopt_trace::json::Value;
                 let delta_obj = delta

@@ -65,14 +65,15 @@
 //! cache-hit / slowest-pass / quarantine tables. Runs without `--trace-out`
 //! are bit-identical to runs of a build without tracing.
 //!
-//! Live observability: `--trace-out` (or `--metrics-addr`) also enables the
-//! in-process metrics registry — counters, gauges, and log2-bucket latency
-//! histograms updated on the hot path with relaxed atomics. `metaopt top
+//! Live observability: `--trace-out` (or `--metrics-addr`) also attaches
+//! the in-process metrics registry, which folds every trace event as it is
+//! emitted into the same digest `trace-report` prints. `metaopt top
 //! <trace.jsonl> --follow` tails a running trace and renders a live status
 //! view (generation progress, eval throughput, exact latency quantiles,
-//! simulator speed) from the same digest `trace-report` prints.
-//! `--metrics-addr 127.0.0.1:9184` additionally serves the registry as
-//! Prometheus text exposition on `GET /metrics`.
+//! simulator speed) from that digest. `--metrics-addr 127.0.0.1:9184`
+//! serves the registry's digest as Prometheus text exposition on
+//! `GET /metrics`, with or without `--trace-out`; without it, no trace file
+//! is written.
 
 use metaopt::experiment::{ExperimentError, RunControl};
 use metaopt::{experiment, study, EvalRequest, PreparedBench, StudyConfig};
@@ -443,8 +444,8 @@ fn main() -> ExitCode {
         },
         None => Tracer::disabled(),
     };
-    // The metrics registry rides on the tracer; `--metrics-addr` alone is
-    // enough to enable it (histograms fill even without a trace sink).
+    // The metrics registry rides on the tracer and folds every event it
+    // emits; `--metrics-addr` alone is enough to attach it, without a sink.
     let mut _metrics_server = None;
     if opts.trace_out.is_some() || opts.metrics_addr.is_some() {
         let registry = metaopt_trace::metrics::MetricsRegistry::new();

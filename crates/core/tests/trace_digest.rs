@@ -3,7 +3,9 @@
 //! still being written; `metaopt trace-report` builds the same `Report`
 //! after strict schema validation. On real traced runs, a scalar
 //! specialization and a co-evolved one, the two must be equal, and a torn
-//! last line must change nothing.
+//! last line must change nothing. A tracer carrying a metrics registry
+//! folds the same events live, so the registry's digest must be the
+//! file's, with or without a sink.
 
 use metaopt::experiment::{self, RunControl};
 use metaopt::study;
@@ -88,4 +90,136 @@ fn top_and_trace_report_digest_a_co_evolved_run_alike() {
     .unwrap();
     let whole = assert_one_digest(&tracer.lines().unwrap().join("\n"));
     assert!(whole.front.is_some());
+}
+
+// The live digest: a tracer carrying a metrics registry folds each event
+// it emits into the registry's `Report` through the same fold, so the
+// registry holds the file's digest, and `/metrics` renders it.
+
+/// An in-memory tracer carrying `registry`, and a run control around it.
+fn metered(registry: &MetricsRegistry, sink: bool) -> (Tracer, RunControl) {
+    let tracer = if sink {
+        Tracer::in_memory()
+    } else {
+        Tracer::disabled()
+    }
+    .with_metrics(registry.clone());
+    let control = RunControl {
+        tracer: tracer.clone(),
+        ..RunControl::default()
+    };
+    (tracer, control)
+}
+
+/// `report` with every wall-clock figure zeroed and the rows whose order
+/// follows the clock or the thread schedule sorted by name.
+fn untimed(report: &Report) -> Report {
+    let mut r = report.clone();
+    r.eval_ns.iter_mut().for_each(|ns| *ns = 0);
+    r.generations.iter_mut().for_each(|g| g.dur_ns = 0);
+    for p in &mut r.passes {
+        (p.total_ns, p.max_ns) = (0, 0);
+    }
+    r.passes.sort_by(|a, b| a.pass.cmp(&b.pass));
+    r.validation.iter_mut().for_each(|v| v.total_ns = 0);
+    r.validation.sort_by(|a, b| a.pass.cmp(&b.pass));
+    r.quarantine.sort();
+    r.sim_ns = 0;
+    r.checkpoints.1 = 0;
+    r
+}
+
+/// The events of `lines` of type `ty`.
+fn count(lines: &[String], ty: &str) -> u64 {
+    let prefix = format!("{{\"type\":\"{ty}\",");
+    lines.iter().filter(|l| l.starts_with(&prefix)).count() as u64
+}
+
+/// Check the live digest of a run traced into `registry` against the
+/// tracer's own lines and the run's counters, and return it.
+fn assert_live_digest(
+    registry: &MetricsRegistry,
+    tracer: &Tracer,
+    evaluations: u64,
+    successes: u64,
+    warm_hits: u64,
+) -> Report {
+    let lines = tracer.lines().unwrap();
+    let file = report::analyze(&lines.join("\n")).unwrap();
+    let live = registry.report();
+    // The trace-header line is written before the registry is attached.
+    assert_eq!(live.events + 1, file.events);
+    assert_eq!(
+        Report {
+            events: file.events,
+            ..live.clone()
+        },
+        file
+    );
+    let text = metaopt_trace::metrics::render(&live);
+    for (sample, value) in [
+        ("metaopt_evaluations_total", evaluations),
+        ("metaopt_eval_success_total", successes),
+        ("metaopt_eval_failure_total", evaluations - successes),
+        ("metaopt_warm_hits_total", warm_hits),
+        ("metaopt_retries_total", count(&lines, "retry")),
+        ("metaopt_sim_total", count(&lines, "sim")),
+    ] {
+        let line = format!("\n{sample} {value}\n");
+        assert!(text.contains(&line), "missing {line:?} in:\n{text}");
+    }
+    assert!(live.sims.0 > 0 && !live.eval_ns.is_empty());
+    live
+}
+
+#[test]
+fn the_live_digest_is_the_file_digest_of_a_scalar_run() {
+    let cfg = study::hyperblock();
+    let bench = metaopt_suite::by_name("unepic").unwrap();
+    let params = params(6, 2, 4);
+    let registry = MetricsRegistry::new();
+    let (tracer, control) = metered(&registry, true);
+    let run = experiment::specialize_controlled(&cfg, &bench, &params, &control).unwrap();
+    let live = assert_live_digest(
+        &registry,
+        &tracer,
+        run.evaluations,
+        run.successes,
+        run.warm_hits,
+    );
+
+    // A registry alone folds the same events and writes no line.
+    let alone = MetricsRegistry::new();
+    let (tracer, control) = metered(&alone, false);
+    let again = experiment::specialize_controlled(&cfg, &bench, &params, &control).unwrap();
+    assert_eq!(tracer.lines(), None);
+    assert_eq!(again.evaluations, run.evaluations);
+    assert_eq!(untimed(&alone.report()), untimed(&live));
+}
+
+#[test]
+fn the_live_digest_is_the_file_digest_of_a_co_evolved_run() {
+    let cfg = study::hyperblock();
+    let bench = metaopt_suite::by_name("unepic").unwrap();
+    let params = params(6, 2, 7);
+    let registry = MetricsRegistry::new();
+    let (tracer, control) = metered(&registry, true);
+    let run =
+        experiment::co_evolve_controlled(&cfg, &bench, &params, [true; NUM_OBJECTIVES], &control)
+            .unwrap();
+    let live = assert_live_digest(
+        &registry,
+        &tracer,
+        run.evaluations,
+        run.successes,
+        run.warm_hits,
+    );
+    assert!(live.front.is_some());
+
+    let alone = MetricsRegistry::new();
+    let (tracer, control) = metered(&alone, false);
+    experiment::co_evolve_controlled(&cfg, &bench, &params, [true; NUM_OBJECTIVES], &control)
+        .unwrap();
+    assert_eq!(tracer.lines(), None);
+    assert_eq!(untimed(&alone.report()), untimed(&live));
 }

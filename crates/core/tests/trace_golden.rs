@@ -60,8 +60,8 @@ fn fixed_seed_trace_matches_golden_and_perturbs_nothing() {
     assert!(rep.render().contains("generation"));
 
     // Snapshots appear once per generation plus a final one, carry a
-    // strictly increasing seq, and keep all schedule-dependent registry
-    // state inside the strippable "runtime" attribute.
+    // strictly increasing seq, and no longer carry the schedule-dependent
+    // "runtime" registry dump that older traces hold.
     let snapshots: Vec<&String> = lines
         .iter()
         .filter(|l| l.contains("\"metrics-snapshot\""))
@@ -72,7 +72,7 @@ fn fixed_seed_trace_matches_golden_and_perturbs_nothing() {
             line.contains(&format!("\"seq\":{seq}")),
             "snapshot seq should count 0.. in emission order: {line}"
         );
-        assert!(line.contains("\"runtime\""));
+        assert!(!line.contains("\"runtime\""), "{line}");
         let stripped = strip_timing(line).unwrap();
         assert!(
             !stripped.contains("runtime"),

@@ -32,8 +32,8 @@
 //!   serially;
 //! - selection uses only integer objectives and index-stable tie-breaks.
 //!
-//! Checkpoints use format v3 (the population's plans ride in the `plans`
-//! section) under a fingerprint that embeds the objective mask and a
+//! Checkpoints use format v4 (the population's plans ride in the `plans`
+//! field) under a fingerprint that embeds the objective mask and a
 //! co-evolution marker, so scalar and co-evolved runs can never resume
 //! each other's files. In the persistent fitness store keys extend to
 //! `plan|expr` and each objective lands in its own derived case slot, so a
@@ -219,7 +219,7 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
         self
     }
 
-    /// Write a v3 checkpoint after every completed generation.
+    /// Write a v4 checkpoint after every completed generation.
     #[must_use]
     pub fn with_checkpoint_file(mut self, path: impl Into<PathBuf>) -> Self {
         self.checkpoint_path = Some(path.into());
@@ -1058,21 +1058,32 @@ mod tests {
             assert_eq!(snap.get("gen").and_then(Value::as_u64), Some(g as u64));
         }
 
-        // The registry mirrors the result's counters.
-        let counter = |name: &str| registry.counter(name).get();
-        assert_eq!(counter("metaopt_evaluations_total"), warm.evaluations);
-        assert_eq!(counter("metaopt_eval_success_total"), warm.successes);
-        assert_eq!(counter("metaopt_eval_failure_total"), warm.failures);
-        assert_eq!(counter("metaopt_cache_hits_total"), warm.cache_hits);
-        assert_eq!(counter("metaopt_warm_hits_total"), warm.warm_hits);
-        assert_eq!(
-            registry.histogram("metaopt_eval_latency_ns").count(),
-            warm.evaluations
-        );
-        assert_eq!(
-            registry.gauge("metaopt_quarantined").get(),
-            warm.quarantined.len() as u64
-        );
+        // The live digest and its exposition mirror the result's counters.
+        // Cache hits are those inside generations, as the `generation`
+        // events count them.
+        let digest = registry.report();
+        let failures: u64 = digest.quarantine.iter().map(|(_, n)| n).sum();
+        assert_eq!(digest.eval_ns.len() as u64, warm.evaluations);
+        assert_eq!(digest.eval_ns.len() as u64 - failures, warm.successes);
+        assert_eq!(failures, warm.failures);
+        assert_eq!(digest.reliability.warm_evals, warm.warm_hits);
+        let generation_hits: u64 = events(&warm_tracer, "generation")
+            .iter()
+            .map(|g| g.get("cache_hits").and_then(Value::as_u64).unwrap())
+            .sum();
+        assert_eq!(digest.total_hits, generation_hits);
+        let text = metaopt_trace::metrics::render(&digest);
+        for (sample, value) in [
+            ("metaopt_evaluations_total", warm.evaluations),
+            ("metaopt_eval_success_total", warm.successes),
+            ("metaopt_eval_failure_total", warm.failures),
+            ("metaopt_cache_hits_total", generation_hits),
+            ("metaopt_warm_hits_total", warm.warm_hits),
+            ("metaopt_eval_latency_ns_count", warm.evaluations),
+        ] {
+            let line = format!("\n{sample} {value}\n");
+            assert!(text.contains(&line), "missing {line:?} in:\n{text}");
+        }
 
         // A fresh run memoizes one entry per evaluated (genome, case) pair.
         let ck = Checkpoint::load(&ck_path).unwrap();

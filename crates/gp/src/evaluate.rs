@@ -13,8 +13,8 @@
 //!   vector at `c * NUM_OBJECTIVES + k`);
 //! - the evaluator call under `catch_unwind`, with deterministic retries
 //!   of transient failures;
-//! - the quarantine ledger, the counters, the live metrics, the
-//!   checkpoint's accounting, and the run's trace events
+//! - the quarantine ledger, the counters, the checkpoint's accounting,
+//!   and the run's trace events
 //!   (`evolution-start`, `eval`, `retry`, `generation`,
 //!   `metrics-snapshot`, `checkpoint`, `evolution-end`).
 //!
@@ -56,7 +56,6 @@ use crate::expr::Expr;
 use crate::pareto::{ParetoPoint, NUM_OBJECTIVES};
 use crate::store::{fnv1a, FitnessStore};
 use metaopt_trace::json::Value;
-use metaopt_trace::metrics::{Counter, Histogram, MetricsRegistry};
 use metaopt_trace::schema::OUTCOME_SCORE;
 use metaopt_trace::{Span, Tracer};
 use rand::rngs::StdRng;
@@ -64,7 +63,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 /// What one evaluation of a `(genome, case)` pair yields, and how it
@@ -144,33 +143,6 @@ fn backoff_ns(key: &str, case: usize, attempt: u32) -> u64 {
 /// let a transient host condition clear, not to stall the search.
 const MAX_BACKOFF_SLEEP_NS: u64 = 1_000_000;
 
-/// Live-metrics handles, registered once per run so recording never takes
-/// the registry lock. They mirror the counters for observers and are never
-/// read back.
-struct Metrics {
-    evaluations: Arc<Counter>,
-    successes: Arc<Counter>,
-    failures: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    warm_hits: Arc<Counter>,
-    retries: Arc<Counter>,
-    eval_latency: Arc<Histogram>,
-}
-
-impl Metrics {
-    fn new(registry: &MetricsRegistry) -> Self {
-        Metrics {
-            evaluations: registry.counter("metaopt_evaluations_total"),
-            successes: registry.counter("metaopt_eval_success_total"),
-            failures: registry.counter("metaopt_eval_failure_total"),
-            cache_hits: registry.counter("metaopt_cache_hits_total"),
-            warm_hits: registry.counter("metaopt_warm_hits_total"),
-            retries: registry.counter("metaopt_retries_total"),
-            eval_latency: registry.histogram("metaopt_eval_latency_ns"),
-        }
-    }
-}
-
 /// One listed pair, resolved.
 struct Resolved<O> {
     result: Result<O, EvalError>,
@@ -204,7 +176,6 @@ pub(crate) struct EvalCore<O> {
     retries: u32,
     threads: usize,
     tracer: Tracer,
-    metrics: Option<Metrics>,
     /// Sequence number of the next `metrics-snapshot` event (never wall
     /// time).
     seq: u64,
@@ -214,10 +185,9 @@ pub(crate) struct EvalCore<O> {
 
 impl<O: Outcome> EvalCore<O> {
     /// Begin a run: restore the accounting of `resume`, then emit
-    /// `evolution-start` and set the run gauges. The memo itself is never
-    /// checkpointed — deterministic evaluators recompute identical
-    /// outcomes — so a resumed run's counters can exceed its deduplicated
-    /// ledger.
+    /// `evolution-start`. The memo itself is never checkpointed —
+    /// deterministic evaluators recompute identical outcomes — so a
+    /// resumed run's counters can exceed its deduplicated ledger.
     pub(crate) fn start(
         params: &GpParams,
         store: Option<FitnessStore>,
@@ -236,7 +206,6 @@ impl<O: Outcome> EvalCore<O> {
             retries: params.retries,
             threads: params.threads.max(1),
             tracer: tracer.clone(),
-            metrics: tracer.metrics().map(Metrics::new),
             seq: 0,
             run: tracer.begin(),
         };
@@ -265,12 +234,6 @@ impl<O: Outcome> EvalCore<O> {
                 ],
             );
         }
-        if let Some(m) = tracer.metrics() {
-            m.gauge("metaopt_population").set(params.population as u64);
-            m.gauge("metaopt_generations")
-                .set(params.generations as u64);
-            m.gauge("metaopt_threads").set(core.threads as u64);
-        }
         core
     }
 
@@ -292,7 +255,6 @@ impl<O: Outcome> EvalCore<O> {
         // 1. The deduplicated list of pairs the memo cannot answer.
         let mut work: Vec<(usize, usize)> = Vec::new();
         let mut listed = HashSet::new();
-        let hits_before = self.cache_hits;
         for (i, &(key, _)) in items.iter().enumerate() {
             for &case in cases {
                 if self.probe(key, case).is_some() || !listed.insert((key, case)) {
@@ -301,9 +263,6 @@ impl<O: Outcome> EvalCore<O> {
                     work.push((i, case));
                 }
             }
-        }
-        if let Some(m) = &self.metrics {
-            m.cache_hits.add(self.cache_hits - hits_before);
         }
 
         // 2. Resolve the list: inline on one thread, else scoped workers
@@ -386,7 +345,7 @@ impl<O: Outcome> EvalCore<O> {
     /// Resolve one listed pair: the warm store, else `eval(attempt)` under
     /// `catch_unwind`, retrying transient failures after a deterministic
     /// backoff. Emits the pair's `retry` and `eval` events as soon as it
-    /// resolves and records its metrics; the caller folds the result.
+    /// resolves; the caller folds the result.
     fn resolve(
         &self,
         key: &str,
@@ -415,8 +374,6 @@ impl<O: Outcome> EvalCore<O> {
                 }
             },
         };
-        // Read once, before any event is serialized: the `eval` event and
-        // the latency histogram report the same duration.
         let dur_ns = span.dur_ns();
         if self.tracer.enabled() {
             for (attempt, (kind, ns)) in retried.iter().enumerate() {
@@ -450,18 +407,6 @@ impl<O: Outcome> EvalCore<O> {
             attrs.push(("dur_ns", Value::UInt(dur_ns)));
             self.tracer.emit("eval", attrs);
         }
-        if let Some(m) = &self.metrics {
-            m.evaluations.inc();
-            if warm {
-                m.warm_hits.inc();
-            }
-            match &result {
-                Ok(_) => m.successes.inc(),
-                Err(_) => m.failures.inc(),
-            }
-            m.retries.add(retried.len() as u64);
-            m.eval_latency.record(dur_ns);
-        }
         Resolved { result, warm }
     }
 
@@ -474,8 +419,8 @@ impl<O: Outcome> EvalCore<O> {
         }
     }
 
-    /// Close the generation `gl` logs: its `generation` event, the
-    /// generation gauges, and a [`EvalCore::snapshot`].
+    /// Close the generation `gl` logs: its `generation` event and a
+    /// [`EvalCore::snapshot`].
     pub(crate) fn end_generation(&mut self, gl: &GenLog, mark: Mark) {
         let dur_ns = mark.span.dur_ns();
         if self.tracer.enabled() {
@@ -496,27 +441,14 @@ impl<O: Outcome> EvalCore<O> {
                 ],
             );
         }
-        if let Some(m) = self.tracer.metrics() {
-            m.gauge("metaopt_generation").set(gl.generation as u64);
-            m.histogram("metaopt_gen_wall_ns").record(dur_ns);
-        }
         self.snapshot(gl.generation);
     }
 
-    /// Set the quarantine gauge and emit one `metrics-snapshot` event: the
-    /// monotonic `seq`, the deterministic `counters` (identical at every
-    /// thread count, since waves fold serially), and the full registry dump
-    /// under `runtime` (latency histograms and gauges — stripped by
-    /// `strip_timing` because they depend on wall time and the schedule).
-    /// Needs a metrics registry; the event also needs a trace sink.
+    /// Emit one `metrics-snapshot` event when a metrics registry is
+    /// attached: the monotonic `seq` and the deterministic `counters`
+    /// (identical at every thread count, since waves fold serially).
     pub(crate) fn snapshot(&mut self, gen: usize) {
-        let Some(registry) = self.tracer.metrics() else {
-            return;
-        };
-        registry
-            .gauge("metaopt_quarantined")
-            .set(self.ledger.len() as u64);
-        if !self.tracer.enabled() {
+        if self.tracer.metrics().is_none() {
             return;
         }
         let counters = [
@@ -541,7 +473,6 @@ impl<O: Outcome> EvalCore<O> {
                             .collect(),
                     ),
                 ),
-                ("runtime", registry.snapshot_value()),
             ],
         );
         self.seq += 1;

@@ -467,8 +467,8 @@ fn simulate_reference(
 ///
 /// `noise = Some((amplitude, seed))` then applies [`jitter`] to the
 /// returned cycle count: the paper §7's real-machine timing jitter. It is
-/// part of the measurement, not of the run, so the event and the sim
-/// counters keep the noise-free cycles, and it is identical across tiers.
+/// part of the measurement, not of the run, so the event keeps the
+/// noise-free cycles, and it is identical across tiers.
 pub fn simulate_traced(
     mp: &MachineProgram,
     cfg: &MachineConfig,
@@ -479,14 +479,8 @@ pub fn simulate_traced(
 ) -> Result<SimResult, SimError> {
     let span = tracer.begin();
     let mut result = simulate_tier(mp, cfg, memory, tier);
-    // One reading serves the counter and the event, so they agree.
     let dur_ns = span.dur_ns();
     if let Ok(r) = &mut result {
-        if let Some(m) = tracer.metrics() {
-            m.counter("metaopt_sim_total").inc();
-            m.counter("metaopt_sim_cycles_total").add(r.cycles);
-            m.counter("metaopt_sim_wall_ns_total").add(dur_ns);
-        }
         if tracer.enabled() {
             use metaopt_trace::json::Value;
             tracer.emit(
@@ -547,45 +541,6 @@ mod tests {
         let reference = simulate_tier(mp, &cfg, vec![0u8; 65536], SimTier::Reference).unwrap();
         assert_eq!(fast, reference, "tier divergence");
         fast
-    }
-
-    #[test]
-    fn sim_event_durations_sum_to_the_wall_counter() {
-        use metaopt_trace::metrics::MetricsRegistry;
-        let mp = MachineProgram {
-            blocks: vec![vec![
-                bundle(vec![Inst::new(Opcode::MovI).dst(VReg(1)).imm(6)]),
-                bundle(vec![Inst::new(Opcode::Ret).args(&[VReg(1)])]),
-            ]],
-            entry: 0,
-        };
-        let cfg = MachineConfig::table3();
-        let registry = MetricsRegistry::new();
-        let tracer = metaopt_trace::Tracer::in_memory().with_metrics(registry.clone());
-        for (i, tier) in [SimTier::Fast, SimTier::Reference, SimTier::Fast]
-            .into_iter()
-            .enumerate()
-        {
-            let noise = (i == 2).then_some((0.01, 9));
-            simulate_traced(&mp, &cfg, vec![0u8; 4096], noise, tier, &tracer).unwrap();
-        }
-        let durations: Vec<u64> = tracer
-            .lines()
-            .unwrap()
-            .iter()
-            .filter(|l| l.contains("\"type\":\"sim\""))
-            .map(|l| {
-                let v = metaopt_trace::json::parse(l).unwrap();
-                v.get("dur_ns").and_then(|d| d.as_u64()).unwrap()
-            })
-            .collect();
-        assert_eq!(durations.len(), 3);
-        assert_eq!(registry.counter("metaopt_sim_total").get(), 3);
-        assert_eq!(
-            registry.counter("metaopt_sim_wall_ns_total").get(),
-            durations.iter().sum::<u64>(),
-            "each run's event and wall counter must be one reading"
-        );
     }
 
     #[test]

@@ -397,7 +397,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .expect("a number literal is scanned over ASCII bytes only");
         // Keep unsigned decimal literals exact.
         if integral_end == self.pos && !text.starts_with('-') {
             if let Ok(n) = text.parse::<u64>() {

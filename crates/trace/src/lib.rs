@@ -22,14 +22,19 @@
 //! | `sim`             | simulator         | simulator run (noise-free cycles)    |
 //! | `validate`        | pass manager      | semantic validation of one pass      |
 //! | `checkpoint`      | GP engine         | checkpoint write                     |
-//! | `metrics-snapshot` | GP engine        | generation (live [`metrics`] dump)   |
+//! | `metrics-snapshot` | GP engine        | generation, with a [`metrics`] registry (engine counters) |
+//!
+//! A `metrics-snapshot` event written by earlier builds may also carry
+//! `runtime`, a dump of the former atomic registry's counters and
+//! histograms; [`schema`] still checks it and [`strip_timing`] drops it.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Free when off.** A disabled [`Tracer`] is a `None`; every emission
-//!    site is a branch on [`Tracer::enabled`] and no clock is read, so runs
-//!    without `--trace-out` are bit-identical to runs built before tracing
-//!    existed.
+//! 1. **Free when off.** A [`Tracer`] with neither a sink nor a
+//!    [`metrics::MetricsRegistry`] is two `None`s; every emission site is
+//!    a branch on [`Tracer::enabled`] and no clock is read, so runs without
+//!    `--trace-out` or `--metrics-addr` are bit-identical to runs built
+//!    before tracing existed.
 //! 2. **Deterministic payloads.** For a fixed configuration, every event's
 //!    payload (everything except the timing fields `ts`, `dur_ns`,
 //!    `wall_ns`) is reproducible across runs; with one worker thread the
@@ -58,6 +63,10 @@ use std::time::Instant;
 /// The trace schema version this crate writes and validates.
 pub const SCHEMA_VERSION: &str = "run-trace.v1";
 
+/// Why a sink lock is never poisoned: under it the tracer only pushes a
+/// line or calls the writer, whose errors it ignores.
+const SINK_LOCK: &str = "no code panics under the trace sink lock";
+
 enum SinkKind {
     Writer(Box<dyn Write + Send>),
     Memory(Vec<String>),
@@ -82,16 +91,15 @@ impl Drop for Inner {
 ///
 /// Disabled by default ([`Tracer::disabled`] / `Tracer::default()`): all
 /// emission methods return immediately without reading a clock or taking a
-/// lock. Enabled tracers ([`Tracer::to_file`], [`Tracer::in_memory`]) write
-/// the `trace-header` event on creation, stamp every event with a monotonic
-/// timestamp, and append scope attributes (see [`Tracer::scoped`]) to each
-/// payload.
+/// lock. Tracers with a sink ([`Tracer::to_file`], [`Tracer::in_memory`])
+/// write the `trace-header` event on creation, stamp every event with a
+/// monotonic timestamp, and append scope attributes (see
+/// [`Tracer::scoped`]) to each payload.
 ///
-/// A tracer can additionally carry a live [`MetricsRegistry`]
-/// ([`Tracer::with_metrics`]); instrumentation sites fetch it via
-/// [`Tracer::metrics`]. The registry rides along independently of the event
-/// sink — `--metrics-addr` without `--trace-out` yields a sink-disabled
-/// tracer that still aggregates metrics.
+/// A tracer can also carry a live [`MetricsRegistry`]
+/// ([`Tracer::with_metrics`]), which folds every event the tracer emits
+/// into its digest. A registry alone enables the tracer: `--metrics-addr`
+/// without `--trace-out` builds and folds each event and writes none.
 #[derive(Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Inner>>,
@@ -101,7 +109,7 @@ pub struct Tracer {
 
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.inner.is_some() {
+        if self.enabled() {
             write!(f, "Tracer(enabled)")
         } else {
             write!(f, "Tracer(disabled)")
@@ -150,21 +158,21 @@ impl Tracer {
         Tracer::from_sink(SinkKind::Memory(Vec::new()))
     }
 
-    /// Whether events are being recorded. Emission sites gate any
+    /// Whether events are being recorded: written to a sink, folded into
+    /// a metrics registry, or both. Emission sites gate any
     /// attribute-building work on this.
     pub fn enabled(&self) -> bool {
-        self.inner.is_some()
+        self.inner.is_some() || self.metrics.is_some()
     }
 
-    /// The same tracer carrying `registry` for live metrics aggregation.
-    /// Works on sink-disabled tracers too (metrics without a trace file).
+    /// The same tracer folding every event it emits into `registry`'s live
+    /// digest. Works without a sink too (metrics without a trace file).
     pub fn with_metrics(mut self, registry: MetricsRegistry) -> Tracer {
         self.metrics = Some(registry);
         self
     }
 
-    /// The live metrics registry, when one is attached. Instrumentation
-    /// sites gate recording work on this returning `Some`.
+    /// The live metrics registry, when one is attached.
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.metrics.as_ref()
     }
@@ -177,49 +185,49 @@ impl Tracer {
     where
         I: IntoIterator<Item = (&'static str, Value)>,
     {
-        if self.inner.is_none() {
-            // Sink stays disabled, but an attached metrics registry rides
-            // along so scoped call sites keep aggregating.
-            let mut t = Tracer::disabled();
-            t.metrics = self.metrics.clone();
-            return t;
+        if !self.enabled() {
+            return Tracer::disabled();
         }
-        let mut scope = self.scope.clone();
-        scope.extend(attrs);
-        Tracer {
-            inner: self.inner.clone(),
-            scope,
-            metrics: self.metrics.clone(),
-        }
+        let mut t = self.clone();
+        t.scope.extend(attrs);
+        t
     }
 
     /// Start timing a span; free (no clock read) when the tracer is
-    /// disabled and no metrics registry is attached. With metrics attached
-    /// the span times even without a sink, so latency histograms fill under
-    /// `--metrics-addr` alone.
+    /// disabled.
     pub fn begin(&self) -> Span {
-        let timed = self.inner.is_some() || self.metrics.is_some();
         Span {
-            start: timed.then(Instant::now),
+            start: self.enabled().then(Instant::now),
         }
     }
 
-    /// Emit one event: `{"type": kind, "ts": ..., <attrs>, <scope>}` as a
-    /// single JSONL line. No-op when disabled.
+    /// Emit one event, `{"type": kind, "ts": ..., <attrs>, <scope>}`: fold
+    /// it into the attached registry's digest and write it to the sink as
+    /// a single JSONL line. `ts` is 0 without a sink. No-op when disabled.
     pub fn emit<I>(&self, kind: &str, attrs: I)
     where
         I: IntoIterator<Item = (&'static str, Value)>,
     {
-        let Some(inner) = &self.inner else { return };
-        let ts = inner.start.elapsed().as_nanos() as u64;
+        if !self.enabled() {
+            return;
+        }
+        let ts = self
+            .inner
+            .as_ref()
+            .map_or(0, |inner| inner.start.elapsed().as_nanos() as u64);
         let mut fields: Vec<(String, Value)> = vec![
             ("type".to_string(), Value::str(kind)),
             ("ts".to_string(), Value::UInt(ts)),
         ];
         fields.extend(attrs.into_iter().map(|(k, v)| (k.to_string(), v)));
         fields.extend(self.scope.iter().map(|(k, v)| (k.to_string(), v.clone())));
-        let line = Value::Obj(fields).to_string();
-        let mut sink = inner.sink.lock().unwrap();
+        let event = Value::Obj(fields);
+        if let Some(registry) = &self.metrics {
+            registry.fold(&event);
+        }
+        let Some(inner) = &self.inner else { return };
+        let line = event.to_string();
+        let mut sink = inner.sink.lock().expect(SINK_LOCK);
         match &mut *sink {
             SinkKind::Writer(w) => {
                 let _ = writeln!(w, "{line}");
@@ -232,7 +240,7 @@ impl Tracer {
     /// in-memory tracers).
     pub fn flush(&self) {
         if let Some(inner) = &self.inner {
-            if let SinkKind::Writer(w) = &mut *inner.sink.lock().unwrap() {
+            if let SinkKind::Writer(w) = &mut *inner.sink.lock().expect(SINK_LOCK) {
                 let _ = w.flush();
             }
         }
@@ -242,7 +250,7 @@ impl Tracer {
     /// `None` for file-backed or disabled tracers.
     pub fn lines(&self) -> Option<Vec<String>> {
         let inner = self.inner.as_ref()?;
-        match &*inner.sink.lock().unwrap() {
+        match &*inner.sink.lock().expect(SINK_LOCK) {
             SinkKind::Memory(lines) => Some(lines.clone()),
             SinkKind::Writer(_) => None,
         }
@@ -264,11 +272,12 @@ impl Span {
 }
 
 /// The attribute keys that vary run to run and are therefore stripped from
-/// the canonical payload: the timing fields, plus `runtime` — the live
-/// registry dump on `metrics-snapshot` events, whose latency histograms and
-/// scheduling gauges are wall-clock- and schedule-dependent (the snapshot's
-/// `counters` object is the deterministic part). Everything else in a
-/// `run-trace.v1` payload is deterministic for a fixed configuration.
+/// the canonical payload: the timing fields, plus `runtime`, the registry
+/// dump that `metrics-snapshot` events of older traces carry, whose latency
+/// histograms and scheduling gauges are wall-clock- and schedule-dependent
+/// (the snapshot's `counters` object is the deterministic part). Everything
+/// else in a `run-trace.v1` payload is deterministic for a fixed
+/// configuration.
 pub const TIMING_KEYS: [&str; 4] = ["ts", "dur_ns", "wall_ns", "runtime"];
 
 /// One trace line with its timing fields ([`TIMING_KEYS`]) removed — the
@@ -310,20 +319,29 @@ mod tests {
 
     #[test]
     fn metrics_ride_along_without_a_sink() {
-        let t = Tracer::disabled().with_metrics(MetricsRegistry::new());
-        assert!(!t.enabled());
+        let registry = MetricsRegistry::new();
+        let t = Tracer::disabled().with_metrics(registry.clone());
+        // A registry alone enables the tracer: events are built and folded.
+        assert!(t.enabled());
         assert!(t.metrics().is_some());
-        // Scoping preserves the registry (same shared storage) even though
-        // the sink stays disabled.
+        // Scoping keeps the registry (one shared digest).
         let scoped = t.scoped([("bench", Value::str("x"))]);
-        assert!(!scoped.enabled());
-        scoped.metrics().unwrap().counter("x").inc();
-        assert_eq!(t.metrics().unwrap().counter("x").get(), 1);
-        // Spans time when metrics are attached, so histograms fill without
-        // a trace file. (A zero reading is technically possible on a coarse
-        // clock, but the Instant is real; just assert emit stays a no-op.)
-        t.emit("generation", [("gen", Value::UInt(0))]);
+        assert!(scoped.enabled());
+        scoped.emit(
+            "sim",
+            [
+                ("cycles", Value::UInt(40)),
+                ("insts", Value::UInt(9)),
+                ("dur_ns", Value::UInt(3)),
+            ],
+        );
+        t.emit("retry", [("gen", Value::UInt(0))]);
+        let digest = registry.report();
+        assert_eq!((digest.events, digest.sims, digest.sim_ns), (2, (1, 40), 3));
+        assert_eq!(digest.reliability.retries, 1);
+        // No sink: no line is written anywhere.
         assert_eq!(t.lines(), None);
+        assert_eq!(scoped.lines(), None);
     }
 
     #[test]

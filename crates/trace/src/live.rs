@@ -13,7 +13,10 @@ pub fn render(report: &Report) -> String {
     let run = &report.run;
     let command = run.command.as_deref().unwrap_or("(no run-start yet)");
     let mut out = format!("metaopt top · {command}\n");
-    let cur_gen = report.generations.last().map_or(0, |g| g.gen + 1);
+    let cur_gen = report
+        .generations
+        .last()
+        .map_or(0, |g| g.gen.saturating_add(1));
     let state = if run.finished { "finished" } else { "running" };
     out.push_str(&format!(
         "gen {cur_gen}/{} · pop {} · threads {} · {state}\n\n",

@@ -4,8 +4,14 @@
 //! quarantine pressure. `metaopt trace-report` builds it from a finished
 //! trace after strict validation ([`analyze`]); `metaopt top` folds a
 //! still-growing trace into it line by line ([`Report::push_line`]) and
-//! renders it with [`crate::live::render`], so the two views cannot
-//! disagree.
+//! renders it with [`crate::live::render`]; a tracer carrying a
+//! [`crate::metrics::MetricsRegistry`] folds each event it emits into one,
+//! which `/metrics` renders. All three go through one fold, so the views
+//! cannot disagree.
+//!
+//! Every figure a trace supplies is added with saturation: a schema-valid
+//! trace may carry `u64::MAX` durations or cycle counts, and the digest
+//! then reads `u64::MAX` rather than panicking or wrapping.
 
 use crate::json::{self, Value};
 use crate::schema::{validate_line, SchemaError, OUTCOME_SCORE};
@@ -41,7 +47,7 @@ impl GenRow {
 
     /// Cache hit rate over this generation's lookups, in [0, 1].
     pub fn hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.evals;
+        let lookups = self.cache_hits.saturating_add(self.evals);
         if lookups == 0 {
             0.0
         } else {
@@ -182,7 +188,15 @@ impl Report {
     /// writer, so its last line may be torn. Attributes are read leniently
     /// (absent counts as 0); [`analyze`] validates every line first.
     pub fn push_line(&mut self, line: &str) {
-        let Ok(v) = json::parse(line) else { return };
+        if let Ok(v) = json::parse(line) {
+            self.fold(&v);
+        }
+    }
+
+    /// Fold one event, parsed from a line or built by [`crate::Tracer`]'s
+    /// emission, into the digest. An event without a string `type` is
+    /// ignored.
+    pub(crate) fn fold(&mut self, v: &Value) {
         let Some(ty) = v.get("type").and_then(Value::as_str) else {
             return;
         };
@@ -213,8 +227,8 @@ impl Report {
                     mean_fitness: f("mean_fitness"),
                     dur_ns: u("dur_ns"),
                 };
-                self.total_evals += row.evals;
-                self.total_hits += row.cache_hits;
+                self.total_evals = self.total_evals.saturating_add(row.evals);
+                self.total_hits = self.total_hits.saturating_add(row.cache_hits);
                 self.generations.push(row);
             }
             "pass" => {
@@ -222,7 +236,7 @@ impl Report {
                 match self.passes.iter_mut().find(|p| p.pass == pass()) {
                     Some(p) => {
                         p.runs += 1;
-                        p.total_ns += wall;
+                        p.total_ns = p.total_ns.saturating_add(wall);
                         p.max_ns = p.max_ns.max(wall);
                     }
                     None => self.passes.push(PassRow {
@@ -255,8 +269,8 @@ impl Report {
             },
             "sim" => {
                 self.sims.0 += 1;
-                self.sims.1 += u("cycles");
-                self.sim_ns += u("dur_ns");
+                self.sims.1 = self.sims.1.saturating_add(u("cycles"));
+                self.sim_ns = self.sim_ns.saturating_add(u("dur_ns"));
             }
             "validate" => {
                 let ok = matches!(v.get("ok"), Some(Value::Bool(true)));
@@ -266,8 +280,8 @@ impl Report {
                     Some(r) => {
                         r.runs += 1;
                         r.failures += u64::from(!ok);
-                        r.findings += found;
-                        r.total_ns += wall;
+                        r.findings = r.findings.saturating_add(found);
+                        r.total_ns = r.total_ns.saturating_add(wall);
                     }
                     None => self.validation.push(ValidateRow {
                         pass: pass().to_string(),
@@ -282,7 +296,7 @@ impl Report {
             }
             "checkpoint" => {
                 self.checkpoints.0 += 1;
-                self.checkpoints.1 += u("dur_ns");
+                self.checkpoints.1 = self.checkpoints.1.saturating_add(u("dur_ns"));
             }
             "pareto-front" => {
                 // Keep the last event (the final front); the running count
@@ -319,7 +333,7 @@ impl Report {
 
     /// Overall cache hit rate in [0, 1].
     pub fn hit_rate(&self) -> f64 {
-        let lookups = self.total_hits + self.total_evals;
+        let lookups = self.total_hits.saturating_add(self.total_evals);
         if lookups == 0 {
             0.0
         } else {
@@ -327,10 +341,20 @@ impl Report {
         }
     }
 
+    /// Total wall nanoseconds of the `generation` events.
+    pub(crate) fn gen_ns(&self) -> u64 {
+        saturating_sum(self.generations.iter().map(|g| g.dur_ns))
+    }
+
+    /// Total `dur_ns` of the `eval` events.
+    pub(crate) fn eval_ns_total(&self) -> u64 {
+        saturating_sum(self.eval_ns.iter().copied())
+    }
+
     /// Uncached evaluations per wall-clock second across the whole trace
     /// (0 when no generation time was recorded).
     pub fn evals_per_sec(&self) -> f64 {
-        let gen_ns: u64 = self.generations.iter().map(|g| g.dur_ns).sum();
+        let gen_ns = self.gen_ns();
         if gen_ns == 0 {
             0.0
         } else {
@@ -352,7 +376,7 @@ impl Report {
     /// Warm (persistent-cache-served) evaluations per wall-clock second
     /// of generation time — the throughput headroom a warm rerun gains.
     pub fn warm_evals_per_sec(&self) -> f64 {
-        let gen_ns: u64 = self.generations.iter().map(|g| g.dur_ns).sum();
+        let gen_ns = self.gen_ns();
         if gen_ns == 0 {
             0.0
         } else {
@@ -393,7 +417,7 @@ impl Report {
         if self.eval_ns.is_empty() {
             0.0
         } else {
-            self.eval_ns.iter().sum::<u64>() as f64 / 1e3 / self.eval_ns.len() as f64
+            self.eval_ns_total() as f64 / 1e3 / self.eval_ns.len() as f64
         }
     }
 
@@ -410,7 +434,7 @@ impl Report {
         if compiles == 0 {
             0.0
         } else {
-            let pass_ns: u64 = self.passes.iter().map(|p| p.total_ns).sum();
+            let pass_ns = saturating_sum(self.passes.iter().map(|p| p.total_ns));
             pass_ns as f64 / 1e3 / compiles as f64
         }
     }
@@ -420,7 +444,7 @@ impl Report {
     /// no evaluations, no recorded generation time, or no simulator time.
     pub fn notes(&self) -> Vec<String> {
         let mut notes = Vec::new();
-        let gen_ns: u64 = self.generations.iter().map(|g| g.dur_ns).sum();
+        let gen_ns = self.gen_ns();
         if self.total_evals == 0 {
             notes.push("no evaluations recorded; evals/sec reported as 0".to_string());
         } else if gen_ns == 0 {
@@ -528,7 +552,7 @@ impl Report {
             }
         }
         if !self.validation.is_empty() {
-            let grand: u64 = self.validation.iter().map(|r| r.total_ns).sum();
+            let grand = saturating_sum(self.validation.iter().map(|r| r.total_ns));
             out.push_str(&format!(
                 "\n{:<12} {:>8} {:>9} {:>9} {:>12} {:>7}\n",
                 "validate", "runs", "failures", "findings", "total", "share"
@@ -625,6 +649,11 @@ impl Report {
         }
         out
     }
+}
+
+/// The sum of `values`, saturating at `u64::MAX`.
+fn saturating_sum(values: impl Iterator<Item = u64>) -> u64 {
+    values.fold(0, u64::saturating_add)
 }
 
 /// Validate and aggregate a JSONL trace.

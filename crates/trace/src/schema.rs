@@ -183,12 +183,12 @@ pub const EVENT_TYPES: &[(&str, &[(&str, FieldKind)])] = &[
             ("points", FieldKind::Arr),
         ],
     ),
-    // Live metrics (additive within v1): one registry dump per generation.
-    // `seq` is a monotonic snapshot sequence number (not wall time);
-    // `counters` holds the deterministic engine counters; the optional
-    // `runtime` object carries the full registry dump (latency histograms,
-    // gauges, sim counters) and is stripped by `strip_timing` because it is
-    // schedule-dependent.
+    // Live metrics (additive within v1): one snapshot per generation while
+    // a metrics registry is attached. `seq` is a monotonic snapshot
+    // sequence number (not wall time); `counters` holds the deterministic
+    // engine counters. Older traces also carry an optional `runtime` object,
+    // the former registry's dump (latency histograms, gauges, sim
+    // counters), stripped by `strip_timing` because it is schedule-dependent.
     (
         "metrics-snapshot",
         &[
@@ -340,8 +340,9 @@ pub fn validate_line(lineno: usize, line: &str) -> Result<String, SchemaError> {
         }
     }
     // Metrics snapshots: the deterministic `counters` object holds unsigned
-    // counts only; the optional `runtime` registry dump must be an object,
-    // and any histogram inside it must have well-formed log2 buckets.
+    // counts only; an older trace's `runtime` registry dump must be an
+    // object, and any histogram inside it must have well-formed log2
+    // buckets.
     if ty == "metrics-snapshot" {
         let counters = v.get("counters").and_then(Value::as_obj).unwrap_or(&[]);
         if counters.iter().any(|(_, c)| c.as_u64().is_none()) {
@@ -365,6 +366,10 @@ pub fn validate_line(lineno: usize, line: &str) -> Result<String, SchemaError> {
     Ok(ty.to_string())
 }
 
+/// Log₂ buckets of a `runtime` histogram dump: bucket `i` counted the
+/// values of bit length `i`, so indices run from 0 to 64.
+const RUNTIME_BUCKETS: u64 = 65;
+
 /// Check one `runtime` histogram dump: `count`/`sum` unsigned, `buckets`
 /// an array of `[bucket index, count]` pairs with indices inside the log2
 /// bucket range.
@@ -378,15 +383,11 @@ fn validate_histogram(name: &str, metric: &Value, buckets: &Value) -> Result<(),
         return Err(format!("histogram {name:?} buckets must be an array"));
     };
     for pair in pairs {
-        let ok = pair.as_arr().is_some_and(|p| {
-            p.len() == 2
-                && p.iter().all(|x| x.as_u64().is_some())
-                && p[0].as_u64().unwrap() < crate::metrics::HISTOGRAM_BUCKETS as u64
-        });
+        let ok = matches!(pair.as_arr(), Some([index, count])
+            if index.as_u64().is_some_and(|i| i < RUNTIME_BUCKETS) && count.as_u64().is_some());
         if !ok {
             return Err(format!(
-                "histogram {name:?} buckets must be [index < {}, count] pairs",
-                crate::metrics::HISTOGRAM_BUCKETS
+                "histogram {name:?} buckets must be [index < {RUNTIME_BUCKETS}, count] pairs"
             ));
         }
     }

@@ -1,16 +1,16 @@
 //! An optional, std-only `/metrics` scrape endpoint.
 //!
 //! [`serve`] binds a [`std::net::TcpListener`] on a background thread and
-//! answers every `GET /metrics` with the registry rendered in Prometheus
-//! text exposition format 0.0.4 ([`crate::metrics::MetricsRegistry::render_prometheus`]).
-//! The server is read-only derived state: it never feeds back into the run,
-//! so scraping cannot perturb determinism.
+//! answers every `GET /metrics` with a copy of the registry's live digest
+//! rendered in Prometheus text exposition format 0.0.4
+//! ([`crate::metrics::render`]). The server is read-only derived state: it
+//! never feeds back into the run, so scraping cannot perturb determinism.
 //!
 //! The implementation is deliberately minimal — HTTP/1.0 semantics, one
 //! connection at a time, `Connection: close` — because its only clients are
 //! `curl` in CI and a Prometheus scraper on a trusted host.
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{self, MetricsRegistry};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -93,7 +93,7 @@ fn answer(mut stream: TcpStream, registry: &MetricsRegistry) -> std::io::Result<
     let (status, body) = match request_line(&stream)? {
         None => ("400 Bad Request", "bad request\n".to_string()),
         Some(line) => match line.split_whitespace().nth(1) {
-            Some("/metrics" | "/") => ("200 OK", registry.render_prometheus()),
+            Some("/metrics" | "/") => ("200 OK", metrics::render(&registry.report())),
             _ => ("404 Not Found", "not found\n".to_string()),
         },
     };
@@ -133,7 +133,27 @@ fn request_line(stream: &TcpStream) -> std::io::Result<Option<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Value;
+    use crate::Tracer;
     use std::io::Read;
+
+    /// Fold `n` evaluations of 1µs each into `registry`.
+    fn evaluate(registry: &MetricsRegistry, n: u64) {
+        let t = Tracer::disabled().with_metrics(registry.clone());
+        for case in 0..n {
+            t.emit(
+                "eval",
+                [
+                    ("gen", Value::UInt(0)),
+                    ("genome", Value::str("g")),
+                    ("case", Value::UInt(case)),
+                    ("outcome", Value::str(crate::schema::OUTCOME_SCORE)),
+                    ("score", Value::Num(1.0)),
+                    ("dur_ns", Value::UInt(1000)),
+                ],
+            );
+        }
+    }
 
     fn fetch(addr: SocketAddr, path: &str) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
@@ -146,8 +166,7 @@ mod tests {
     #[test]
     fn serves_prometheus_exposition() {
         let registry = MetricsRegistry::new();
-        registry.counter("metaopt_evaluations_total").add(7);
-        registry.histogram("metaopt_eval_latency_ns").record(1000);
+        evaluate(&registry, 7);
         let mut server = serve("127.0.0.1:0", registry.clone()).unwrap();
         let addr = server.local_addr();
 
@@ -156,10 +175,10 @@ mod tests {
         assert!(response.contains("text/plain; version=0.0.4"));
         assert!(response
             .contains("# TYPE metaopt_evaluations_total counter\nmetaopt_evaluations_total 7\n"));
-        assert!(response.contains("metaopt_eval_latency_ns_bucket{le=\"+Inf\"} 1\n"));
+        assert!(response.contains("metaopt_eval_latency_ns{quantile=\"0.5\"} 1000\n"));
 
         // Scrapes observe live updates.
-        registry.counter("metaopt_evaluations_total").add(3);
+        evaluate(&registry, 3);
         assert!(fetch(addr, "/metrics").contains("metaopt_evaluations_total 10\n"));
 
         assert!(fetch(addr, "/nope").starts_with("HTTP/1.0 404"));
@@ -189,7 +208,7 @@ mod tests {
     #[test]
     fn oversized_or_malformed_request_heads_are_refused() {
         let registry = MetricsRegistry::new();
-        registry.counter("metaopt_evaluations_total").add(7);
+        evaluate(&registry, 7);
         let mut server = serve("127.0.0.1:0", registry).unwrap();
         let addr = server.local_addr();
         let long_line = vec![b'A'; 1 << 20];
