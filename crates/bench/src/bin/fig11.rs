@@ -2,7 +2,7 @@
 //! set.
 
 use metaopt::experiment::train_general;
-use metaopt_bench::{harness_params, header, save_winner, speedup_row};
+use metaopt_bench::{harness_params, header, speedup_row};
 
 fn main() {
     header(
@@ -19,5 +19,4 @@ fn main() {
         speedup_row(name, *t, *n);
     }
     speedup_row("Average", r.mean_train, r.mean_novel);
-    save_winner("regalloc", &r.best);
 }

@@ -1,8 +1,9 @@
 //! Figure 12: cross-validation of the general-purpose register-allocation
-//! priority function.
+//! priority function. The function is `fig11`'s winner: the same
+//! deterministic DSS training, run again here.
 
 use metaopt::experiment::{cross_validate, train_general};
-use metaopt_bench::{harness_params, header, load_winner, mean, save_winner, speedup_row};
+use metaopt_bench::{harness_params, header, mean, speedup_row};
 
 fn main() {
     header(
@@ -10,16 +11,12 @@ fn main() {
         "Regalloc cross-validation (paper: ~1.03 avg, a couple below 1.0)",
     );
     let cfg = metaopt::study::regalloc();
-    let winner = load_winner("regalloc", &cfg.features).unwrap_or_else(|| {
-        eprintln!("(no cached winner from fig11 — running the DSS training first)");
-        let r = train_general(
-            &cfg,
-            &metaopt_suite::regalloc_training_set(),
-            &harness_params(),
-        );
-        save_winner("regalloc", &r.best);
-        r.best
-    });
+    let winner = train_general(
+        &cfg,
+        &metaopt_suite::regalloc_training_set(),
+        &harness_params(),
+    )
+    .best;
     let cv = cross_validate(&cfg, &winner, &metaopt_suite::regalloc_test_set());
     let mut vals = Vec::new();
     for (name, t, n) in &cv.per_bench {

@@ -2,7 +2,7 @@
 //! DSS over the SPECfp-like suite.
 
 use metaopt::experiment::train_general;
-use metaopt_bench::{harness_params, header, save_winner, speedup_row};
+use metaopt_bench::{harness_params, header, speedup_row};
 use metaopt_gp::expr::display_named;
 
 fn main() {
@@ -20,6 +20,5 @@ fn main() {
         speedup_row(name, *t, *n);
     }
     speedup_row("Average", r.mean_train, r.mean_novel);
-    save_winner("prefetch", &r.best);
     println!("\nwinner: {}", display_named(&r.best, &cfg.features));
 }

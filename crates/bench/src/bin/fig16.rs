@@ -1,10 +1,11 @@
 //! Figure 16: cross-validation of the prefetch confidence function on
 //! SPEC2000-like kernels, on two target architectures. Reproduces the
 //! paper's caveat: the training set taught "rarely prefetch", but several
-//! streaming SPEC2000 kernels *want* aggressive prefetching.
+//! streaming SPEC2000 kernels *want* aggressive prefetching. The function
+//! is `fig15`'s winner: the same deterministic DSS training, run again here.
 
 use metaopt::experiment::{cross_validate, train_general};
-use metaopt_bench::{harness_params, header, load_winner, mean, save_winner, speedup_row};
+use metaopt_bench::{harness_params, header, mean, speedup_row};
 
 fn main() {
     header(
@@ -12,16 +13,12 @@ fn main() {
         "Prefetch cross-validation on SPEC2000, two architectures (mixed results)",
     );
     let mut cfg = metaopt::study::prefetch();
-    let winner = load_winner("prefetch", &cfg.features).unwrap_or_else(|| {
-        eprintln!("(no cached winner from fig15 — running the DSS training first)");
-        let r = train_general(
-            &cfg,
-            &metaopt_suite::prefetch_training_set(),
-            &harness_params(),
-        );
-        save_winner("prefetch", &r.best);
-        r.best
-    });
+    let winner = train_general(
+        &cfg,
+        &metaopt_suite::prefetch_training_set(),
+        &harness_params(),
+    )
+    .best;
     for (label, machine) in [
         (
             "architecture A (Itanium-like)",

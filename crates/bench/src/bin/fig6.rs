@@ -2,7 +2,7 @@
 //! the whole training suite with dynamic subset selection.
 
 use metaopt::experiment::train_general;
-use metaopt_bench::{harness_params, header, save_winner, speedup_row};
+use metaopt_bench::{harness_params, header, speedup_row};
 
 fn main() {
     header(
@@ -16,9 +16,4 @@ fn main() {
         speedup_row(name, *t, *n);
     }
     speedup_row("Average", r.mean_train, r.mean_novel);
-    save_winner("hyperblock", &r.best);
-    println!(
-        "\nwinner cached for fig7/fig8: {}",
-        metaopt_bench::cache_path("hyperblock").display()
-    );
 }

@@ -1,8 +1,9 @@
 //! Figure 7: cross-validation of the general-purpose hyperblock priority
-//! function on the unrelated test set.
+//! function on the unrelated test set. The function is `fig6`'s winner:
+//! the same deterministic DSS training, run again here.
 
 use metaopt::experiment::{cross_validate, train_general};
-use metaopt_bench::{harness_params, header, load_winner, mean, save_winner, speedup_row};
+use metaopt_bench::{harness_params, header, mean, speedup_row};
 
 fn main() {
     header(
@@ -10,16 +11,12 @@ fn main() {
         "Cross-validation on the unrelated test set (paper: avg 1.09, a few below 1.0)",
     );
     let cfg = metaopt::study::hyperblock();
-    let winner = load_winner("hyperblock", &cfg.features).unwrap_or_else(|| {
-        eprintln!("(no cached winner from fig6 — running the DSS training first)");
-        let r = train_general(
-            &cfg,
-            &metaopt_suite::hyperblock_training_set(),
-            &harness_params(),
-        );
-        save_winner("hyperblock", &r.best);
-        r.best
-    });
+    let winner = train_general(
+        &cfg,
+        &metaopt_suite::hyperblock_training_set(),
+        &harness_params(),
+    )
+    .best;
     let cv = cross_validate(&cfg, &winner, &metaopt_suite::hyperblock_test_set());
     let mut vals = Vec::new();
     for (name, t, n) in &cv.per_bench {

@@ -1,7 +1,8 @@
-//! Figure 8: the best general-purpose hyperblock priority function found.
+//! Figure 8: the best general-purpose hyperblock priority function found,
+//! by the same deterministic DSS training as `fig6`.
 
 use metaopt::experiment::train_general;
-use metaopt_bench::{harness_params, header, load_winner, save_winner};
+use metaopt_bench::{harness_params, header};
 use metaopt_gp::expr::display_named;
 
 fn main() {
@@ -10,16 +11,12 @@ fn main() {
         "Best evolved general-purpose hyperblock priority function",
     );
     let cfg = metaopt::study::hyperblock();
-    let winner = load_winner("hyperblock", &cfg.features).unwrap_or_else(|| {
-        eprintln!("(no cached winner from fig6 — running the DSS training first)");
-        let r = train_general(
-            &cfg,
-            &metaopt_suite::hyperblock_training_set(),
-            &harness_params(),
-        );
-        save_winner("hyperblock", &r.best);
-        r.best
-    });
+    let winner = train_general(
+        &cfg,
+        &metaopt_suite::hyperblock_training_set(),
+        &harness_params(),
+    )
+    .best;
     println!("raw:        {}", display_named(&winner, &cfg.features));
     let simplified = metaopt_gp::simplify::simplify(&winner);
     println!("simplified: {}", display_named(&simplified, &cfg.features));

@@ -11,8 +11,10 @@
 //! `METAOPT_THREADS` to change it. `METAOPT_PAPER=1` selects the paper's
 //! full Table 2 parameters (population 400 × 50 generations). The paper
 //! reports "about one day per benchmark"; here the 15 figure and ablation
-//! binaries take about 34 s in total at that scale with
-//! `METAOPT_THREADS=2` on a 2-vCPU host.
+//! binaries take minutes in total at that scale with `METAOPT_THREADS=2` on
+//! a 2-vCPU host (219 s in one run). Each binary stands alone: the
+//! cross-validation figures run their training figure's deterministic DSS
+//! training themselves rather than read a winner another binary wrote.
 
 use metaopt_gp::GpParams;
 
@@ -83,25 +85,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     } else {
         xs.iter().sum::<f64>() / xs.len() as f64
     }
-}
-
-/// Location of cached winner expressions (so `fig7` can reuse `fig6`'s
-/// evolved priority function instead of re-running the search).
-pub fn cache_path(study: &str) -> std::path::PathBuf {
-    let dir = std::path::Path::new("target").join("metaopt_cache");
-    let _ = std::fs::create_dir_all(&dir);
-    dir.join(format!("{study}_winner.sexpr"))
-}
-
-/// Persist a winner expression for a later figure binary.
-pub fn save_winner(study: &str, expr: &metaopt_gp::Expr) {
-    let _ = std::fs::write(cache_path(study), expr.to_string());
-}
-
-/// Load a previously saved winner, if any.
-pub fn load_winner(study: &str, features: &metaopt_gp::FeatureSet) -> Option<metaopt_gp::Expr> {
-    let text = std::fs::read_to_string(cache_path(study)).ok()?;
-    metaopt_gp::parse::parse_expr(text.trim(), features).ok()
 }
 
 #[cfg(test)]

@@ -176,7 +176,13 @@ fn parse_args() -> Option<Options> {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--pop" => params.population = args.next()?.parse().ok()?,
+            "--pop" => {
+                params.population = args.next()?.parse().ok()?;
+                if params.population < 2 {
+                    eprintln!("--pop: the population must be at least 2");
+                    return None;
+                }
+            }
             "--gens" => params.generations = args.next()?.parse().ok()?,
             "--seed" => params.seed = args.next()?.parse().ok()?,
             "--threads" => params.threads = args.next()?.parse().ok()?,

@@ -10,9 +10,7 @@
 //! the winner fails contributes `NaN` to its column and is excluded from
 //! means, rather than aborting the whole experiment at the finish line.
 
-use crate::pipeline::{
-    EvalRequest, PrepareError, PreparedBench, StudyEvaluator, StudyMultiEvaluator, StudyPlanSpace,
-};
+use crate::pipeline::{EvalRequest, PrepareError, PreparedBench, StudyEvaluator, StudyPlanSpace};
 use crate::study::StudyConfig;
 use metaopt_compiler::{CompileStats, PipelinePlan};
 use metaopt_gp::checkpoint::{Checkpoint, CheckpointError};
@@ -21,7 +19,9 @@ use metaopt_gp::{CoEvolution, Evolution, Expr, GenLog, GpParams, QuarantineRecor
 use metaopt_suite::{Benchmark, DataSet};
 use metaopt_trace::json::Value;
 use metaopt_trace::Tracer;
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 
 /// Failure of an experiment driver: either benchmark preparation broke
@@ -132,6 +132,17 @@ fn mean_finite<I: Iterator<Item = f64>>(vals: I) -> f64 {
     }
 }
 
+/// `params` for a run of `study` on `bench` alone: the study's genome kind,
+/// and a seed derived from the configured seed and the benchmark name.
+fn bench_params(study: &StudyConfig, bench: &Benchmark, params: &GpParams) -> GpParams {
+    let mut h = DefaultHasher::new();
+    bench.name.hash(&mut h);
+    let mut params = params.clone();
+    params.kind = study.genome_kind;
+    params.seed ^= h.finish();
+    params
+}
+
 /// Evolve a priority function specialized to a single benchmark, with
 /// checkpoint/resume control. Each benchmark's evolution is independent
 /// (as in the paper's per-benchmark runs): the RNG seed is derived from
@@ -145,11 +156,7 @@ pub fn specialize_controlled(
     let pb = PreparedBench::try_new(study, bench)?;
     let benches = [pb];
     let evaluator = StudyEvaluator::new(study, &benches).with_tracer(control.tracer.clone());
-    let mut params = params.clone();
-    params.kind = study.genome_kind;
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    std::hash::Hash::hash(bench.name, &mut h);
-    params.seed ^= std::hash::Hasher::finish(&h);
+    let params = bench_params(study, bench, params);
     let mut evo = Evolution::new(params, &study.features, &evaluator)
         .with_seeds(vec![study.baseline_seed.clone()])
         .with_config_tag(study.plan.to_string())
@@ -573,13 +580,9 @@ pub fn co_evolve_controlled(
 ) -> Result<CoEvolutionResult, ExperimentError> {
     let pb = PreparedBench::try_new(study, bench)?;
     let benches = [pb];
-    let evaluator = StudyMultiEvaluator::new(study, &benches).with_tracer(control.tracer.clone());
+    let evaluator = StudyEvaluator::new(study, &benches).with_tracer(control.tracer.clone());
     let plan_space = StudyPlanSpace::new(study);
-    let mut params = params.clone();
-    params.kind = study.genome_kind;
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    std::hash::Hash::hash(bench.name, &mut h);
-    params.seed ^= std::hash::Hasher::finish(&h);
+    let params = bench_params(study, bench, params);
     let mut evo = CoEvolution::new(params, &study.features, &evaluator, &plan_space)
         .with_seeds(vec![study.baseline_seed.clone()])
         .with_objectives(objectives)

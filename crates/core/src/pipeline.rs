@@ -514,16 +514,18 @@ impl SimMemo {
     }
 }
 
-/// GP fitness evaluator over a set of prepared benchmarks: fitness of an
-/// expression on case *i* is its speedup over the baseline on benchmark
-/// *i*'s training data (paper §4: "total execution time" / Table 2:
-/// "average speedup over the baseline").
+/// GP fitness evaluator over a set of prepared benchmarks, for both loops:
+/// case *i* is benchmark *i*'s training data. As a [`metaopt_gp::Evaluator`]
+/// it scores an expression by its speedup over the baseline (paper §4:
+/// "total execution time" / Table 2: "average speedup over the baseline");
+/// as a [`metaopt_gp::MultiEvaluator`], a `(plan, expr)` genome compiled
+/// under its own plan by the objective vector of
+/// [`PreparedBench::try_objectives_traced`].
 ///
-/// Evaluation failures are returned as [`EvalOutcome::Failed`] with a
-/// classified error; the GP engine quarantines the genome and assigns the
-/// penalty fitness. With the `fault-inject` feature, an optional
-/// [`FaultInjector`] can deterministically force such failures for
-/// robustness testing.
+/// Evaluation failures are returned with a classified error; the GP engine
+/// quarantines the genome and assigns the penalty fitness. With the
+/// `fault-inject` feature, an optional [`FaultInjector`] can
+/// deterministically force such failures for robustness testing.
 ///
 /// Genomes that compile to the same program on the same case share one
 /// simulator run: the evaluator remembers each distinct program's
@@ -536,6 +538,9 @@ pub struct StudyEvaluator<'a> {
     tracer: Tracer,
     memo: SimMemo,
 }
+
+/// The name co-evolution's callers know [`StudyEvaluator`] by.
+pub type StudyMultiEvaluator<'a> = StudyEvaluator<'a>;
 
 impl<'a> StudyEvaluator<'a> {
     /// Evaluator for `study` over the prepared training cases.
@@ -562,11 +567,41 @@ impl<'a> StudyEvaluator<'a> {
         self.fault = Some(injector);
         self
     }
+
+    /// Number of training cases (prepared benchmarks), as both evaluator
+    /// traits report it.
+    pub fn num_cases(&self) -> usize {
+        self.benches.len()
+    }
+
+    /// Compile `expr` under `plan` (or the study's) and simulate it on case
+    /// `case`'s training data, through the memo, at retry `attempt`.
+    fn evaluate(
+        &self,
+        expr: &Expr,
+        plan: Option<&PipelinePlan>,
+        case: usize,
+        attempt: u32,
+    ) -> Result<Evaluation, EvalError> {
+        let pb = &self.benches[case];
+        let tracer = self
+            .tracer
+            .scoped([("bench", Value::str(pb.name.as_str()))]);
+        let req = EvalRequest {
+            expr: Some(expr),
+            plan,
+            ds: DataSet::Train,
+            tracer: &tracer,
+        };
+        let fault = self.fault.as_ref().map(|f| (f, attempt));
+        let memo = Some((&self.memo, case));
+        pb.eval(self.study, &req, &pb.eval_machine, fault, memo)
+    }
 }
 
 impl metaopt_gp::Evaluator for StudyEvaluator<'_> {
     fn num_cases(&self) -> usize {
-        self.benches.len()
+        StudyEvaluator::num_cases(self)
     }
 
     fn eval_case(&self, expr: &Expr, case: usize) -> EvalOutcome {
@@ -575,59 +610,16 @@ impl metaopt_gp::Evaluator for StudyEvaluator<'_> {
 
     fn eval_case_attempt(&self, expr: &Expr, case: usize, attempt: u32) -> EvalOutcome {
         let pb = &self.benches[case];
-        let tracer = self
-            .tracer
-            .scoped([("bench", Value::str(pb.name.as_str()))]);
-        let req = EvalRequest {
-            expr: Some(expr),
-            plan: None,
-            ds: DataSet::Train,
-            tracer: &tracer,
-        };
-        let fault = self.fault.as_ref().map(|f| (f, attempt));
-        let memo = Some((&self.memo, case));
-        match pb.eval(self.study, &req, &pb.eval_machine, fault, memo) {
+        match self.evaluate(expr, None, case, attempt) {
             Ok(e) => EvalOutcome::Score(pb.baseline_train_cycles as f64 / e.cycles as f64),
             Err(e) => EvalOutcome::Failed(e),
         }
     }
 }
 
-/// Multi-objective fitness evaluator over prepared benchmarks for
-/// co-evolution: each `(plan, expr)` genome compiles under the genome's
-/// own pipeline plan with the expression in the study's priority slot, and
-/// scores as the integer objective vector of
-/// [`PreparedBench::try_objectives_traced`] on the training data. Like
-/// [`StudyEvaluator`], it simulates each distinct compiled program once.
-pub struct StudyMultiEvaluator<'a> {
-    study: &'a StudyConfig,
-    benches: &'a [PreparedBench],
-    tracer: Tracer,
-    memo: SimMemo,
-}
-
-impl<'a> StudyMultiEvaluator<'a> {
-    /// Evaluator for `study` over the prepared training cases.
-    pub fn new(study: &'a StudyConfig, benches: &'a [PreparedBench]) -> Self {
-        StudyMultiEvaluator {
-            study,
-            benches,
-            tracer: Tracer::disabled(),
-            memo: SimMemo::default(),
-        }
-    }
-
-    /// Emit `pass` events for every evaluation and a `sim` event for every
-    /// simulator run (stamped with the benchmark name) into `tracer`.
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-}
-
-impl metaopt_gp::MultiEvaluator for StudyMultiEvaluator<'_> {
+impl metaopt_gp::MultiEvaluator for StudyEvaluator<'_> {
     fn num_cases(&self) -> usize {
-        self.benches.len()
+        StudyEvaluator::num_cases(self)
     }
 
     fn eval_objectives(
@@ -635,7 +627,7 @@ impl metaopt_gp::MultiEvaluator for StudyMultiEvaluator<'_> {
         plan: &str,
         expr: &Expr,
         case: usize,
-        _attempt: u32,
+        attempt: u32,
     ) -> Result<[u64; 3], EvalError> {
         let pb = &self.benches[case];
         let plan: PipelinePlan = plan.parse().map_err(|e| {
@@ -644,17 +636,7 @@ impl metaopt_gp::MultiEvaluator for StudyMultiEvaluator<'_> {
                 format!("{}: unparseable pipeline plan {plan:?}: {e}", pb.name),
             )
         })?;
-        let tracer = self
-            .tracer
-            .scoped([("bench", Value::str(pb.name.as_str()))]);
-        let req = EvalRequest {
-            expr: Some(expr),
-            plan: Some(&plan),
-            ds: DataSet::Train,
-            tracer: &tracer,
-        };
-        let memo = Some((&self.memo, case));
-        let evaluation = pb.eval(self.study, &req, &pb.eval_machine, None, memo)?;
+        let evaluation = self.evaluate(expr, Some(&plan), case, attempt)?;
         Ok(objectives(&plan, evaluation))
     }
 }

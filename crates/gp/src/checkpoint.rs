@@ -179,7 +179,8 @@ pub fn fingerprint(p: &GpParams, config_tag: &str) -> String {
     )
 }
 
-fn bad(message: String) -> CheckpointError {
+/// A [`CheckpointError::Parse`] about the whole document, not one line.
+pub(crate) fn bad(message: String) -> CheckpointError {
     CheckpointError::Parse { line: 0, message }
 }
 

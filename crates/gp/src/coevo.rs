@@ -18,12 +18,13 @@
 //! memo, the persistent fitness store, transient retries, panic
 //! containment, the quarantine ledger, the counters, and the trace events
 //! and metrics, so a co-evolved run meets the scalar run's contracts on all
-//! of them. This module keeps NSGA-II and the plan half of the genome. The
-//! two search spaces meet through two small traits — [`MultiEvaluator`]
-//! (objective vectors per `(plan, expr, case)`) and [`PlanSpace`] (plan
-//! seeds and genetic operators over canonical plan strings) — implemented
-//! by the `metaopt` core crate, keeping this crate free of a compiler
-//! dependency.
+//! of them; the same module's run lifecycle starts, resumes and
+//! checkpoints both loops. This module keeps NSGA-II and the plan half of
+//! the genome. The two search spaces meet through two small traits —
+//! [`MultiEvaluator`] (objective vectors per `(plan, expr, case)`) and
+//! [`PlanSpace`] (plan seeds and genetic operators over canonical plan
+//! strings) — implemented by the `metaopt` core crate, keeping this crate
+//! free of a compiler dependency.
 //!
 //! Determinism contract (shared with the scalar engine):
 //! - every RNG draw happens on the coordinating thread, in a fixed order;
@@ -35,26 +36,25 @@
 //! Checkpoints use format v4 (the population's plans ride in the `plans`
 //! field) under a fingerprint that embeds the objective mask and a
 //! co-evolution marker, so scalar and co-evolved runs can never resume
-//! each other's files. In the persistent fitness store keys extend to
-//! `plan|expr` and each objective lands in its own derived case slot, so a
-//! warm rerun skips straight past paid-for evaluations.
+//! each other's files; they hold the μ+λ population (survivors and
+//! offspring) that a resume restores. In the persistent fitness store keys
+//! extend to `plan|expr` and each objective lands in its own derived case
+//! slot, so a warm rerun skips straight past paid-for evaluations.
 
-use crate::checkpoint::{fingerprint, Checkpoint, CheckpointError};
+use crate::checkpoint::{bad, fingerprint, Checkpoint, CheckpointError};
 use crate::engine::{EvolutionResult, GenLog, GpParams};
 use crate::eval::EvalError;
-use crate::evaluate::EvalCore;
+use crate::evaluate::{offspring_count, unwrap_run, EvalCore, Lifecycle};
 use crate::expr::Expr;
 use crate::features::FeatureSet;
-use crate::gen::random_expr;
 use crate::ops::{crossover, mutate};
 use crate::pareto::{
     crowding_distance, dominates, hypervolume_proxy, non_dominated_sort, ParetoPoint,
     NUM_OBJECTIVES, OBJECTIVE_NAMES,
 };
-use crate::store::FitnessStore;
 use metaopt_trace::{json::Value, Tracer};
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 use std::collections::HashSet;
 use std::path::PathBuf;
 
@@ -154,13 +154,8 @@ pub struct CoEvolution<'a, E: MultiEvaluator, P: PlanSpace> {
     features: &'a FeatureSet,
     evaluator: &'a E,
     plan_space: &'a P,
-    seeds: Vec<Expr>,
     objectives: [bool; NUM_OBJECTIVES],
-    config_tag: String,
-    tracer: Tracer,
-    checkpoint_path: Option<PathBuf>,
-    resume: Option<Checkpoint>,
-    eval_cache: Option<PathBuf>,
+    lifecycle: Lifecycle,
 }
 
 impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
@@ -176,13 +171,8 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
             features,
             evaluator,
             plan_space,
-            seeds: Vec::new(),
             objectives: [true; NUM_OBJECTIVES],
-            config_tag: String::new(),
-            tracer: Tracer::disabled(),
-            checkpoint_path: None,
-            resume: None,
-            eval_cache: None,
+            lifecycle: Lifecycle::default(),
         }
     }
 
@@ -190,7 +180,7 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
     /// the plan space's seed plans, round-robin).
     #[must_use]
     pub fn with_seeds(mut self, seeds: Vec<Expr>) -> Self {
-        self.seeds = seeds;
+        self.lifecycle.seeds = seeds;
         self
     }
 
@@ -208,28 +198,28 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
     /// fingerprint (the experiment drivers pass the study identity).
     #[must_use]
     pub fn with_config_tag(mut self, tag: impl Into<String>) -> Self {
-        self.config_tag = tag.into();
+        self.lifecycle.config_tag = tag.into();
         self
     }
 
     /// Attach a structured-trace sink.
     #[must_use]
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.lifecycle.tracer = tracer;
         self
     }
 
     /// Write a v4 checkpoint after every completed generation.
     #[must_use]
     pub fn with_checkpoint_file(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint_path = Some(path.into());
+        self.lifecycle.checkpoint_path = Some(path.into());
         self
     }
 
     /// Resume from a previously saved checkpoint.
     #[must_use]
     pub fn resume_from(mut self, ck: Checkpoint) -> Self {
-        self.resume = Some(ck);
+        self.lifecycle.resume = Some(ck);
         self
     }
 
@@ -240,30 +230,14 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
     /// exactly).
     #[must_use]
     pub fn with_eval_cache(mut self, path: impl Into<PathBuf>) -> Self {
-        self.eval_cache = Some(path.into());
+        self.lifecycle.eval_cache = Some(path.into());
         self
-    }
-
-    /// The full fingerprint for this configuration: the scalar parameter
-    /// fingerprint under a config tag extended with a co-evolution marker
-    /// and the objective mask, so scalar checkpoints/stores and co-evolved
-    /// ones can never answer for each other.
-    fn full_fingerprint(&self) -> String {
-        fingerprint(
-            &self.params,
-            &format!(
-                "coevo objectives={} {}",
-                mask_label(&self.objectives),
-                self.config_tag
-            ),
-        )
     }
 
     /// Run, panicking on checkpoint/resume failures (evaluation failures
     /// are quarantined, never fatal).
     pub fn run(&self) -> EvolutionResult {
-        self.try_run()
-            .unwrap_or_else(|e| panic!("co-evolution run failed: {e}"))
+        unwrap_run(self.try_run(), "co-evolution")
     }
 
     /// Run the co-evolution, surfacing checkpoint/resume errors.
@@ -272,85 +246,36 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
     /// Checkpoint I/O, parse, or fingerprint-mismatch failures.
     pub fn try_run(&self) -> Result<EvolutionResult, CheckpointError> {
         let p = &self.params;
-        let fp = self.full_fingerprint();
-        let ncases = self.evaluator.num_cases();
-        let all_cases: Vec<usize> = (0..ncases).collect();
-
-        let store = self
-            .eval_cache
-            .as_ref()
-            .map(|path| FitnessStore::open(path, &fp, &self.tracer));
-
-        let mut rng;
-        let mut pop: Vec<PlanGenome>;
-        let mut log: Vec<GenLog>;
-        let start_generation;
-
-        if let Some(ck) = &self.resume {
-            ck.validate(&fp)?;
-            let plans = ck.plans.as_ref().ok_or_else(|| CheckpointError::Parse {
-                line: 0,
-                message: "checkpoint carries no plan genomes (written by a scalar run?)"
-                    .to_string(),
-            })?;
-            pop = Vec::with_capacity(ck.population.len());
-            for (genome, plan) in ck.population.iter().zip(plans) {
-                let expr = crate::parse::parse_expr(genome, self.features).map_err(|e| {
-                    CheckpointError::Parse {
-                        line: 0,
-                        message: format!("unparseable population genome {genome:?}: {e}"),
-                    }
+        let k = offspring_count(p);
+        let all_cases: Vec<usize> = (0..self.evaluator.num_cases()).collect();
+        // The fingerprint's co-evolution marker and objective mask keep
+        // scalar and co-evolved checkpoints and stores apart. A checkpoint
+        // holds the μ+λ population: the survivors and their offspring.
+        let mask = mask_label(&self.objectives);
+        let fp = fingerprint(
+            p,
+            &format!("coevo objectives={mask} {}", self.lifecycle.config_tag),
+        );
+        let (mut run, mut pop) =
+            self.lifecycle
+                .start(p, self.features, fp, p.population + k, |exprs, resume| {
+                    let plans = self.plans(resume, exprs.len())?;
+                    let pop = exprs.into_iter().zip(plans);
+                    Ok(pop
+                        .map(|(expr, plan)| PlanGenome { plan, expr })
+                        .collect::<Vec<_>>())
                 })?;
-                if !self.plan_space.is_valid(plan) {
-                    return Err(CheckpointError::Parse {
-                        line: 0,
-                        message: format!("invalid pipeline plan {plan:?} in checkpoint"),
-                    });
-                }
-                pop.push(PlanGenome {
-                    plan: plan.clone(),
-                    expr,
-                });
-            }
-            rng = StdRng::from_state(ck.rng_state);
-            log = ck.log.clone();
-            start_generation = ck.next_generation;
-        } else {
-            rng = StdRng::seed_from_u64(p.seed);
-            let seed_plans = self.plan_space.seed_plans();
-            assert!(!seed_plans.is_empty(), "PlanSpace::seed_plans is empty");
-            pop = Vec::with_capacity(p.population);
-            for i in 0..p.population {
-                let expr = match self.seeds.get(i) {
-                    Some(e) => e.clone(),
-                    None => random_expr(
-                        &mut rng,
-                        self.features,
-                        p.kind,
-                        p.init_depth.0,
-                        p.init_depth.1,
-                    ),
-                };
-                pop.push(PlanGenome {
-                    plan: seed_plans[i % seed_plans.len()].clone(),
-                    expr,
-                });
-            }
-            log = Vec::with_capacity(p.generations);
-            start_generation = 0;
-        }
-        let mut core = EvalCore::start(p, store, &self.tracer, self.resume.as_ref());
 
         let mut final_front: Vec<ParetoPoint> = Vec::new();
         let mut best_genome = 0usize;
         let mut objs: Vec<[u64; NUM_OBJECTIVES]> = Vec::new();
 
-        for generation in start_generation..p.generations {
-            let mark = core.mark();
+        for generation in run.first_generation..p.generations {
+            let mark = run.core.mark();
 
             // Evaluate everyone (fresh offspring pay, survivors hit the
             // memo), then truncate back to the configured population size.
-            let raw_objs = self.summed_objectives(&mut core, &pop, &all_cases, generation);
+            let raw_objs = self.summed_objectives(&mut run.core, &pop, &all_cases, generation);
             let (selected_pop, selected_objs, ranks, crowding) =
                 self.environmental_selection(pop, raw_objs, p.population);
             pop = selected_pop;
@@ -358,7 +283,7 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
 
             best_genome = argmin_cycles(&objs);
             let mean_cycles = mean_cycles(&objs);
-            log.push(GenLog {
+            run.log.push(GenLog {
                 generation,
                 best_fitness: objs[best_genome][0] as f64,
                 mean_fitness: mean_cycles,
@@ -367,8 +292,9 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
             });
 
             final_front = self.front_points(&pop, &objs);
-            core.end_generation(log.last().expect("just pushed"), mark);
-            if self.tracer.enabled() {
+            run.core
+                .end_generation(run.log.last().expect("just pushed"), mark);
+            if self.lifecycle.tracer.enabled() {
                 self.emit_front(generation, &final_front);
             }
 
@@ -380,21 +306,20 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
             // independent expression/plan mutation. Offspring are appended
             // unevaluated; the next iteration's evaluation + truncation is
             // the (μ+λ) environmental selection.
-            let k = ((p.replace_frac * p.population as f64).round() as usize)
-                .clamp(1, p.population.saturating_sub(1));
+            let rng = &mut run.rng;
             let mut offspring = Vec::with_capacity(k);
             for _ in 0..k {
-                let a = self.crowded_tournament(&mut rng, &ranks, &crowding);
-                let b = self.crowded_tournament(&mut rng, &ranks, &crowding);
-                let mut expr = crossover(&mut rng, &pop[a].expr, &pop[b].expr, p.max_depth);
-                let mut plan =
-                    self.plan_space
-                        .crossover_plans(&mut rng, &pop[a].plan, &pop[b].plan);
+                let a = self.crowded_tournament(rng, &ranks, &crowding);
+                let b = self.crowded_tournament(rng, &ranks, &crowding);
+                let mut expr = crossover(rng, &pop[a].expr, &pop[b].expr, p.max_depth);
+                let mut plan = self
+                    .plan_space
+                    .crossover_plans(rng, &pop[a].plan, &pop[b].plan);
                 if rng.random_bool(p.mutation_rate) {
-                    expr = mutate(&mut rng, &expr, self.features, p.max_depth);
+                    expr = mutate(rng, &expr, self.features, p.max_depth);
                 }
                 if rng.random_bool(p.mutation_rate) {
-                    plan = self.plan_space.mutate_plan(&mut rng, &plan);
+                    plan = self.plan_space.mutate_plan(rng, &plan);
                 }
                 offspring.push(PlanGenome { plan, expr });
             }
@@ -402,26 +327,38 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
 
             // Snapshot at the generation boundary: the μ+λ population and
             // the RNG state it was bred with.
-            if let Some(path) = &self.checkpoint_path {
-                core.save_checkpoint(
-                    path,
-                    &Checkpoint {
-                        population: pop.iter().map(|g| g.expr.key()).collect(),
-                        plans: Some(pop.iter().map(|g| g.plan.clone()).collect()),
-                        log: log.clone(),
-                        ..core.checkpoint(&fp, generation + 1, &rng)
-                    },
-                )?;
-            }
+            run.checkpoint(generation + 1, |ck| {
+                ck.population = pop.iter().map(|g| g.expr.key()).collect();
+                ck.plans = Some(pop.iter().map(|g| g.plan.clone()).collect());
+            })?;
         }
 
-        let best = pop
-            .get(best_genome)
-            .cloned()
-            .unwrap_or_else(|| pop[0].clone());
+        // `best_genome` indexes the survivors, which lead the population.
+        let best = pop.swap_remove(best_genome);
         let best_fitness = objs.get(best_genome).map_or(f64::NAN, |o| o[0] as f64);
         let best_key = best.key();
-        Ok(core.finish(best.expr, &best_key, best_fitness, log, final_front))
+        let result = run
+            .core
+            .finish(best.expr, &best_key, best_fitness, run.log, final_front);
+        Ok(result)
+    }
+
+    /// The population's plans: the resume checkpoint's, each of which must
+    /// be valid in the plan space, or on a fresh start the `n` seed plans
+    /// taken round-robin.
+    fn plans(&self, resume: Option<&Checkpoint>, n: usize) -> Result<Vec<String>, CheckpointError> {
+        let Some(ck) = resume else {
+            let seed_plans = self.plan_space.seed_plans();
+            assert!(!seed_plans.is_empty(), "PlanSpace::seed_plans is empty");
+            return Ok(seed_plans.iter().cycle().take(n).cloned().collect());
+        };
+        let plans = ck.plans.clone().ok_or_else(|| {
+            bad("checkpoint carries no plan genomes (written by a scalar run?)".to_string())
+        })?;
+        match plans.iter().find(|plan| !self.plan_space.is_valid(plan)) {
+            Some(plan) => Err(bad(format!("invalid pipeline plan {plan:?} in checkpoint"))),
+            None => Ok(plans),
+        }
     }
 
     /// Every genome's objective vector summed over `cases` (saturating),
@@ -585,7 +522,7 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
                 ])
             })
             .collect();
-        self.tracer.emit(
+        self.lifecycle.tracer.emit(
             "pareto-front",
             [
                 ("gen", Value::UInt(generation as u64)),
@@ -798,6 +735,58 @@ mod tests {
         assert_eq!(resumed.front, straight.front);
         assert_eq!(resumed.log, straight.log);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Resume a `--pop 10` co-evolved run, which checkpoints its μ+λ
+    /// population of 12 genomes, from one of its checkpoints cut to `keep`
+    /// genomes and round-tripped through the file format.
+    fn resume_from_cut_checkpoint(keep: usize) -> CheckpointError {
+        let fs = features();
+        let path = std::env::temp_dir().join(format!(
+            "metaopt-coevo-cut-{keep}-{}.json",
+            std::process::id()
+        ));
+        let p = GpParams {
+            population: 10,
+            ..params(1)
+        };
+        let short = GpParams {
+            generations: 2,
+            ..p.clone()
+        };
+        CoEvolution::new(short, &fs, &Landscape, &Toy)
+            .with_checkpoint_file(&path)
+            .run();
+        let mut ck = Checkpoint::load(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(ck.population.len(), 12);
+        ck.population.truncate(keep);
+        ck.plans.as_mut().unwrap().truncate(keep);
+        let ck = Checkpoint::parse(&ck.to_text()).unwrap();
+        CoEvolution::new(p, &fs, &Landscape, &Toy)
+            .resume_from(ck)
+            .try_run()
+            .unwrap_err()
+    }
+
+    #[test]
+    fn resume_refuses_an_empty_population() {
+        let err = resume_from_cut_checkpoint(0);
+        assert!(
+            matches!(&err, CheckpointError::Parse { message, .. }
+                if message == "checkpoint has 0 genomes, params want 12"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn resume_refuses_a_population_of_the_wrong_size() {
+        let err = resume_from_cut_checkpoint(3);
+        assert!(
+            matches!(&err, CheckpointError::Parse { message, .. }
+                if message == "checkpoint has 3 genomes, params want 12"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,31 +1,29 @@
 //! The scalar evolutionary search (paper §3–4, Table 2).
 //!
 //! [`Evolution`] evolves one priority expression inside a fixed
-//! compilation pipeline. Every fitness evaluation goes through the
-//! evaluation core it shares with [`crate::coevo::CoEvolution`] (the
-//! crate-private `evaluate` module): the `(genome, case)` memo, the
-//! persistent [`FitnessStore`], transient retries, panic containment, the
-//! quarantine ledger, the counters, and the run's trace events and
-//! metrics. On top of the core this module keeps what is particular to
-//! scalar GP: the genome lint gate, dynamic subset selection, tournament
-//! selection with parsimony, and elitism.
+//! compilation pipeline. It shares with [`crate::coevo::CoEvolution`] the
+//! crate-private `evaluate` module: the evaluation core (the `(genome,
+//! case)` memo, the persistent [`crate::store::FitnessStore`], transient
+//! retries, panic containment, the quarantine ledger, the counters, and the
+//! run's trace events and metrics) and the run lifecycle (start, resume,
+//! offspring count, checkpoint). This module keeps what is particular to
+//! scalar GP: the genome lint gate, dynamic subset selection (its own
+//! checkpoint field), tournament selection with parsimony, and elitism.
 //!
 //! Results are identical at every `threads` setting: each generation's
 //! evaluations form one wave whose accounting the core folds serially,
 //! and every RNG draw happens on the calling thread.
 
-use crate::checkpoint::{fingerprint, Checkpoint, CheckpointError, DssState};
+use crate::checkpoint::{bad, fingerprint, Checkpoint, CheckpointError, DssState};
 use crate::dss::Dss;
 use crate::eval::{EvalOutcome, QuarantineRecord};
-use crate::evaluate::EvalCore;
+use crate::evaluate::{offspring_count, unwrap_run, EvalCore, Lifecycle};
 use crate::expr::{Expr, Kind};
 use crate::features::FeatureSet;
-use crate::gen::random_expr;
 use crate::ops::{crossover, mutate};
-use crate::store::FitnessStore;
 use metaopt_trace::Tracer;
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::RngExt;
 use std::path::PathBuf;
 
 /// Fitness assigned to a genome whose evaluation failed on any case in the
@@ -64,7 +62,9 @@ pub trait Evaluator: Sync {
 /// Search parameters (paper Table 2).
 #[derive(Clone, Debug)]
 pub struct GpParams {
-    /// Population size.
+    /// Population size; the population must be at least 2, because each
+    /// generation replaces at least one genome and elitism keeps another.
+    /// A run panics on a smaller one.
     pub population: usize,
     /// Number of generations.
     pub generations: usize,
@@ -200,12 +200,7 @@ pub struct Evolution<'a, E: Evaluator> {
     params: GpParams,
     features: &'a FeatureSet,
     evaluator: &'a E,
-    seeds: Vec<Expr>,
-    checkpoint_path: Option<PathBuf>,
-    resume: Option<Checkpoint>,
-    config_tag: String,
-    tracer: Tracer,
-    eval_cache: Option<PathBuf>,
+    lifecycle: Lifecycle,
 }
 
 impl<'a, E: Evaluator> Evolution<'a, E> {
@@ -215,12 +210,7 @@ impl<'a, E: Evaluator> Evolution<'a, E> {
             params,
             features,
             evaluator,
-            seeds: Vec::new(),
-            checkpoint_path: None,
-            resume: None,
-            config_tag: String::new(),
-            tracer: Tracer::disabled(),
-            eval_cache: None,
+            lifecycle: Lifecycle::default(),
         }
     }
 
@@ -233,7 +223,7 @@ impl<'a, E: Evaluator> Evolution<'a, E> {
     /// is ignored. An unreadable or corrupted store degrades to in-memory
     /// operation — it never fails the run.
     pub fn with_eval_cache(mut self, path: impl Into<PathBuf>) -> Self {
-        self.eval_cache = Some(path.into());
+        self.lifecycle.eval_cache = Some(path.into());
         self
     }
 
@@ -242,7 +232,7 @@ impl<'a, E: Evaluator> Evolution<'a, E> {
     /// costs one branch per would-be event and leaves results bit-identical
     /// to a build without tracing.
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
+        self.lifecycle.tracer = tracer;
         self
     }
 
@@ -252,21 +242,21 @@ impl<'a, E: Evaluator> Evolution<'a, E> {
     /// silently change every fitness value — is rejected like any other
     /// parameter mismatch.
     pub fn with_config_tag(mut self, tag: impl Into<String>) -> Self {
-        self.config_tag = tag.into();
+        self.lifecycle.config_tag = tag.into();
         self
     }
 
     /// Seed the initial population (paper §4: "we seed the initial
     /// population with the compiler writer's best guess").
     pub fn with_seeds(mut self, seeds: Vec<Expr>) -> Self {
-        self.seeds = seeds;
+        self.lifecycle.seeds = seeds;
         self
     }
 
     /// Write a resumable checkpoint to `path` after every generation's
     /// breeding step (atomically: temp file + rename).
     pub fn with_checkpoint_file(mut self, path: impl Into<PathBuf>) -> Self {
-        self.checkpoint_path = Some(path.into());
+        self.lifecycle.checkpoint_path = Some(path.into());
         self
     }
 
@@ -276,7 +266,7 @@ impl<'a, E: Evaluator> Evolution<'a, E> {
     /// same deterministic evaluator, a resumed run reproduces the
     /// uninterrupted run exactly.
     pub fn resume_from(mut self, checkpoint: Checkpoint) -> Self {
-        self.resume = Some(checkpoint);
+        self.lifecycle.resume = Some(checkpoint);
         self
     }
 
@@ -362,6 +352,32 @@ impl<'a, E: Evaluator> Evolution<'a, E> {
         best
     }
 
+    /// The run's DSS state: the resume checkpoint's, which must cover the
+    /// evaluator's `ncases` cases, or on a fresh start a new one when the
+    /// params ask for subsets smaller than the training set.
+    fn dss(
+        &self,
+        resume: Option<&Checkpoint>,
+        ncases: usize,
+    ) -> Result<Option<Dss>, CheckpointError> {
+        let Some(ck) = resume else {
+            let subset_size = self.params.subset_size.filter(|&s| s < ncases);
+            return Ok(subset_size.map(|s| Dss::new(ncases, s)));
+        };
+        let Some(st) = &ck.dss else {
+            return Ok(None);
+        };
+        let covered = st.difficulty.len();
+        Dss::restore(st.subset_size, st.difficulty.clone(), st.age.clone())
+            .filter(|d| d.num_cases() == ncases)
+            .map(Some)
+            .ok_or_else(|| {
+                bad(format!(
+                    "DSS state covers {covered} cases, evaluator has {ncases}"
+                ))
+            })
+    }
+
     /// Run the evolution, panicking on checkpoint/resume failures.
     ///
     /// Fitness-evaluation failures never panic — they are quarantined and
@@ -371,104 +387,32 @@ impl<'a, E: Evaluator> Evolution<'a, E> {
     /// checkpoint/resume should prefer [`Evolution::try_run`] and report
     /// the error.
     pub fn run(&self) -> EvolutionResult {
-        self.try_run()
-            .unwrap_or_else(|e| panic!("evolution run failed: {e}"))
+        unwrap_run(self.try_run(), "evolution")
     }
 
     /// Run the evolution, surfacing checkpoint/resume errors.
     pub fn try_run(&self) -> Result<EvolutionResult, CheckpointError> {
         let p = &self.params;
-        let fp = fingerprint(p, &self.config_tag);
+        let k = offspring_count(p);
         let ncases = self.evaluator.num_cases();
         let all_cases: Vec<usize> = (0..ncases).collect();
-
-        // Open (and, if needed, recover) the persistent fitness store
-        // before anything evaluates. The fingerprint gate means a store
-        // from any other configuration degrades to in-memory operation.
-        let store = self
-            .eval_cache
-            .as_ref()
-            .map(|path| FitnessStore::open(path, &fp, &self.tracer));
-
-        let mut rng;
-        let mut pop: Vec<Expr>;
-        let mut dss;
-        let mut log;
-        let start_generation;
-
-        if let Some(ck) = &self.resume {
-            ck.validate(&fp)?;
-            rng = StdRng::from_state(ck.rng_state);
-            pop = Vec::with_capacity(ck.population.len());
-            for genome in &ck.population {
-                let expr = crate::parse::parse_expr(genome, self.features).map_err(|e| {
-                    CheckpointError::Parse {
-                        line: 0,
-                        message: format!("unparseable population genome {genome:?}: {e}"),
-                    }
+        let fp = fingerprint(p, &self.lifecycle.config_tag);
+        let (mut run, (mut pop, mut dss)) =
+            self.lifecycle
+                .start(p, self.features, fp, p.population, |pop, resume| {
+                    Ok((pop, self.dss(resume, ncases)?))
                 })?;
-                pop.push(expr);
-            }
-            if pop.len() != p.population {
-                return Err(CheckpointError::Parse {
-                    line: 0,
-                    message: format!(
-                        "checkpoint has {} genomes, params want {}",
-                        pop.len(),
-                        p.population
-                    ),
-                });
-            }
-            dss = match &ck.dss {
-                Some(st) => Some(
-                    Dss::restore(st.subset_size, st.difficulty.clone(), st.age.clone())
-                        .filter(|d| d.num_cases() == ncases)
-                        .ok_or_else(|| CheckpointError::Parse {
-                            line: 0,
-                            message: format!(
-                                "DSS state covers {} cases, evaluator has {ncases}",
-                                st.difficulty.len()
-                            ),
-                        })?,
-                ),
-                None => None,
-            };
-            log = ck.log.clone();
-            start_generation = ck.next_generation;
-        } else {
-            rng = StdRng::seed_from_u64(p.seed);
 
-            // Initial population: seeds then ramped-grow randoms.
-            pop = self.seeds.iter().take(p.population).cloned().collect();
-            while pop.len() < p.population {
-                pop.push(random_expr(
-                    &mut rng,
-                    self.features,
-                    p.kind,
-                    p.init_depth.0,
-                    p.init_depth.1,
-                ));
-            }
-
-            dss = p
-                .subset_size
-                .filter(|&s| s < ncases)
-                .map(|s| Dss::new(ncases, s));
-            log = Vec::with_capacity(p.generations);
-            start_generation = 0;
-        }
-        let mut core = EvalCore::start(p, store, &self.tracer, self.resume.as_ref());
-
-        for generation in start_generation..p.generations {
-            let mark = core.mark();
+        for generation in run.first_generation..p.generations {
+            let mark = run.core.mark();
             let subset = match &mut dss {
-                Some(d) => d.select(&mut rng),
+                Some(d) => d.select(&mut run.rng),
                 None => all_cases.clone(),
             };
-            let fits = self.evaluate_all(&mut core, &pop, &subset, generation);
+            let fits = self.evaluate_all(&mut run.core, &pop, &subset, generation);
 
             let best_idx = argbest(&fits, &pop, p.fitness_epsilon);
-            log.push(GenLog {
+            run.log.push(GenLog {
                 generation,
                 best_fitness: fits[best_idx],
                 mean_fitness: fits.iter().sum::<f64>() / fits.len().max(1) as f64,
@@ -483,28 +427,28 @@ impl<'a, E: Evaluator> Evolution<'a, E> {
             if let Some(d) = &mut dss {
                 let best = &pop[best_idx];
                 let key = best.key();
-                let scores = self.wave(&mut core, &[(key.as_str(), best)], &subset, generation);
+                let scores = self.wave(&mut run.core, &[(key.as_str(), best)], &subset, generation);
                 for (&c, s) in subset.iter().zip(&scores[0]) {
                     d.report(c, s.unwrap_or(PENALTY_FITNESS));
                 }
             }
-            core.end_generation(log.last().expect("just pushed"), mark);
+            run.core
+                .end_generation(run.log.last().expect("just pushed"), mark);
 
             if generation + 1 == p.generations {
                 break;
             }
 
-            // Breed: replace `replace_frac` of the population (elitism: the
-            // best expression is never displaced).
-            let k = ((p.replace_frac * p.population as f64).round() as usize)
-                .clamp(1, p.population.saturating_sub(1));
+            // Breed: replace `k` genomes (elitism: the best expression is
+            // never displaced).
+            let rng = &mut run.rng;
             let mut offspring = Vec::with_capacity(k);
             for _ in 0..k {
-                let a = self.tournament(&mut rng, &pop, &fits);
-                let b = self.tournament(&mut rng, &pop, &fits);
-                let mut child = crossover(&mut rng, &pop[a], &pop[b], p.max_depth);
+                let a = self.tournament(rng, &pop, &fits);
+                let b = self.tournament(rng, &pop, &fits);
+                let mut child = crossover(rng, &pop[a], &pop[b], p.max_depth);
                 if rng.random_bool(p.mutation_rate) {
-                    child = mutate(&mut rng, &child, self.features, p.max_depth);
+                    child = mutate(rng, &child, self.features, p.max_depth);
                 }
                 offspring.push(child);
             }
@@ -521,37 +465,33 @@ impl<'a, E: Evaluator> Evolution<'a, E> {
             // Snapshot at the generation boundary: everything the next
             // generation's RNG draws and fitness comparisons depend on is
             // now settled.
-            if let Some(path) = &self.checkpoint_path {
-                core.save_checkpoint(
-                    path,
-                    &Checkpoint {
-                        // Serialize via `key()` (full-precision constants):
-                        // `Display` rounds to four decimals, which would
-                        // corrupt genomes across a resume.
-                        population: pop.iter().map(Expr::key).collect(),
-                        dss: dss.as_ref().map(|d| {
-                            let (difficulty, age) = d.state();
-                            DssState {
-                                subset_size: d.subset_size(),
-                                difficulty,
-                                age,
-                            }
-                        }),
-                        log: log.clone(),
-                        ..core.checkpoint(&fp, generation + 1, &rng)
-                    },
-                )?;
-            }
+            run.checkpoint(generation + 1, |ck| {
+                // Serialize via `key()` (full-precision constants): `Display`
+                // rounds to four decimals, which would corrupt genomes
+                // across a resume.
+                ck.population = pop.iter().map(Expr::key).collect();
+                ck.dss = dss.as_ref().map(|d| {
+                    let (difficulty, age) = d.state();
+                    DssState {
+                        subset_size: d.subset_size(),
+                        difficulty,
+                        age,
+                    }
+                });
+            })?;
         }
 
         // Final judgement on the full training set (attributed to the
         // one-past-the-end generation index in the trace).
-        let final_fits = self.evaluate_all(&mut core, &pop, &all_cases, p.generations);
-        core.snapshot(p.generations);
+        let final_fits = self.evaluate_all(&mut run.core, &pop, &all_cases, p.generations);
+        run.core.snapshot(p.generations);
         let best_idx = argbest(&final_fits, &pop, p.fitness_epsilon);
         let best = pop.swap_remove(best_idx);
         let best_key = best.key();
-        Ok(core.finish(best, &best_key, final_fits[best_idx], log, Vec::new()))
+        let result = run
+            .core
+            .finish(best, &best_key, final_fits[best_idx], run.log, Vec::new());
+        Ok(result)
     }
 }
 
@@ -1274,6 +1214,32 @@ mod tests {
         other.seed ^= 0x1000;
         let fresh = Evolution::new(other, &fs, &ev).with_eval_cache(&path).run();
         assert_eq!(fresh.warm_hits, 0, "foreign-fingerprint store was used");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_refuses_a_population_of_the_wrong_size() {
+        let fs = features();
+        let mut params = GpParams::quick();
+        params.generations = 2;
+        params.population = 10;
+        params.threads = 1;
+        let path = temp_checkpoint("cut");
+        Evolution::new(params.clone(), &fs, &Regress)
+            .with_checkpoint_file(&path)
+            .try_run()
+            .unwrap();
+        let mut ck = Checkpoint::load(&path).unwrap();
+        ck.population.truncate(3);
+        let err = Evolution::new(params, &fs, &Regress)
+            .resume_from(ck)
+            .try_run()
+            .unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::Parse { message, .. }
+                if message == "checkpoint has 3 genomes, params want 10"),
+            "{err}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

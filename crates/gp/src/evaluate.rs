@@ -1,4 +1,4 @@
-//! The evaluation core under both evolution loops.
+//! The evaluation core and the run lifecycle under both evolution loops.
 //!
 //! Meta Optimization pays for one compile-and-simulate per `(genome,
 //! case)` pair; everything else in a run is cheap. [`EvalCore`] is the one
@@ -13,12 +13,14 @@
 //!   vector at `c * NUM_OBJECTIVES + k`);
 //! - the evaluator call under `catch_unwind`, with deterministic retries
 //!   of transient failures;
-//! - the quarantine ledger, the counters, the checkpoint's accounting,
-//!   and the run's trace events
+//! - the quarantine ledger, the counters, and the run's trace events
 //!   (`evolution-start`, `eval`, `retry`, `generation`,
 //!   `metrics-snapshot`, `checkpoint`, `evolution-end`).
 //!
-//! The loops on top only breed and select.
+//! [`Lifecycle`] is the rest of a run outside selection: the builders'
+//! options, the store, the resume or fresh start, the offspring count and
+//! the generation-boundary checkpoint. The loops on top only select and
+//! breed, each with its own checkpoint field (DSS state, or plans).
 //!
 //! # Waves
 //!
@@ -49,19 +51,23 @@
 //! watchdog: a scoped thread cannot be abandoned, and a deadline on the
 //! wall clock would make results depend on the host's speed.
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{bad, Checkpoint, CheckpointError};
 use crate::engine::{EvolutionResult, GenLog, GpParams};
 use crate::eval::{EvalError, QuarantineRecord};
 use crate::expr::Expr;
+use crate::features::FeatureSet;
+use crate::gen::random_expr;
 use crate::pareto::{ParetoPoint, NUM_OBJECTIVES};
+use crate::parse::parse_expr;
 use crate::store::{fnv1a, FitnessStore};
 use metaopt_trace::json::Value;
 use metaopt_trace::schema::OUTCOME_SCORE;
 use metaopt_trace::{Span, Tracer};
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -490,51 +496,6 @@ impl<O: Outcome> EvalCore<O> {
             .collect()
     }
 
-    /// A checkpoint for generation boundary `next_generation` carrying the
-    /// run's accounting; the caller fills in the population (and plans,
-    /// DSS state and log).
-    pub(crate) fn checkpoint(
-        &self,
-        fingerprint: &str,
-        next_generation: usize,
-        rng: &StdRng,
-    ) -> Checkpoint {
-        Checkpoint {
-            fingerprint: fingerprint.to_string(),
-            next_generation,
-            rng_state: rng.state(),
-            population: Vec::new(),
-            plans: None,
-            dss: None,
-            log: Vec::new(),
-            evaluations: self.evaluations,
-            successes: self.successes,
-            failures: self.failures,
-            quarantined: self.ledger_records(),
-            memo_entries: self.memo.values().map(|cases| cases.len() as u64).sum(),
-        }
-    }
-
-    /// Save `ck` to `path` (atomically) and trace the write.
-    pub(crate) fn save_checkpoint(
-        &self,
-        path: &Path,
-        ck: &Checkpoint,
-    ) -> Result<(), CheckpointError> {
-        let span = self.tracer.begin();
-        ck.save(path)?;
-        if self.tracer.enabled() {
-            self.tracer.emit(
-                "checkpoint",
-                [
-                    ("gen", Value::UInt(ck.next_generation as u64)),
-                    ("dur_ns", Value::UInt(span.dur_ns())),
-                ],
-            );
-        }
-        Ok(())
-    }
-
     /// End the run: its result, and the `evolution-end` event naming the
     /// winner by `best_key`.
     pub(crate) fn finish(
@@ -573,5 +534,158 @@ impl<O: Outcome> EvalCore<O> {
             self.tracer.flush();
         }
         result
+    }
+}
+
+/// The run lifecycle both loops share: the options their builders set, and
+/// everything a run does outside selection (see the module docs).
+#[derive(Default)]
+pub(crate) struct Lifecycle {
+    pub(crate) seeds: Vec<Expr>,
+    pub(crate) config_tag: String,
+    pub(crate) tracer: Tracer,
+    pub(crate) checkpoint_path: Option<PathBuf>,
+    pub(crate) resume: Option<Checkpoint>,
+    pub(crate) eval_cache: Option<PathBuf>,
+}
+
+/// A started run: its evaluation core, and the search state a checkpoint
+/// carries beside the loop's population.
+pub(crate) struct Run<O> {
+    pub(crate) core: EvalCore<O>,
+    pub(crate) rng: StdRng,
+    pub(crate) log: Vec<GenLog>,
+    /// The first generation to run: 0, or a resumed checkpoint's next one.
+    pub(crate) first_generation: usize,
+    fingerprint: String,
+    checkpoint_path: Option<PathBuf>,
+}
+
+/// How many offspring a generation breeds: `replace_frac` of the
+/// population, at least one, and never all of it, so that elitism always
+/// has a genome to keep.
+pub(crate) fn offspring_count(params: &GpParams) -> usize {
+    assert!(params.population >= 2, "the population must be at least 2");
+    ((params.replace_frac * params.population as f64).round() as usize)
+        .clamp(1, params.population - 1)
+}
+
+/// The panicking form of a loop's `try_run`: a checkpoint I/O error or a
+/// refused resume has no in-run recovery.
+pub(crate) fn unwrap_run<T>(result: Result<T, CheckpointError>, search: &str) -> T {
+    result.unwrap_or_else(|e| panic!("{search} run failed: {e}"))
+}
+
+impl Lifecycle {
+    /// Start a run under `fingerprint`. The store opens first, so that one
+    /// from any other configuration degrades to in-memory operation before
+    /// anything evaluates. A resume
+    /// restores exactly `genomes` genomes; a fresh start takes the seeds,
+    /// then ramped-grow expressions. `population` turns those into the
+    /// loop's population, reading its own field of the checkpoint, before
+    /// the core starts: a refused resume emits no `evolution-start`.
+    pub(crate) fn start<O: Outcome, P>(
+        &self,
+        params: &GpParams,
+        features: &FeatureSet,
+        fingerprint: String,
+        genomes: usize,
+        population: impl FnOnce(Vec<Expr>, Option<&Checkpoint>) -> Result<P, CheckpointError>,
+    ) -> Result<(Run<O>, P), CheckpointError> {
+        let store = self
+            .eval_cache
+            .as_ref()
+            .map(|path| FitnessStore::open(path, &fingerprint, &self.tracer));
+        let (rng, exprs, log, first_generation) = match &self.resume {
+            Some(ck) => {
+                ck.validate(&fingerprint)?;
+                let exprs = restore(ck, features, genomes)?;
+                let rng = StdRng::from_state(ck.rng_state);
+                (rng, exprs, ck.log.clone(), ck.next_generation)
+            }
+            None => {
+                let mut rng = StdRng::seed_from_u64(params.seed);
+                let (lo, hi) = params.init_depth;
+                let mut exprs: Vec<Expr> =
+                    self.seeds.iter().take(params.population).cloned().collect();
+                while exprs.len() < params.population {
+                    exprs.push(random_expr(&mut rng, features, params.kind, lo, hi));
+                }
+                (rng, exprs, Vec::with_capacity(params.generations), 0)
+            }
+        };
+        let pop = population(exprs, self.resume.as_ref())?;
+        let run = Run {
+            core: EvalCore::start(params, store, &self.tracer, self.resume.as_ref()),
+            rng,
+            log,
+            first_generation,
+            fingerprint,
+            checkpoint_path: self.checkpoint_path.clone(),
+        };
+        Ok((run, pop))
+    }
+}
+
+/// A resume checkpoint's genomes, which must number `genomes`.
+fn restore(ck: &Checkpoint, fs: &FeatureSet, genomes: usize) -> Result<Vec<Expr>, CheckpointError> {
+    let parse = |genome: &String| {
+        parse_expr(genome, fs)
+            .map_err(|e| bad(format!("unparseable population genome {genome:?}: {e}")))
+    };
+    let exprs = ck
+        .population
+        .iter()
+        .map(parse)
+        .collect::<Result<Vec<_>, _>>()?;
+    match exprs.len() {
+        n if n == genomes => Ok(exprs),
+        n => Err(bad(format!(
+            "checkpoint has {n} genomes, params want {genomes}"
+        ))),
+    }
+}
+
+impl<O: Outcome> Run<O> {
+    /// Write the checkpoint of the generation boundary before
+    /// `next_generation`, if the run has a checkpoint file: the core's
+    /// accounting, the RNG state and the log, with the population and the
+    /// loop's own field that `fill` sets. The write is atomic and traced.
+    pub(crate) fn checkpoint(
+        &self,
+        next_generation: usize,
+        fill: impl FnOnce(&mut Checkpoint),
+    ) -> Result<(), CheckpointError> {
+        let Some(path) = &self.checkpoint_path else {
+            return Ok(());
+        };
+        let core = &self.core;
+        let mut ck = Checkpoint {
+            fingerprint: self.fingerprint.clone(),
+            next_generation,
+            rng_state: self.rng.state(),
+            population: Vec::new(),
+            plans: None,
+            dss: None,
+            log: self.log.clone(),
+            evaluations: core.evaluations,
+            successes: core.successes,
+            failures: core.failures,
+            quarantined: core.ledger_records(),
+            memo_entries: core.memo.values().map(|cases| cases.len() as u64).sum(),
+        };
+        fill(&mut ck);
+        let span = core.tracer.begin();
+        ck.save(path)?;
+        if core.tracer.enabled() {
+            core.tracer.emit(
+                "checkpoint",
+                [
+                    ("gen", Value::UInt(next_generation as u64)),
+                    ("dur_ns", Value::UInt(span.dur_ns())),
+                ],
+            );
+        }
+        Ok(())
     }
 }
