@@ -205,15 +205,6 @@ impl State {
     }
 }
 
-/// Register classes of an instruction's `args`, resolving the
-/// variable-arity cases (`Ret`/`Call` pass integers).
-fn arg_class(inst: &Inst, ix: usize) -> RegClass {
-    match inst.op.arg_classes() {
-        Some(cs) => cs[ix],
-        None => RegClass::Int,
-    }
-}
-
 /// Exact `i128` result range clamped back into the `i64` interval domain:
 /// `None` means the range escapes `i64` somewhere (the op may wrap) and the
 /// result must go to ⊤.
@@ -249,7 +240,13 @@ fn corners(av: AbsVal, bv: AbsVal, f: impl Fn(i128, i128) -> i128) -> (i128, i12
 /// range when one was computed (for overflow reporting).
 fn eval_value(inst: &Inst, state: &State) -> (AbsVal, Option<(i128, i128)>) {
     use Opcode::*;
-    let arg = |ix: usize| state.slot(arg_class(inst, ix), inst.args[ix].index());
+    let arg = |ix: usize| {
+        let class = inst
+            .op
+            .arg_class(ix)
+            .expect("a verified instruction fits its arity");
+        state.slot(class, inst.args[ix].index())
+    };
     let imm = AbsVal::init(inst.imm, inst.imm);
     let from_exact = |(lo, hi): (i128, i128)| {
         let v = match fit(lo, hi) {
@@ -496,7 +493,11 @@ fn check_inst(
         }
     };
     for (ix, &a) in inst.args.iter().enumerate() {
-        report_uninit(arg_class(inst, ix), a, "operand", severity_for(inst));
+        let class = inst
+            .op
+            .arg_class(ix)
+            .expect("a verified instruction fits its arity");
+        report_uninit(class, a, "operand", severity_for(inst));
     }
     if let Some(p) = inst.pred {
         // The guard is read unconditionally.

@@ -31,7 +31,7 @@ use crate::diagnostics::{Diagnostic, Severity};
 use metaopt_ir::cfg::Cfg;
 use metaopt_ir::liveness::Liveness;
 use metaopt_ir::{BlockId, Function, Inst, Opcode, RegClass, VReg, Width};
-use metaopt_sim::machine::{unit_of, UnitKind};
+use metaopt_sim::machine::unit_of;
 use metaopt_sim::{MachineConfig, MachineProgram};
 use std::collections::HashMap;
 
@@ -68,13 +68,6 @@ fn file_size(class: RegClass, m: &MachineConfig) -> u32 {
 enum Loc {
     Phys(u32),
     Slot(i64),
-}
-
-fn class_of_operand(inst: &Inst, ix: usize) -> RegClass {
-    match inst.op.arg_classes() {
-        Some(cs) => cs[ix],
-        None => RegClass::Int, // Ret value
-    }
 }
 
 /// Walking state over one block's post-allocation instruction stream.
@@ -292,7 +285,9 @@ pub fn validate_regalloc(
 
             // Operand correspondence, same rule per operand class.
             for (ai, &av) in p.args.iter().enumerate() {
-                let class = class_of_operand(p, ai);
+                let class =
+                    p.op.arg_class(ai)
+                        .expect("a verified instruction fits its arity");
                 let got = core.args[ai];
                 if got.0 < first_alloc(class) {
                     let pool = match class {
@@ -518,12 +513,10 @@ fn dep_slot(class: RegClass, reg: u32) -> usize {
 /// The register slots `inst` reads, in operand order (a `Ret` value is an
 /// integer), then its guard.
 fn dep_reads(inst: &Inst) -> impl Iterator<Item = usize> + '_ {
-    let classes = inst.op.arg_classes();
-    let n = classes.map_or(inst.args.len(), |cs| cs.len().min(inst.args.len()));
-    inst.args[..n]
+    inst.args
         .iter()
         .enumerate()
-        .map(move |(i, a)| dep_slot(classes.map_or(RegClass::Int, |cs| cs[i]), a.0))
+        .map_while(|(i, a)| Some(dep_slot(inst.op.arg_class(i)?, a.0)))
         .chain(inst.pred.map(|p| dep_slot(RegClass::Pred, p.0)))
 }
 
@@ -797,20 +790,9 @@ pub fn validate_schedule(
         for (bx, bundle) in bundles.iter().enumerate() {
             let mut units = [0usize; 4];
             for inst in &bundle.insts {
-                let u = match unit_of(inst.op) {
-                    UnitKind::Int => 0,
-                    UnitKind::Float => 1,
-                    UnitKind::Mem => 2,
-                    UnitKind::Branch => 3,
-                };
-                units[u] += 1;
+                units[unit_of(inst.op).index()] += 1;
             }
-            let caps = [
-                machine.int_units,
-                machine.fp_units,
-                machine.mem_units,
-                machine.branch_units,
-            ];
+            let caps = machine.unit_caps();
             let names = ["int", "float", "mem", "branch"];
             for u in 0..4 {
                 if units[u] > caps[u] {

@@ -1,9 +1,23 @@
 //! Classic clean-up optimizations: constant folding and dead-code
 //! elimination. These run once after inlining, before any priority-driven
-//! pass, so the search operates on reasonable code.
+//! pass, so the search operates on reasonable code. Folding computes each
+//! value through [`Opcode::eval`], the evaluation the interpreter and the
+//! simulator run, so a folded constant is the value the executed
+//! instruction would have produced.
 
 use metaopt_ir::{Function, Inst, Opcode};
 use std::collections::HashMap;
+
+/// The opcodes [`constant_fold`] evaluates, through [`Opcode::eval`]. Folding
+/// any other would change compiled programs, and with them fitness values.
+const FOLDED: [Opcode; 6] = [
+    Opcode::Add,
+    Opcode::Sub,
+    Opcode::Mul,
+    Opcode::AddI,
+    Opcode::MulI,
+    Opcode::Mov,
+];
 
 /// Fold instructions whose integer operands are all known constants
 /// (`MovI`-defined and never redefined) into `MovI`s. Intra-procedural and
@@ -33,28 +47,11 @@ pub fn constant_fold(func: &mut Function) {
     };
     for b in &mut func.blocks {
         for inst in &mut b.insts {
-            if inst.pred.is_some() {
+            if inst.pred.is_some() || !FOLDED.contains(&inst.op) {
                 continue;
             }
-            let folded: Option<i64> = match inst.op {
-                Opcode::Add => match (get(&inst.args[0]), get(&inst.args[1])) {
-                    (Some(a), Some(c)) => Some(a.wrapping_add(c)),
-                    _ => None,
-                },
-                Opcode::Sub => match (get(&inst.args[0]), get(&inst.args[1])) {
-                    (Some(a), Some(c)) => Some(a.wrapping_sub(c)),
-                    _ => None,
-                },
-                Opcode::Mul => match (get(&inst.args[0]), get(&inst.args[1])) {
-                    (Some(a), Some(c)) => Some(a.wrapping_mul(c)),
-                    _ => None,
-                },
-                Opcode::AddI => get(&inst.args[0]).map(|a| a.wrapping_add(inst.imm)),
-                Opcode::MulI => get(&inst.args[0]).map(|a| a.wrapping_mul(inst.imm)),
-                Opcode::Mov => get(&inst.args[0]),
-                _ => None,
-            };
-            if let Some(v) = folded {
+            let consts: Option<Vec<i64>> = inst.args.iter().map(get).collect();
+            if let Some(v) = consts.map(|c| inst.op.eval(|i| c[i], inst.imm)) {
                 *inst = Inst::new(Opcode::MovI).dst(inst.dst.unwrap()).imm(v);
             }
         }

@@ -82,13 +82,6 @@ const FIRST_INT: u32 = 4;
 const FIRST_FLOAT: u32 = 3;
 const FIRST_PRED: u32 = 4;
 
-fn class_of_operand(inst: &Inst, arg_ix: usize) -> RegClass {
-    match inst.op.arg_classes() {
-        Some(cs) => cs[arg_ix],
-        None => RegClass::Int, // Ret value
-    }
-}
-
 /// One register class's interference graph as a dense bit matrix: row i
 /// holds the class members whose live ranges share a block with member i.
 struct Interference {
@@ -310,7 +303,10 @@ pub fn allocate(
             // Operands.
             for ai in 0..inst.args.len() {
                 let v = inst.args[ai].index();
-                let class = class_of_operand(&inst, ai);
+                let class = inst
+                    .op
+                    .arg_class(ai)
+                    .expect("a verified instruction fits its arity");
                 if spilled[v] {
                     let slot = spill_base + slot_of[v].unwrap() as i64 * 8;
                     match class {

@@ -17,7 +17,7 @@
 use crate::pass::{Pass, PassCtx};
 use crate::CompileError;
 use metaopt_ir::{Function, Inst, Opcode, RegClass};
-use metaopt_sim::machine::{latency_of, unit_of, MachineConfig, UnitKind};
+use metaopt_sim::machine::{latency_of, unit_of, MachineConfig};
 use metaopt_sim::{Bundle, MachineProgram};
 
 /// Scheduling latency of an instruction: functional-unit latency, with
@@ -39,12 +39,10 @@ fn reg_slot(class: RegClass, reg: u32) -> usize {
 /// Register slots `inst` reads: its operands in order (a `Ret` value is an
 /// integer), then its guard.
 fn read_slots(inst: &Inst) -> impl Iterator<Item = usize> + '_ {
-    let classes = inst.op.arg_classes();
-    let n = classes.map_or(inst.args.len(), |cs| cs.len().min(inst.args.len()));
-    inst.args[..n]
+    inst.args
         .iter()
         .enumerate()
-        .map(move |(i, a)| reg_slot(classes.map_or(RegClass::Int, |cs| cs[i]), a.0))
+        .map_while(|(i, a)| Some(reg_slot(inst.op.arg_class(i)?, a.0)))
         .chain(inst.pred.map(|p| reg_slot(RegClass::Pred, p.0)))
 }
 
@@ -53,15 +51,6 @@ fn write_slot(inst: &Inst) -> Option<usize> {
     match (inst.op.dst_class(), inst.dst) {
         (Some(c), Some(d)) => Some(reg_slot(c, d.0)),
         _ => None,
-    }
-}
-
-fn unit_index(op: Opcode) -> usize {
-    match unit_of(op) {
-        UnitKind::Int => 0,
-        UnitKind::Float => 1,
-        UnitKind::Mem => 2,
-        UnitKind::Branch => 3,
     }
 }
 
@@ -263,12 +252,7 @@ impl<'m> Scheduler<'m> {
         self.cands.clear();
         self.cands
             .extend((0..n as u32).filter(|&i| self.npred[i as usize] == 0));
-        let caps = [
-            self.m.int_units,
-            self.m.fp_units,
-            self.m.mem_units,
-            self.m.branch_units,
-        ];
+        let caps = self.m.unit_caps();
         let mut remaining = n;
         let mut cycle: u64 = 0;
         while remaining > 0 {
@@ -297,7 +281,7 @@ impl<'m> Scheduler<'m> {
             let mut units = [0usize; 4];
             self.picked.clear();
             for &i in &self.ready {
-                let u = unit_index(insts[i as usize].op);
+                let u = unit_of(insts[i as usize].op).index();
                 if units[u] < caps[u] {
                     units[u] += 1;
                     self.picked.push(i);
@@ -389,6 +373,7 @@ impl Pass for SchedulePass {
 mod tests {
     use super::*;
     use metaopt_ir::VReg;
+    use metaopt_sim::machine::UnitKind;
 
     fn movi(d: u32, v: i64) -> Inst {
         Inst::new(Opcode::MovI).dst(VReg(d)).imm(v)

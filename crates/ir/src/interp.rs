@@ -4,6 +4,11 @@
 //! truth for the compiler and the cycle simulator. Optionally collects the
 //! execution [`Profile`] (block/edge counts, branch predictability) that the
 //! optimization passes consume.
+//!
+//! The value-producing opcodes are evaluated by [`Opcode::eval`], the same
+//! definition both simulator tiers and constant folding use; this module
+//! runs memory, control, calls and `UnsafeCall` itself. The memory helpers
+//! and the `UnsafeCall` semantics below are shared with the simulator.
 
 use crate::inst::{Opcode, Width};
 use crate::profile::{BranchStats, FuncProfile, Profile};
@@ -106,16 +111,6 @@ pub struct Outcome {
     pub memory: Vec<u8>,
 }
 
-/// Saturating `f64 -> i64` conversion shared by interpreter and simulator.
-#[inline]
-pub fn f2i_sat(v: f64) -> i64 {
-    if v.is_nan() {
-        0
-    } else {
-        v as i64 // Rust float->int casts saturate
-    }
-}
-
 /// Deterministic semantics of [`Opcode::UnsafeCall`], shared by interpreter
 /// and simulator: mixes the argument with the old scratch value.
 /// Returns `(new_scratch, result)`.
@@ -134,26 +129,24 @@ pub fn unsafe_call_slot(site: i64) -> i64 {
     UNSAFE_SCRATCH_BASE + (site.rem_euclid(64)) * 8
 }
 
+/// One activation. Each virtual register has one class, so the registers
+/// share one file of raw values, as [`Opcode::eval`] reads and writes them:
+/// an integer as itself, a float as its bit pattern, a predicate as 0/1.
 struct Frame {
     func: FuncId,
     block: BlockId,
     ip: usize,
-    ints: Vec<i64>,
-    floats: Vec<f64>,
-    preds: Vec<bool>,
+    regs: Vec<i64>,
     ret_dst: Option<VReg>,
 }
 
 fn new_frame(prog: &Program, func: FuncId, ret_dst: Option<VReg>) -> Frame {
     let f = prog.func(func);
-    let n = f.num_vregs();
     Frame {
         func,
         block: f.entry,
         ip: 0,
-        ints: vec![0; n],
-        floats: vec![0.0; n],
-        preds: vec![false; n],
+        regs: vec![0; f.num_vregs()],
         ret_dst,
     }
 }
@@ -170,8 +163,8 @@ pub fn read_mem(mem: &[u8], addr: i64, w: Width) -> Result<i64, OutOfBounds> {
     }
     Ok(match w {
         Width::B1 => mem[a] as i64,
-        Width::B4 => i32::from_le_bytes(mem[a..a + 4].try_into().unwrap()) as i64,
-        Width::B8 => i64::from_le_bytes(mem[a..a + 8].try_into().unwrap()),
+        Width::B4 => i32::from_le_bytes(mem[a..a + 4].try_into().expect("a 4-byte range")) as i64,
+        Width::B8 => i64::from_le_bytes(mem[a..a + 8].try_into().expect("an 8-byte range")),
     })
 }
 
@@ -318,11 +311,11 @@ pub fn run(prog: &Program, cfg: &RunConfig) -> Result<Outcome, InterpError> {
     let mut frame = new_frame(prog, entry, None);
     for (i, p) in prog.func(entry).params.iter().enumerate() {
         let v = cfg.args.get(i).copied().unwrap_or(0);
-        match prog.func(entry).class_of(*p) {
-            RegClass::Int => frame.ints[p.index()] = v,
-            RegClass::Float => frame.floats[p.index()] = v as f64,
-            RegClass::Pred => frame.preds[p.index()] = v != 0,
-        }
+        frame.regs[p.index()] = match prog.func(entry).class_of(*p) {
+            RegClass::Int => v,
+            RegClass::Float => (v as f64).to_bits() as i64,
+            RegClass::Pred => i64::from(v != 0),
+        };
     }
     if let Some(tables) = &mut counts {
         tables[entry.index()].block_counts[frame.block.index()] += 1;
@@ -343,141 +336,47 @@ pub fn run(prog: &Program, cfg: &RunConfig) -> Result<Outcome, InterpError> {
 
         // Guard predicate: nullified instructions advance the PC only.
         if let Some(p) = inst.pred {
-            if !frame.preds[p.index()] {
+            if frame.regs[p.index()] == 0 {
                 frame.ip += 1;
                 continue;
             }
         }
 
-        macro_rules! iarg {
+        let args: &[VReg] = &inst.args;
+        macro_rules! arg {
             ($i:expr) => {
-                frame.ints[inst.args[$i].index()]
+                frame.regs[args[$i].index()]
             };
         }
-        macro_rules! farg {
-            ($i:expr) => {
-                frame.floats[inst.args[$i].index()]
-            };
-        }
-        macro_rules! parg {
-            ($i:expr) => {
-                frame.preds[inst.args[$i].index()]
-            };
-        }
-        macro_rules! seti {
+        macro_rules! set {
             ($v:expr) => {
                 if let Some(d) = inst.dst {
-                    frame.ints[d.index()] = $v;
-                }
-            };
-        }
-        macro_rules! setf {
-            ($v:expr) => {
-                if let Some(d) = inst.dst {
-                    frame.floats[d.index()] = $v;
-                }
-            };
-        }
-        macro_rules! setp {
-            ($v:expr) => {
-                if let Some(d) = inst.dst {
-                    frame.preds[d.index()] = $v;
+                    frame.regs[d.index()] = $v;
                 }
             };
         }
 
         let mut next_block: Option<BlockId> = None;
         match inst.op {
-            Opcode::Add => seti!(iarg!(0).wrapping_add(iarg!(1))),
-            Opcode::Sub => seti!(iarg!(0).wrapping_sub(iarg!(1))),
-            Opcode::Mul => seti!(iarg!(0).wrapping_mul(iarg!(1))),
-            Opcode::Div => {
-                let b = iarg!(1);
-                seti!(if b == 0 { 0 } else { iarg!(0).wrapping_div(b) })
-            }
-            Opcode::Rem => {
-                let b = iarg!(1);
-                seti!(if b == 0 { 0 } else { iarg!(0).wrapping_rem(b) })
-            }
-            Opcode::And => seti!(iarg!(0) & iarg!(1)),
-            Opcode::Or => seti!(iarg!(0) | iarg!(1)),
-            Opcode::Xor => seti!(iarg!(0) ^ iarg!(1)),
-            Opcode::Shl => seti!(iarg!(0).wrapping_shl(iarg!(1) as u32 & 63)),
-            Opcode::Shr => seti!(iarg!(0).wrapping_shr(iarg!(1) as u32 & 63)),
-            Opcode::AddI => seti!(iarg!(0).wrapping_add(inst.imm)),
-            Opcode::MulI => seti!(iarg!(0).wrapping_mul(inst.imm)),
-            Opcode::AndI => seti!(iarg!(0) & inst.imm),
-            Opcode::ShlI => seti!(iarg!(0).wrapping_shl(inst.imm as u32 & 63)),
-            Opcode::ShrI => seti!(iarg!(0).wrapping_shr(inst.imm as u32 & 63)),
-            Opcode::MovI => seti!(inst.imm),
-            Opcode::Mov => seti!(iarg!(0)),
-            Opcode::Neg => seti!(iarg!(0).wrapping_neg()),
-            Opcode::Abs => seti!(iarg!(0).wrapping_abs()),
-            Opcode::Min => seti!(iarg!(0).min(iarg!(1))),
-            Opcode::Max => seti!(iarg!(0).max(iarg!(1))),
-            Opcode::Sel => seti!(if parg!(0) { iarg!(1) } else { iarg!(2) }),
-
-            Opcode::CmpEq => setp!(iarg!(0) == iarg!(1)),
-            Opcode::CmpNe => setp!(iarg!(0) != iarg!(1)),
-            Opcode::CmpLt => setp!(iarg!(0) < iarg!(1)),
-            Opcode::CmpLe => setp!(iarg!(0) <= iarg!(1)),
-            Opcode::CmpEqI => setp!(iarg!(0) == inst.imm),
-            Opcode::CmpLtI => setp!(iarg!(0) < inst.imm),
-            Opcode::CmpGtI => setp!(iarg!(0) > inst.imm),
-
-            Opcode::PAnd => setp!(parg!(0) && parg!(1)),
-            Opcode::POr => setp!(parg!(0) || parg!(1)),
-            Opcode::PNot => setp!(!parg!(0)),
-            Opcode::PMovI => setp!(inst.imm != 0),
-            Opcode::PMov => setp!(parg!(0)),
-            Opcode::P2I => seti!(if parg!(0) { 1 } else { 0 }),
-            Opcode::I2P => setp!(iarg!(0) != 0),
-
-            Opcode::FAdd => setf!(farg!(0) + farg!(1)),
-            Opcode::FSub => setf!(farg!(0) - farg!(1)),
-            Opcode::FMul => setf!(farg!(0) * farg!(1)),
-            Opcode::FDiv => {
-                let b = farg!(1);
-                setf!(if b == 0.0 { 0.0 } else { farg!(0) / b })
-            }
-            Opcode::FSqrt => setf!(farg!(0).abs().sqrt()),
-            Opcode::FAbs => setf!(farg!(0).abs()),
-            Opcode::FNeg => setf!(-farg!(0)),
-            Opcode::FMin => setf!(farg!(0).min(farg!(1))),
-            Opcode::FMax => setf!(farg!(0).max(farg!(1))),
-            Opcode::FMovI => setf!(inst.fimm),
-            Opcode::FMov => setf!(farg!(0)),
-            Opcode::FSel => setf!(if parg!(0) { farg!(1) } else { farg!(2) }),
-
-            Opcode::FCmpEq => setp!(farg!(0) == farg!(1)),
-            Opcode::FCmpLt => setp!(farg!(0) < farg!(1)),
-            Opcode::FCmpLe => setp!(farg!(0) <= farg!(1)),
-
-            Opcode::I2F => setf!(iarg!(0) as f64),
-            Opcode::F2I => seti!(f2i_sat(farg!(0))),
-            Opcode::FBits => seti!(farg!(0).to_bits() as i64),
-            Opcode::BitsF => setf!(f64::from_bits(iarg!(0) as u64)),
-
             Opcode::Ld(w) => {
-                let v = read_mem(&mem, iarg!(0).wrapping_add(inst.imm), w)?;
-                seti!(v);
+                let v = read_mem(&mem, arg!(0).wrapping_add(inst.imm), w)?;
+                set!(v);
             }
             Opcode::St(w) => {
-                write_mem(&mut mem, iarg!(0).wrapping_add(inst.imm), w, iarg!(1))?;
+                write_mem(&mut mem, arg!(0).wrapping_add(inst.imm), w, arg!(1))?;
             }
             Opcode::FLd => {
-                let bits = read_mem(&mem, iarg!(0).wrapping_add(inst.imm), Width::B8)?;
-                setf!(f64::from_bits(bits as u64));
+                let bits = read_mem(&mem, arg!(0).wrapping_add(inst.imm), Width::B8)?;
+                set!(bits);
             }
             Opcode::FSt => {
-                let bits = farg!(1).to_bits() as i64;
-                write_mem(&mut mem, iarg!(0).wrapping_add(inst.imm), Width::B8, bits)?;
+                write_mem(&mut mem, arg!(0).wrapping_add(inst.imm), Width::B8, arg!(1))?;
             }
             Opcode::Prefetch => {} // architecturally a no-op
 
             Opcode::Br => next_block = inst.target,
             Opcode::CBr => {
-                let taken = parg!(0);
+                let taken = arg!(0) != 0;
                 if let Some(tables) = &mut counts {
                     tables[frame.func.index()].branch(frame.block, frame.ip, taken);
                 }
@@ -486,7 +385,7 @@ pub fn run(prog: &Program, cfg: &RunConfig) -> Result<Outcome, InterpError> {
                 }
             }
             Opcode::Ret => {
-                let v = if inst.args.is_empty() { 0 } else { iarg!(0) };
+                let v = if inst.args.is_empty() { 0 } else { arg!(0) };
                 match stack.pop() {
                     None => {
                         ret_val = v;
@@ -494,7 +393,7 @@ pub fn run(prog: &Program, cfg: &RunConfig) -> Result<Outcome, InterpError> {
                     }
                     Some(mut parent) => {
                         if let Some(d) = frame.ret_dst {
-                            parent.ints[d.index()] = v;
+                            parent.regs[d.index()] = v;
                         }
                         parent.ip += 1;
                         frame = parent;
@@ -508,13 +407,8 @@ pub fn run(prog: &Program, cfg: &RunConfig) -> Result<Outcome, InterpError> {
                 }
                 let callee = FuncId(inst.imm as u32);
                 let mut callee_frame = new_frame(prog, callee, inst.dst);
-                let cf = prog.func(callee);
-                for (ai, p) in cf.params.iter().enumerate() {
-                    match cf.class_of(*p) {
-                        RegClass::Int => callee_frame.ints[p.index()] = iarg!(ai),
-                        RegClass::Float => callee_frame.floats[p.index()] = farg!(ai),
-                        RegClass::Pred => callee_frame.preds[p.index()] = parg!(ai),
-                    }
+                for (ai, p) in prog.func(callee).params.iter().enumerate() {
+                    callee_frame.regs[p.index()] = arg!(ai);
                 }
                 if let Some(tables) = &mut counts {
                     tables[callee.index()].block_counts[callee_frame.block.index()] += 1;
@@ -526,9 +420,19 @@ pub fn run(prog: &Program, cfg: &RunConfig) -> Result<Outcome, InterpError> {
             Opcode::UnsafeCall => {
                 let slot = unsafe_call_slot(inst.imm);
                 let old = read_mem(&mem, slot, Width::B8)?;
-                let (new, ret) = unsafe_call_semantics(old, iarg!(0), inst.imm);
+                let (new, ret) = unsafe_call_semantics(old, arg!(0), inst.imm);
                 write_mem(&mut mem, slot, Width::B8, new)?;
-                seti!(ret);
+                set!(ret);
+            }
+            op => {
+                // Inlined into every arm of `eval`: a call per operand read
+                // would cost the interpreter a quarter of its speed.
+                let v = op.eval(
+                    #[inline(always)]
+                    |i| arg!(i),
+                    inst.eval_imm(),
+                );
+                set!(v);
             }
         }
 

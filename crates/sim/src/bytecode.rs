@@ -6,9 +6,10 @@
 //! static instruction:
 //!
 //! * the three architectural register files are folded into one unified
-//!   `i64` array (floats live as bit patterns, predicates as 0/1), so each
-//!   operand is a single pre-resolved index — no per-class array selection,
-//!   and destination value and ready-time writes share one index,
+//!   `i64` array (floats live as bit patterns, predicates as 0/1, the raw
+//!   values [`Opcode::eval`] computes on), so each operand is a single
+//!   pre-resolved index — no per-class array selection, and destination
+//!   value and ready-time writes share one index,
 //! * functional-unit latencies are baked in (`latency_of` is never called
 //!   at run time),
 //! * the per-bundle issue-stall scan is pre-flattened into a sorted,
@@ -16,6 +17,11 @@
 //!   that can actually stall (multi-cycle results and loads), and
 //! * branch-predictor sites are renumbered densely so the 2-bit counters
 //!   live in a `Vec<u8>` instead of a `HashMap`.
+//!
+//! Each op keeps its [`Opcode`]. The loop runs memory, control and
+//! `UnsafeCall` itself and hands every other opcode to [`Opcode::eval`],
+//! the one definition it shares with the reference tier and the IR
+//! interpreter, in a single dispatch per executed op.
 //!
 //! The observable semantics are the **equivalence contract** of DESIGN.md
 //! §17: for any machine-verified program, compiling and running it here
@@ -36,7 +42,7 @@ use crate::cache::Hierarchy;
 use crate::code::MachineProgram;
 use crate::exec::{SimError, SimResult};
 use crate::machine::{latency_of, MachineConfig};
-use metaopt_ir::interp::{f2i_sat, read_mem, unsafe_call_semantics, unsafe_call_slot, write_mem};
+use metaopt_ir::interp::{read_mem, unsafe_call_semantics, unsafe_call_slot, write_mem};
 use metaopt_ir::{Opcode, RegClass, Width};
 
 /// Sentinel for "operand/destination absent" in packed [`Op`] fields.
@@ -50,101 +56,32 @@ const NONE: u32 = u32::MAX;
 /// panics (like the reference) instead of being treated as argument-less.
 const OOB: u32 = u32::MAX - 1;
 
-/// Fieldless dispatch kind: one variant per executable behavior of
-/// [`Opcode`], with load/store widths moved into [`Op::width`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum OpK {
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Rem,
-    And,
-    Or,
-    Xor,
-    Shl,
-    Shr,
-    AddI,
-    MulI,
-    AndI,
-    ShlI,
-    ShrI,
-    MovI,
-    Mov,
-    Neg,
-    Abs,
-    Min,
-    Max,
-    Sel,
-    CmpEq,
-    CmpNe,
-    CmpLt,
-    CmpLe,
-    CmpEqI,
-    CmpLtI,
-    CmpGtI,
-    PAnd,
-    POr,
-    PNot,
-    PMovI,
-    PMov,
-    P2I,
-    I2P,
-    FAdd,
-    FSub,
-    FMul,
-    FDiv,
-    FSqrt,
-    FAbs,
-    FNeg,
-    FMin,
-    FMax,
-    FMovI,
-    FMov,
-    FSel,
-    FCmpEq,
-    FCmpLt,
-    FCmpLe,
-    I2F,
-    F2I,
-    FBits,
-    BitsF,
-    Ld,
-    FLd,
-    St,
-    FSt,
-    Prefetch,
-    Br,
-    CBr,
-    Ret,
-    Call,
-    UnsafeCall,
-}
-
 /// One pre-decoded instruction: 32 bytes, `Copy`, no heap indirection.
 ///
 /// All register references are indices into the unified file
-/// (`[ints | floats | preds]`). Branches reuse the operand slots: `Br`
-/// keeps its target in `a`; `CBr` keeps its guard-input in `a`, target in
-/// `b`, and dense predictor site in `c`.
+/// (`[ints | floats | preds]`). Operand `i` sits in `args[i]` when the
+/// opcode reads it ([`Opcode::arg_class`]) and is [`NONE`] otherwise.
+/// Branches reuse the operand slots: `Br` keeps its target in `args[0]`;
+/// `CBr` keeps its guard-input in `args[0]`, target in `args[1]`, and dense
+/// predictor site in `args[2]`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct Op {
-    kind: OpK,
-    /// Load/store access width ([`Width::B8`] for non-memory ops).
-    width: Width,
+    /// The operation; a load or store carries its width.
+    op: Opcode,
     /// Result-ready latency (`latency_of`, baked in).
     lat: u8,
     /// Unified operand indices ([`NONE`] if absent, [`OOB`] if unmappable).
-    a: u32,
-    b: u32,
-    c: u32,
+    args: [u32; 3],
     /// Unified destination index, [`NONE`] if the instruction has none.
     dst: u32,
     /// Guard predicate index, [`NONE`] if unguarded.
     pred: u32,
-    /// Immediate; for `FMovI` this is the `f64` bit pattern.
+    /// Immediate, as [`metaopt_ir::Inst::eval_imm`] gives it (for `FMovI`,
+    /// the `f64` bit pattern).
     imm: i64,
 }
+
+const _: () = assert!(std::mem::size_of::<Op>() == 32);
 
 /// Issue-group metadata: ranges into the flat `ops` and `deps` arrays.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -178,118 +115,6 @@ pub struct BytecodeProgram {
     nsites: usize,
 }
 
-/// Register class of the value an opcode writes back, mirroring the `Out`
-/// arms of the reference executor (distinct from `Opcode::dst_class`, which
-/// claims e.g. `Call` writes an integer).
-fn out_class(op: Opcode) -> Option<RegClass> {
-    use Opcode::*;
-    Some(match op {
-        Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr | AddI | MulI | AndI | ShlI
-        | ShrI | MovI | Mov | Neg | Abs | Min | Max | Sel | P2I | F2I | FBits | Ld(_)
-        | UnsafeCall => RegClass::Int,
-        FAdd | FSub | FMul | FDiv | FSqrt | FAbs | FNeg | FMin | FMax | FMovI | FMov | FSel
-        | I2F | BitsF | FLd => RegClass::Float,
-        CmpEq | CmpNe | CmpLt | CmpLe | CmpEqI | CmpLtI | CmpGtI | PAnd | POr | PNot | PMovI
-        | PMov | I2P | FCmpEq | FCmpLt | FCmpLe => RegClass::Pred,
-        St(_) | FSt | Prefetch | Br | CBr | Ret | Call => return None,
-    })
-}
-
-/// The register class each operand slot is *read* as, mirroring exactly
-/// which file the reference executor's arms index (not `arg_classes`, which
-/// drives only the stall scan).
-fn read_classes(op: Opcode) -> [Option<RegClass>; 3] {
-    use Opcode::*;
-    use RegClass::{Float as F, Int as I, Pred as P};
-    match op {
-        Add | Sub | Mul | Div | Rem | And | Or | Xor | Shl | Shr | Min | Max | CmpEq | CmpNe
-        | CmpLt | CmpLe | St(_) => [Some(I), Some(I), None],
-        AddI | MulI | AndI | ShlI | ShrI | Mov | Neg | Abs | CmpEqI | CmpLtI | CmpGtI | I2P
-        | I2F | BitsF | Ld(_) | FLd | Prefetch | Ret | UnsafeCall => [Some(I), None, None],
-        Sel => [Some(P), Some(I), Some(I)],
-        PAnd | POr => [Some(P), Some(P), None],
-        PNot | PMov | P2I | CBr => [Some(P), None, None],
-        FAdd | FSub | FMul | FDiv | FMin | FMax | FCmpEq | FCmpLt | FCmpLe => {
-            [Some(F), Some(F), None]
-        }
-        FSqrt | FAbs | FNeg | FMov | F2I | FBits => [Some(F), None, None],
-        FSel => [Some(P), Some(F), Some(F)],
-        FSt => [Some(I), Some(F), None],
-        MovI | PMovI | FMovI | Br | Call => [None, None, None],
-    }
-}
-
-fn kind_of(op: Opcode) -> OpK {
-    use Opcode as O;
-    match op {
-        O::Add => OpK::Add,
-        O::Sub => OpK::Sub,
-        O::Mul => OpK::Mul,
-        O::Div => OpK::Div,
-        O::Rem => OpK::Rem,
-        O::And => OpK::And,
-        O::Or => OpK::Or,
-        O::Xor => OpK::Xor,
-        O::Shl => OpK::Shl,
-        O::Shr => OpK::Shr,
-        O::AddI => OpK::AddI,
-        O::MulI => OpK::MulI,
-        O::AndI => OpK::AndI,
-        O::ShlI => OpK::ShlI,
-        O::ShrI => OpK::ShrI,
-        O::MovI => OpK::MovI,
-        O::Mov => OpK::Mov,
-        O::Neg => OpK::Neg,
-        O::Abs => OpK::Abs,
-        O::Min => OpK::Min,
-        O::Max => OpK::Max,
-        O::Sel => OpK::Sel,
-        O::CmpEq => OpK::CmpEq,
-        O::CmpNe => OpK::CmpNe,
-        O::CmpLt => OpK::CmpLt,
-        O::CmpLe => OpK::CmpLe,
-        O::CmpEqI => OpK::CmpEqI,
-        O::CmpLtI => OpK::CmpLtI,
-        O::CmpGtI => OpK::CmpGtI,
-        O::PAnd => OpK::PAnd,
-        O::POr => OpK::POr,
-        O::PNot => OpK::PNot,
-        O::PMovI => OpK::PMovI,
-        O::PMov => OpK::PMov,
-        O::P2I => OpK::P2I,
-        O::I2P => OpK::I2P,
-        O::FAdd => OpK::FAdd,
-        O::FSub => OpK::FSub,
-        O::FMul => OpK::FMul,
-        O::FDiv => OpK::FDiv,
-        O::FSqrt => OpK::FSqrt,
-        O::FAbs => OpK::FAbs,
-        O::FNeg => OpK::FNeg,
-        O::FMin => OpK::FMin,
-        O::FMax => OpK::FMax,
-        O::FMovI => OpK::FMovI,
-        O::FMov => OpK::FMov,
-        O::FSel => OpK::FSel,
-        O::FCmpEq => OpK::FCmpEq,
-        O::FCmpLt => OpK::FCmpLt,
-        O::FCmpLe => OpK::FCmpLe,
-        O::I2F => OpK::I2F,
-        O::F2I => OpK::F2I,
-        O::FBits => OpK::FBits,
-        O::BitsF => OpK::BitsF,
-        O::Ld(_) => OpK::Ld,
-        O::FLd => OpK::FLd,
-        O::St(_) => OpK::St,
-        O::FSt => OpK::FSt,
-        O::Prefetch => OpK::Prefetch,
-        O::Br => OpK::Br,
-        O::CBr => OpK::CBr,
-        O::Ret => OpK::Ret,
-        O::Call => OpK::Call,
-        O::UnsafeCall => OpK::UnsafeCall,
-    }
-}
-
 /// Write a raw result into the unified file and stamp its ready time
 /// (no-op when the instruction has no destination, mirroring the reference
 /// write-back).
@@ -299,24 +124,6 @@ fn st(file: &mut [i64], ready: &mut [u64], op: &Op, v: i64, at: u64) {
         file[op.dst as usize] = v;
         ready[op.dst as usize] = at;
     }
-}
-
-/// Write a float result (stored as its bit pattern).
-#[inline(always)]
-fn st_f(file: &mut [i64], ready: &mut [u64], op: &Op, v: f64, at: u64) {
-    st(file, ready, op, v.to_bits() as i64, at);
-}
-
-/// Write a predicate result (stored as 0/1).
-#[inline(always)]
-fn st_p(file: &mut [i64], ready: &mut [u64], op: &Op, v: bool, at: u64) {
-    st(file, ready, op, v as i64, at);
-}
-
-/// Read a unified-file slot as a float.
-#[inline(always)]
-fn ld_f(file: &[i64], ix: usize) -> f64 {
-    f64::from_bits(file[ix] as u64)
 }
 
 impl BytecodeProgram {
@@ -358,7 +165,7 @@ impl BytecodeProgram {
                     if latency_of(inst.op) <= 1 && !matches!(inst.op, Opcode::Ld(_) | Opcode::FLd) {
                         continue;
                     }
-                    if let (Some(c), Some(d)) = (out_class(inst.op), inst.dst) {
+                    if let (Some(c), Some(d)) = (inst.op.dst_class(), inst.dst) {
                         let r = uix(c, d.index());
                         if r < OOB {
                             may_stall[r as usize] = true;
@@ -382,64 +189,48 @@ impl BytecodeProgram {
                 let mut bdeps: Vec<u32> = Vec::new();
                 for inst in &bundle.insts {
                     // Issue-stall scan, mirrored from the reference tier:
-                    // sources by class (all-int fallback), guards, and the
-                    // overwritten destination.
-                    if let Some(classes) = inst.op.arg_classes() {
-                        for (a, c) in inst.args.iter().zip(classes) {
-                            bdeps.push(uix(*c, a.index()));
-                        }
-                    } else {
-                        for a in &inst.args {
-                            bdeps.push(uix(RegClass::Int, a.index()));
+                    // sources by class, guards, and the overwritten
+                    // destination.
+                    for (i, a) in inst.args.iter().enumerate() {
+                        if let Some(c) = inst.op.arg_class(i) {
+                            bdeps.push(uix(c, a.index()));
                         }
                     }
                     if let Some(p) = inst.pred {
                         bdeps.push(uix(RegClass::Pred, p.index()));
                     }
-                    if let (Some(c), Some(d)) = (inst.op.dst_class(), inst.dst) {
-                        bdeps.push(uix(c, d.index()));
-                    }
-
-                    let rc = read_classes(inst.op);
-                    let arg = |i: usize| match rc[i] {
-                        Some(c) => inst.args.get(i).map_or(NONE, |v| uix(c, v.index())),
-                        None => NONE,
-                    };
-                    let (mut a, b, mut c) = (arg(0), arg(1), arg(2));
-                    let dst = match (out_class(inst.op), inst.dst) {
-                        (Some(cl), Some(d)) => uix(cl, d.index()),
+                    let dst = match (inst.op.dst_class(), inst.dst) {
+                        (Some(c), Some(d)) => uix(c, d.index()),
                         _ => NONE,
                     };
+                    if dst != NONE {
+                        bdeps.push(dst);
+                    }
+
+                    let mut args = [0, 1, 2].map(|i| match inst.op.arg_class(i) {
+                        Some(c) => inst.args.get(i).map_or(NONE, |v| uix(c, v.index())),
+                        None => NONE,
+                    });
                     // Branches reuse the free operand slots (see [`Op`]).
                     let target = inst
                         .target
                         .map_or(NONE, |t| (t.index() as u32).min(OOB - 1));
                     match inst.op {
-                        Opcode::Br => a = target,
+                        Opcode::Br => args[0] = target,
                         Opcode::CBr => {
-                            c = nsites;
+                            args[1] = target;
+                            args[2] = nsites;
                             nsites += 1;
                         }
                         _ => {}
                     }
-                    let b = if inst.op == Opcode::CBr { target } else { b };
                     ops.push(Op {
-                        kind: kind_of(inst.op),
-                        width: match inst.op {
-                            Opcode::Ld(w) | Opcode::St(w) => w,
-                            _ => Width::B8,
-                        },
+                        op: inst.op,
                         lat: latency_of(inst.op) as u8,
-                        a,
-                        b,
-                        c,
+                        args,
                         dst,
                         pred: inst.pred.map_or(NONE, |p| uix(RegClass::Pred, p.index())),
-                        imm: if inst.op == Opcode::FMovI {
-                            inst.fimm.to_bits() as i64
-                        } else {
-                            inst.imm
-                        },
+                        imm: inst.eval_imm(),
                     });
                 }
                 bdeps.sort_unstable();
@@ -522,263 +313,47 @@ impl BytecodeProgram {
                     nullified += 1;
                     continue;
                 }
-                let a = op.a as usize;
-                let b = op.b as usize;
-                let c = op.c as usize;
+                let arg = |i: usize| file[op.args[i] as usize];
+                // Read before the dispatch, so that the value arm below holds
+                // nothing but `Opcode::eval`'s match, which the compiler then
+                // folds into this one: one jump table per executed op.
+                let imm = op.imm;
                 let at = issue + op.lat as u64;
 
-                match op.kind {
-                    OpK::Add => {
-                        let v = file[a].wrapping_add(file[b]);
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::Sub => {
-                        let v = file[a].wrapping_sub(file[b]);
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::Mul => {
-                        let v = file[a].wrapping_mul(file[b]);
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::Div => {
-                        let d = file[b];
-                        let v = if d == 0 { 0 } else { file[a].wrapping_div(d) };
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::Rem => {
-                        let d = file[b];
-                        let v = if d == 0 { 0 } else { file[a].wrapping_rem(d) };
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::And => {
-                        let v = file[a] & file[b];
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::Or => {
-                        let v = file[a] | file[b];
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::Xor => {
-                        let v = file[a] ^ file[b];
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::Shl => {
-                        let v = file[a].wrapping_shl(file[b] as u32 & 63);
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::Shr => {
-                        let v = file[a].wrapping_shr(file[b] as u32 & 63);
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::AddI => {
-                        let v = file[a].wrapping_add(op.imm);
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::MulI => {
-                        let v = file[a].wrapping_mul(op.imm);
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::AndI => {
-                        let v = file[a] & op.imm;
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::ShlI => {
-                        let v = file[a].wrapping_shl(op.imm as u32 & 63);
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::ShrI => {
-                        let v = file[a].wrapping_shr(op.imm as u32 & 63);
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::MovI => st(&mut file, &mut ready, op, op.imm, at),
-                    OpK::Mov => {
-                        let v = file[a];
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::Neg => {
-                        let v = file[a].wrapping_neg();
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::Abs => {
-                        let v = file[a].wrapping_abs();
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::Min => {
-                        let v = file[a].min(file[b]);
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::Max => {
-                        let v = file[a].max(file[b]);
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::Sel => {
-                        let v = if file[a] != 0 { file[b] } else { file[c] };
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-
-                    OpK::CmpEq => {
-                        let v = file[a] == file[b];
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::CmpNe => {
-                        let v = file[a] != file[b];
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::CmpLt => {
-                        let v = file[a] < file[b];
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::CmpLe => {
-                        let v = file[a] <= file[b];
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::CmpEqI => {
-                        let v = file[a] == op.imm;
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::CmpLtI => {
-                        let v = file[a] < op.imm;
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::CmpGtI => {
-                        let v = file[a] > op.imm;
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-
-                    OpK::PAnd => {
-                        let v = file[a] != 0 && file[b] != 0;
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::POr => {
-                        let v = file[a] != 0 || file[b] != 0;
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::PNot => {
-                        let v = file[a] == 0;
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::PMovI => st_p(&mut file, &mut ready, op, op.imm != 0, at),
-                    OpK::PMov => {
-                        let v = file[a] != 0;
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::P2I => {
-                        let v = i64::from(file[a] != 0);
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::I2P => {
-                        let v = file[a] != 0;
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-
-                    OpK::FAdd => {
-                        let v = ld_f(&file, a) + ld_f(&file, b);
-                        st_f(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::FSub => {
-                        let v = ld_f(&file, a) - ld_f(&file, b);
-                        st_f(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::FMul => {
-                        let v = ld_f(&file, a) * ld_f(&file, b);
-                        st_f(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::FDiv => {
-                        let d = ld_f(&file, b);
-                        let v = if d == 0.0 { 0.0 } else { ld_f(&file, a) / d };
-                        st_f(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::FSqrt => {
-                        let v = ld_f(&file, a).abs().sqrt();
-                        st_f(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::FAbs => {
-                        let v = ld_f(&file, a).abs();
-                        st_f(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::FNeg => {
-                        let v = -ld_f(&file, a);
-                        st_f(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::FMin => {
-                        let v = ld_f(&file, a).min(ld_f(&file, b));
-                        st_f(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::FMax => {
-                        let v = ld_f(&file, a).max(ld_f(&file, b));
-                        st_f(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::FMovI => st(&mut file, &mut ready, op, op.imm, at),
-                    OpK::FMov => {
-                        let v = file[a];
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::FSel => {
-                        let v = if file[a] != 0 { file[b] } else { file[c] };
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::FCmpEq => {
-                        let v = ld_f(&file, a) == ld_f(&file, b);
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::FCmpLt => {
-                        let v = ld_f(&file, a) < ld_f(&file, b);
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::FCmpLe => {
-                        let v = ld_f(&file, a) <= ld_f(&file, b);
-                        st_p(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::I2F => {
-                        let v = file[a] as f64;
-                        st_f(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::F2I => {
-                        let v = f2i_sat(ld_f(&file, a));
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::FBits => {
-                        let v = file[a];
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-                    OpK::BitsF => {
-                        let v = file[a];
-                        st(&mut file, &mut ready, op, v, at);
-                    }
-
-                    OpK::Ld => {
-                        let addr = file[a].wrapping_add(op.imm);
-                        let v = read_mem(&mem, addr, op.width)?;
+                match op.op {
+                    Opcode::Ld(w) => {
+                        let addr = arg(0).wrapping_add(imm);
+                        let v = read_mem(&mem, addr, w)?;
                         let at = cache.access(addr, issue.max(pf_queue));
                         st(&mut file, &mut ready, op, v, at);
                     }
-                    OpK::FLd => {
-                        let addr = file[a].wrapping_add(op.imm);
+                    Opcode::FLd => {
+                        let addr = arg(0).wrapping_add(imm);
                         let bits = read_mem(&mem, addr, Width::B8)?;
                         let at = cache.access(addr, issue.max(pf_queue));
                         st(&mut file, &mut ready, op, bits, at);
                     }
-                    OpK::St => {
-                        let addr = file[a].wrapping_add(op.imm);
-                        write_mem(&mut mem, addr, op.width, file[b])?;
+                    Opcode::St(w) => {
+                        let addr = arg(0).wrapping_add(imm);
+                        write_mem(&mut mem, addr, w, arg(1))?;
                         cache.access(addr, issue); // allocate; store buffer hides latency
                     }
-                    OpK::FSt => {
-                        let addr = file[a].wrapping_add(op.imm);
-                        write_mem(&mut mem, addr, Width::B8, file[b])?;
+                    Opcode::FSt => {
+                        let addr = arg(0).wrapping_add(imm);
+                        write_mem(&mut mem, addr, Width::B8, arg(1))?;
                         cache.access(addr, issue);
                     }
-                    OpK::Prefetch => {
-                        let addr = file[a].wrapping_add(op.imm);
+                    Opcode::Prefetch => {
+                        let addr = arg(0).wrapping_add(imm);
                         let start = issue.max(pf_queue);
                         cache.prefetch(addr, start);
                         pf_queue = start + prefetch_queue_cycles;
                     }
 
-                    OpK::Br => next = (op.a != NONE).then_some(op.a),
-                    OpK::CBr => {
-                        let taken = file[a] != 0;
-                        let ctr = &mut counters[c];
+                    Opcode::Br => next = (op.args[0] != NONE).then_some(op.args[0]),
+                    Opcode::CBr => {
+                        let taken = arg(0) != 0;
+                        let ctr = &mut counters[op.args[2] as usize];
                         let predicted_taken = *ctr >= 2;
                         *ctr = if taken {
                             (*ctr + 1).min(3)
@@ -791,21 +366,25 @@ impl BytecodeProgram {
                             penalty = penalty.max(mispredict_penalty);
                         }
                         if taken {
-                            next = (op.b != NONE).then_some(op.b);
+                            next = (op.args[1] != NONE).then_some(op.args[1]);
                         }
                     }
-                    OpK::Ret => {
-                        ret_val = if op.a == NONE { 0 } else { file[a] };
+                    Opcode::Ret => {
+                        ret_val = if op.args[0] == NONE { 0 } else { arg(0) };
                         cycle = issue + 1 + penalty;
                         break 'outer;
                     }
-                    OpK::Call => unreachable!("calls are inlined before lowering"),
-                    OpK::UnsafeCall => {
-                        let slot = unsafe_call_slot(op.imm);
+                    Opcode::Call => unreachable!("calls are inlined before lowering"),
+                    Opcode::UnsafeCall => {
+                        let slot = unsafe_call_slot(imm);
                         let old = read_mem(&mem, slot, Width::B8)?;
-                        let (newv, r) = unsafe_call_semantics(old, file[a], op.imm);
+                        let (newv, r) = unsafe_call_semantics(old, arg(0), imm);
                         write_mem(&mut mem, slot, Width::B8, newv)?;
                         st(&mut file, &mut ready, op, r, at);
+                    }
+                    code => {
+                        let v = code.eval(arg, imm);
+                        st(&mut file, &mut ready, op, v, at);
                     }
                 }
             }

@@ -5,7 +5,7 @@
 //! operands reuse the IR's [`Inst`] structure but are *physical* register
 //! indices into the class-specific files of a [`MachineConfig`].
 
-use crate::machine::{unit_of, MachineConfig, UnitKind};
+use crate::machine::{unit_of, MachineConfig};
 use metaopt_ir::{Inst, Opcode};
 
 /// One VLIW issue group: instructions the scheduler placed in the same cycle.
@@ -70,13 +70,7 @@ pub fn verify_machine(mp: &MachineProgram, cfg: &MachineConfig) -> Result<(), St
                 if inst.op == Opcode::Call {
                     return Err(format!("block {bi} bundle {ki}: residual call"));
                 }
-                let u = unit_of(inst.op);
-                used[match u {
-                    UnitKind::Int => 0,
-                    UnitKind::Float => 1,
-                    UnitKind::Mem => 2,
-                    UnitKind::Branch => 3,
-                }] += 1;
+                used[unit_of(inst.op).index()] += 1;
                 if inst.op.is_control() && si + 1 != bundle.insts.len() {
                     return Err(format!(
                         "block {bi} bundle {ki}: control instruction not in last slot"
@@ -88,19 +82,14 @@ pub fn verify_machine(mp: &MachineProgram, cfg: &MachineConfig) -> Result<(), St
                     }
                 }
                 // Register ranges.
-                if let Some(classes) = inst.op.arg_classes() {
-                    for (a, c) in inst.args.iter().zip(classes) {
-                        if a.index() >= cfg.file_size(*c) {
-                            return Err(format!(
-                                "block {bi} bundle {ki}: {c} register {a} out of file"
-                            ));
-                        }
-                    }
-                } else if inst.op == Opcode::Ret {
-                    for a in &inst.args {
-                        if a.index() >= cfg.gpr {
-                            return Err(format!("block {bi}: ret register {a} out of file"));
-                        }
+                for (i, a) in inst.args.iter().enumerate() {
+                    let Some(c) = inst.op.arg_class(i) else {
+                        continue;
+                    };
+                    if a.index() >= cfg.file_size(c) {
+                        return Err(format!(
+                            "block {bi} bundle {ki}: {c} register {a} out of file"
+                        ));
                     }
                 }
                 if let (Some(c), Some(d)) = (inst.op.dst_class(), inst.dst) {
@@ -116,11 +105,7 @@ pub fn verify_machine(mp: &MachineProgram, cfg: &MachineConfig) -> Result<(), St
                     }
                 }
             }
-            if used[0] > cfg.int_units
-                || used[1] > cfg.fp_units
-                || used[2] > cfg.mem_units
-                || used[3] > cfg.branch_units
-            {
+            if used.iter().zip(cfg.unit_caps()).any(|(&u, cap)| u > cap) {
                 return Err(format!(
                     "block {bi} bundle {ki}: unit over-subscription {used:?}"
                 ));

@@ -7,13 +7,19 @@
 //! mispredicted branch charges the pipeline-flush penalty. The executor is
 //! also a functional interpreter of the machine code, returning the final
 //! memory image and return value for differential testing.
+//!
+//! This reference tier keeps the three register files apart, as raw
+//! 64-bit values. It runs memory, control and `UnsafeCall` itself and
+//! evaluates every other opcode through [`Opcode::eval`], the definition
+//! the fast tier and the IR interpreter share, reading each operand from
+//! the file [`Opcode::arg_class`] names.
 
 use crate::cache::{CacheStats, Hierarchy};
 use crate::code::MachineProgram;
 use crate::machine::{latency_of, MachineConfig};
 use crate::predictor::TwoBitPredictor;
 use metaopt_ir::interp::{
-    f2i_sat, read_mem, unsafe_call_semantics, unsafe_call_slot, write_mem, OutOfBounds,
+    read_mem, unsafe_call_semantics, unsafe_call_slot, write_mem, OutOfBounds,
 };
 use metaopt_ir::{Opcode, RegClass, Width};
 use std::fmt;
@@ -140,32 +146,20 @@ impl SimResult {
     }
 }
 
+/// The machine's three register files, indexed by class: raw values (a
+/// float as its bit pattern, a predicate as 0/1, as [`Opcode::eval`] reads
+/// them) and the cycle each value becomes ready.
 struct RegFiles {
-    ints: Vec<i64>,
-    floats: Vec<f64>,
-    preds: Vec<bool>,
-    ready_i: Vec<u64>,
-    ready_f: Vec<u64>,
-    ready_p: Vec<u64>,
+    vals: [Vec<i64>; 3],
+    ready: [Vec<u64>; 3],
 }
 
 impl RegFiles {
     fn new(cfg: &MachineConfig) -> Self {
+        let sizes = [cfg.gpr, cfg.fpr, cfg.pred];
         RegFiles {
-            ints: vec![0; cfg.gpr],
-            floats: vec![0.0; cfg.fpr],
-            preds: vec![false; cfg.pred],
-            ready_i: vec![0; cfg.gpr],
-            ready_f: vec![0; cfg.fpr],
-            ready_p: vec![0; cfg.pred],
-        }
-    }
-
-    fn ready_of(&self, class: RegClass, ix: usize) -> u64 {
-        match class {
-            RegClass::Int => self.ready_i[ix],
-            RegClass::Float => self.ready_f[ix],
-            RegClass::Pred => self.ready_p[ix],
+            vals: sizes.map(|n| vec![0; n]),
+            ready: sizes.map(|n| vec![0; n]),
         }
     }
 }
@@ -237,26 +231,21 @@ fn simulate_reference(
         // overwrites (guards included) to be ready.
         let mut issue = cycle;
         for inst in &bundle.insts {
-            if let Some(classes) = inst.op.arg_classes() {
-                for (a, c) in inst.args.iter().zip(classes) {
-                    issue = issue.max(regs.ready_of(*c, a.index()));
-                }
-            } else {
-                for a in &inst.args {
-                    issue = issue.max(regs.ready_i[a.index()]);
+            for (i, a) in inst.args.iter().enumerate() {
+                if let Some(c) = inst.op.arg_class(i) {
+                    issue = issue.max(regs.ready[c as usize][a.index()]);
                 }
             }
             if let Some(p) = inst.pred {
-                issue = issue.max(regs.ready_p[p.index()]);
+                issue = issue.max(regs.ready[RegClass::Pred as usize][p.index()]);
             }
             if let (Some(c), Some(d)) = (inst.op.dst_class(), inst.dst) {
-                issue = issue.max(regs.ready_of(c, d.index()));
+                issue = issue.max(regs.ready[c as usize][d.index()]);
             }
         }
 
         let mut next: Option<usize> = None; // taken-branch target block
         let mut penalty: u64 = 0;
-        let mut branches = 0u64;
 
         for (si, inst) in bundle.insts.iter().enumerate() {
             insts += 1;
@@ -264,127 +253,58 @@ fn simulate_reference(
                 return Err(SimError::InstLimit(cfg.max_insts));
             }
             if let Some(p) = inst.pred {
-                if !regs.preds[p.index()] {
+                if regs.vals[RegClass::Pred as usize][p.index()] == 0 {
                     nullified += 1;
                     continue;
                 }
             }
-            let ia = |i: usize| regs.ints[inst.args[i].index()];
-            let fa = |i: usize| regs.floats[inst.args[i].index()];
-            let pa = |i: usize| regs.preds[inst.args[i].index()];
-            let lat = latency_of(inst.op);
+            let arg = |i: usize| {
+                let c = inst
+                    .op
+                    .arg_class(i)
+                    .expect("an opcode reads only its listed operands");
+                regs.vals[c as usize][inst.args[i].index()]
+            };
+            let done = issue + latency_of(inst.op);
 
-            enum Out {
-                I(i64),
-                F(f64),
-                P(bool),
-                None,
-            }
-            let mut out = Out::None;
-            let mut ready = issue + lat;
-
-            match inst.op {
-                Opcode::Add => out = Out::I(ia(0).wrapping_add(ia(1))),
-                Opcode::Sub => out = Out::I(ia(0).wrapping_sub(ia(1))),
-                Opcode::Mul => out = Out::I(ia(0).wrapping_mul(ia(1))),
-                Opcode::Div => {
-                    let b = ia(1);
-                    out = Out::I(if b == 0 { 0 } else { ia(0).wrapping_div(b) });
-                }
-                Opcode::Rem => {
-                    let b = ia(1);
-                    out = Out::I(if b == 0 { 0 } else { ia(0).wrapping_rem(b) });
-                }
-                Opcode::And => out = Out::I(ia(0) & ia(1)),
-                Opcode::Or => out = Out::I(ia(0) | ia(1)),
-                Opcode::Xor => out = Out::I(ia(0) ^ ia(1)),
-                Opcode::Shl => out = Out::I(ia(0).wrapping_shl(ia(1) as u32 & 63)),
-                Opcode::Shr => out = Out::I(ia(0).wrapping_shr(ia(1) as u32 & 63)),
-                Opcode::AddI => out = Out::I(ia(0).wrapping_add(inst.imm)),
-                Opcode::MulI => out = Out::I(ia(0).wrapping_mul(inst.imm)),
-                Opcode::AndI => out = Out::I(ia(0) & inst.imm),
-                Opcode::ShlI => out = Out::I(ia(0).wrapping_shl(inst.imm as u32 & 63)),
-                Opcode::ShrI => out = Out::I(ia(0).wrapping_shr(inst.imm as u32 & 63)),
-                Opcode::MovI => out = Out::I(inst.imm),
-                Opcode::Mov => out = Out::I(ia(0)),
-                Opcode::Neg => out = Out::I(ia(0).wrapping_neg()),
-                Opcode::Abs => out = Out::I(ia(0).wrapping_abs()),
-                Opcode::Min => out = Out::I(ia(0).min(ia(1))),
-                Opcode::Max => out = Out::I(ia(0).max(ia(1))),
-                Opcode::Sel => out = Out::I(if pa(0) { ia(1) } else { ia(2) }),
-
-                Opcode::CmpEq => out = Out::P(ia(0) == ia(1)),
-                Opcode::CmpNe => out = Out::P(ia(0) != ia(1)),
-                Opcode::CmpLt => out = Out::P(ia(0) < ia(1)),
-                Opcode::CmpLe => out = Out::P(ia(0) <= ia(1)),
-                Opcode::CmpEqI => out = Out::P(ia(0) == inst.imm),
-                Opcode::CmpLtI => out = Out::P(ia(0) < inst.imm),
-                Opcode::CmpGtI => out = Out::P(ia(0) > inst.imm),
-
-                Opcode::PAnd => out = Out::P(pa(0) && pa(1)),
-                Opcode::POr => out = Out::P(pa(0) || pa(1)),
-                Opcode::PNot => out = Out::P(!pa(0)),
-                Opcode::PMovI => out = Out::P(inst.imm != 0),
-                Opcode::PMov => out = Out::P(pa(0)),
-                Opcode::P2I => out = Out::I(if pa(0) { 1 } else { 0 }),
-                Opcode::I2P => out = Out::P(ia(0) != 0),
-
-                Opcode::FAdd => out = Out::F(fa(0) + fa(1)),
-                Opcode::FSub => out = Out::F(fa(0) - fa(1)),
-                Opcode::FMul => out = Out::F(fa(0) * fa(1)),
-                Opcode::FDiv => {
-                    let b = fa(1);
-                    out = Out::F(if b == 0.0 { 0.0 } else { fa(0) / b });
-                }
-                Opcode::FSqrt => out = Out::F(fa(0).abs().sqrt()),
-                Opcode::FAbs => out = Out::F(fa(0).abs()),
-                Opcode::FNeg => out = Out::F(-fa(0)),
-                Opcode::FMin => out = Out::F(fa(0).min(fa(1))),
-                Opcode::FMax => out = Out::F(fa(0).max(fa(1))),
-                Opcode::FMovI => out = Out::F(inst.fimm),
-                Opcode::FMov => out = Out::F(fa(0)),
-                Opcode::FSel => out = Out::F(if pa(0) { fa(1) } else { fa(2) }),
-                Opcode::FCmpEq => out = Out::P(fa(0) == fa(1)),
-                Opcode::FCmpLt => out = Out::P(fa(0) < fa(1)),
-                Opcode::FCmpLe => out = Out::P(fa(0) <= fa(1)),
-                Opcode::I2F => out = Out::F(ia(0) as f64),
-                Opcode::F2I => out = Out::I(f2i_sat(fa(0))),
-                Opcode::FBits => out = Out::I(fa(0).to_bits() as i64),
-                Opcode::BitsF => out = Out::F(f64::from_bits(ia(0) as u64)),
-
+            // The value written back and the cycle it is ready, if any.
+            let out = match inst.op {
                 Opcode::Ld(w) => {
-                    let addr = ia(0).wrapping_add(inst.imm);
+                    let addr = arg(0).wrapping_add(inst.imm);
                     let v = read_mem(&mem, addr, w)?;
-                    ready = cache.access(addr, issue.max(pf_queue));
-                    out = Out::I(v);
+                    Some((v, cache.access(addr, issue.max(pf_queue))))
                 }
                 Opcode::FLd => {
-                    let addr = ia(0).wrapping_add(inst.imm);
+                    let addr = arg(0).wrapping_add(inst.imm);
                     let bits = read_mem(&mem, addr, Width::B8)?;
-                    ready = cache.access(addr, issue.max(pf_queue));
-                    out = Out::F(f64::from_bits(bits as u64));
+                    Some((bits, cache.access(addr, issue.max(pf_queue))))
                 }
                 Opcode::St(w) => {
-                    let addr = ia(0).wrapping_add(inst.imm);
-                    write_mem(&mut mem, addr, w, ia(1))?;
+                    let addr = arg(0).wrapping_add(inst.imm);
+                    write_mem(&mut mem, addr, w, arg(1))?;
                     cache.access(addr, issue); // allocate; store buffer hides latency
+                    None
                 }
                 Opcode::FSt => {
-                    let addr = ia(0).wrapping_add(inst.imm);
-                    write_mem(&mut mem, addr, Width::B8, fa(1).to_bits() as i64)?;
+                    let addr = arg(0).wrapping_add(inst.imm);
+                    write_mem(&mut mem, addr, Width::B8, arg(1))?;
                     cache.access(addr, issue);
+                    None
                 }
                 Opcode::Prefetch => {
-                    let addr = ia(0).wrapping_add(inst.imm);
+                    let addr = arg(0).wrapping_add(inst.imm);
                     let start = issue.max(pf_queue);
                     cache.prefetch(addr, start);
                     pf_queue = start + cfg.prefetch_queue_cycles;
+                    None
                 }
 
-                Opcode::Br => next = inst.target.map(|t| t.index()),
+                Opcode::Br => {
+                    next = inst.target.map(|t| t.index());
+                    None
+                }
                 Opcode::CBr => {
-                    branches += 1;
-                    let taken = pa(0);
+                    let taken = arg(0) != 0;
                     let site = ((block as u64) << 32) | ((bix as u64) << 8) | si as u64;
                     let correct = predictor.predict_and_update(site, taken);
                     if !correct {
@@ -393,10 +313,10 @@ fn simulate_reference(
                     if taken {
                         next = inst.target.map(|t| t.index());
                     }
+                    None
                 }
                 Opcode::Ret => {
-                    ret_val = if inst.args.is_empty() { 0 } else { ia(0) };
-                    let _ = branches;
+                    ret_val = if inst.args.is_empty() { 0 } else { arg(0) };
                     cycle = issue + 1 + penalty;
                     break 'outer;
                 }
@@ -404,28 +324,20 @@ fn simulate_reference(
                 Opcode::UnsafeCall => {
                     let slot = unsafe_call_slot(inst.imm);
                     let old = read_mem(&mem, slot, Width::B8)?;
-                    let (newv, r) = unsafe_call_semantics(old, ia(0), inst.imm);
+                    let (newv, r) = unsafe_call_semantics(old, arg(0), inst.imm);
                     write_mem(&mut mem, slot, Width::B8, newv)?;
-                    out = Out::I(r);
+                    Some((r, done))
                 }
-            }
+                op => Some((op.eval(arg, inst.eval_imm()), done)),
+            };
 
-            if let Some(d) = inst.dst {
-                match out {
-                    Out::I(v) => {
-                        regs.ints[d.index()] = v;
-                        regs.ready_i[d.index()] = ready;
-                    }
-                    Out::F(v) => {
-                        regs.floats[d.index()] = v;
-                        regs.ready_f[d.index()] = ready;
-                    }
-                    Out::P(v) => {
-                        regs.preds[d.index()] = v;
-                        regs.ready_p[d.index()] = ready;
-                    }
-                    Out::None => {}
-                }
+            if let (Some((v, at)), Some(d)) = (out, inst.dst) {
+                let c = inst
+                    .op
+                    .dst_class()
+                    .expect("an opcode with a result has a class") as usize;
+                regs.vals[c][d.index()] = v;
+                regs.ready[c][d.index()] = at;
             }
         }
 

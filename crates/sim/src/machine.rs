@@ -16,6 +16,15 @@ pub enum UnitKind {
     Branch,
 }
 
+impl UnitKind {
+    /// Dense index in declaration order (`Int` 0 to `Branch` 3): the slot
+    /// of this unit class in a per-unit count or capacity array.
+    #[inline]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// Data-cache hierarchy parameters.
 ///
 /// Latencies follow the paper's Table 3: L1 2 cycles, L2 7 cycles, and 35
@@ -109,6 +118,17 @@ impl MachineConfig {
             max_insts: metaopt_ir::budget::DEFAULT_MAX_STEPS,
             max_cycles: metaopt_ir::budget::DEFAULT_MAX_STEPS,
         }
+    }
+
+    /// Units of each class, indexed by [`UnitKind::index`]: how many
+    /// instructions of that class one bundle may issue.
+    pub fn unit_caps(&self) -> [usize; 4] {
+        [
+            self.int_units,
+            self.fp_units,
+            self.mem_units,
+            self.branch_units,
+        ]
     }
 
     /// The register-allocation case study's stressed machine: Table 3 with
