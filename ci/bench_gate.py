@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
 """CI throughput gate: compare a fresh fixed-seed smoke-run digest against
-the committed BENCH_evals.json baseline and fail on a >2x regression in
-evaluation throughput, simulator speed, evaluation time per evaluation or
-compiler pass time per compile.
+the committed BENCH_evals.json baseline. Fail when an exact count differs,
+or on a >2x regression in evaluation throughput, simulator speed,
+evaluation time per evaluation or compiler pass time per compile.
 
 Usage: bench_gate.py BENCH_evals.json target/BENCH_evals.json
 
-Both files are `metaopt trace-report --bench-json` output. The 2x margin
-absorbs runner-to-runner noise; a real pathology (accidentally quadratic
-pass, validation left on in the hot path) shows up as 10x+.
+Both files are `metaopt trace-report --bench-json` output. The exact counts
+(evaluations, simulator runs, compiles, simulated cycles) do not depend on
+the clock, the host or the thread count, so they must equal the committed
+ones: a change that moves them commits a new BENCH_evals.json and says why.
+The 2x margin on the timed keys absorbs runner-to-runner noise; a real
+pathology (accidentally quadratic pass, validation left on in the hot path)
+shows up as 10x+.
 """
 import json
 import sys
@@ -23,6 +27,16 @@ def main() -> int:
     with open(sys.argv[2]) as f:
         fresh = json.load(f)
     failed = False
+    for key in ["total_evals", "sim_runs", "compiles", "sim_cycles"]:
+        b, got = base.get(key), fresh.get(key)
+        if b is None or got is None:
+            side = "baseline" if b is None else "fresh"
+            print(f"{key}: SKIP ({side} digest lacks the key)")
+            continue
+        print(f"{key}: baseline {b}, fresh {got}")
+        if got != b:
+            print(f"FAIL: {key} differs from BENCH_evals.json (an exact count)")
+            failed = True
     # A baseline of 0 (or a missing key) is ungateable: there is no floor to
     # regress from, so dividing by it would be meaningless. Skip such keys
     # with a note instead of failing or printing an infinite ratio — e.g.

@@ -24,6 +24,10 @@ def digest(**kv):
         "eval_us_per_eval": 20000.0,
         "pass_us_per_compile": 300.0,
         "cache_hit_rate": 0.5,
+        "total_evals": 132,
+        "sim_runs": 7,
+        "compiles": 132,
+        "sim_cycles": 6467496,
     }
     base.update(kv)
     return base
@@ -138,6 +142,36 @@ class BenchGate(unittest.TestCase):
         code, out = run_gate(base, digest(pass_us_per_compile=1e6))
         self.assertEqual(code, 0, out)
         self.assertIn("pass_us_per_compile: SKIP (baseline digest lacks the key)", out)
+
+    def test_equal_counts_pass(self):
+        code, out = run_gate(digest(), digest())
+        self.assertEqual(code, 0, out)
+        for key in ["total_evals", "sim_runs", "compiles", "sim_cycles"]:
+            self.assertIn(f"{key}: baseline", out)
+
+    def test_any_count_that_differs_fails(self):
+        # Exact counts gate for equality: fewer is as wrong as more.
+        for key, moved in [
+            ("total_evals", 131),
+            ("sim_runs", 8),
+            ("compiles", 133),
+            ("sim_cycles", 6467495),
+        ]:
+            code, out = run_gate(digest(), digest(**{key: moved}))
+            self.assertEqual(code, 1, out)
+            self.assertIn(f"FAIL: {key} differs", out)
+
+    def test_count_missing_from_either_digest_skips(self):
+        base = digest()
+        del base["sim_runs"]
+        code, out = run_gate(base, digest(sim_runs=99))
+        self.assertEqual(code, 0, out)
+        self.assertIn("sim_runs: SKIP (baseline digest lacks the key)", out)
+        fresh = digest()
+        del fresh["compiles"]
+        code, out = run_gate(digest(), fresh)
+        self.assertEqual(code, 0, out)
+        self.assertIn("compiles: SKIP (fresh digest lacks the key)", out)
 
 
 if __name__ == "__main__":

@@ -223,3 +223,39 @@ fn the_live_digest_is_the_file_digest_of_a_co_evolved_run() {
     assert_eq!(tracer.lines(), None);
     assert_eq!(untimed(&alone.report()), untimed(&live));
 }
+
+/// The CI smoke run behind `BENCH_evals.json`, traced at `threads`: its
+/// digest as `trace-report --bench-json` writes it.
+fn smoke_digest(threads: &str) -> metaopt_trace::json::Value {
+    let trace = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("bench-smoke-threads-{threads}.jsonl"));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_metaopt"))
+        .args(["specialize", "hyperblock", "unepic", "--pop", "48"])
+        .args(["--gens", "60", "--seed", "4", "--threads", threads])
+        .args(["--sim-tier", "fast", "--trace-out"])
+        .arg(&trace)
+        .output()
+        .expect("run metaopt");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&trace).unwrap();
+    metaopt_trace::json::parse(&report::analyze(&text).unwrap().bench_json()).unwrap()
+}
+
+#[test]
+fn the_gated_counts_are_exact_at_any_thread_count() {
+    use metaopt_trace::json::Value;
+    let committed = metaopt_trace::json::parse(include_str!("../../../BENCH_evals.json")).unwrap();
+    let digests = [smoke_digest("1"), smoke_digest("2")];
+    for key in ["total_evals", "sim_runs", "compiles", "sim_cycles"] {
+        let want = committed.get(key).and_then(Value::as_u64);
+        assert!(want.is_some(), "BENCH_evals.json lacks {key}");
+        for (d, threads) in digests.iter().zip([1, 2]) {
+            let got = d.get(key).and_then(Value::as_u64);
+            assert_eq!(got, want, "{key} at --threads {threads}");
+        }
+    }
+}

@@ -421,16 +421,20 @@ impl Report {
         }
     }
 
-    /// Compiler pass wall time per compile in microseconds: the `pass`
-    /// events' summed `wall_ns` over the runs of the `schedule` pass, which
-    /// ends every compile exactly once. Exact spans, not histogram buckets;
-    /// 0 when the trace holds no compile.
-    pub fn pass_us_per_compile(&self) -> f64 {
-        let compiles = self
-            .passes
+    /// Compiles in the trace: the runs of the `schedule` pass, which ends
+    /// every compile exactly once.
+    pub fn compiles(&self) -> u64 {
+        self.passes
             .iter()
             .find(|p| p.pass == "schedule")
-            .map_or(0, |p| p.runs);
+            .map_or(0, |p| p.runs)
+    }
+
+    /// Compiler pass wall time per compile in microseconds: the `pass`
+    /// events' summed `wall_ns` over [`Report::compiles`]. Exact spans, not
+    /// histogram buckets; 0 when the trace holds no compile.
+    pub fn pass_us_per_compile(&self) -> f64 {
+        let compiles = self.compiles();
         if compiles == 0 {
             0.0
         } else {
@@ -468,7 +472,10 @@ impl Report {
 
     /// The throughput digest consumed by `BENCH_evals.json` and the CI
     /// regression gate: evaluation throughput, cache behaviour, simulator
-    /// speed and compile cost, rendered as a JSON object.
+    /// speed and compile cost, rendered as a JSON object. Four keys are
+    /// exact counts that do not depend on the clock or the thread schedule:
+    /// `total_evals`, `sim_runs` (`sim` events), `compiles` (see
+    /// [`Report::compiles`]) and `sim_cycles`.
     pub fn bench_json(&self) -> String {
         use crate::json::Value;
         Value::Obj(vec![
@@ -483,6 +490,8 @@ impl Report {
             ),
             ("total_evals".to_string(), Value::UInt(self.total_evals)),
             ("sim_cycles".to_string(), Value::UInt(self.sims.1)),
+            ("sim_runs".to_string(), Value::UInt(self.sims.0)),
+            ("compiles".to_string(), Value::UInt(self.compiles())),
             (
                 "warm_evals".to_string(),
                 Value::UInt(self.reliability.warm_evals),
@@ -979,6 +988,19 @@ mod tests {
         let hit = v.get("cache_hit_rate").and_then(Value::as_f64).unwrap();
         assert!((hit - 0.25).abs() < 1e-9, "hit rate {hit}");
         assert!(v.get("evals_per_sec").and_then(Value::as_f64).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn bench_json_carries_the_exact_counts() {
+        let r = analyze(&synthetic_trace()).unwrap();
+        let v = crate::json::parse(&r.bench_json()).unwrap();
+        let count = |key| v.get(key).and_then(Value::as_u64);
+        // 6 evals, 6 simulations of 600 cycles in all, 4 schedule runs.
+        assert_eq!(count("total_evals"), Some(6));
+        assert_eq!(count("sim_runs"), Some(6));
+        assert_eq!(count("compiles"), Some(4));
+        assert_eq!(count("sim_cycles"), Some(600));
+        assert_eq!(r.compiles(), 4);
     }
 
     #[test]
