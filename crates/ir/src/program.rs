@@ -247,9 +247,9 @@ impl Program {
             "duplicate global name {}",
             g.name
         );
+        let base = self.memory_size() as i64;
         self.globals.push(g);
-        self.global_addr(&self.globals.last().unwrap().name.clone())
-            .unwrap()
+        base
     }
 
     /// Look up a function by name.
@@ -267,34 +267,35 @@ impl Program {
         self.func_by_name("main").unwrap_or(FuncId(0))
     }
 
-    /// Base address of a named global under the deterministic layout:
+    /// Each global with its base address under the deterministic layout:
     /// globals are placed in declaration order from [`GLOBAL_BASE`], each
     /// 8-byte aligned.
+    fn placed(&self) -> impl Iterator<Item = (i64, &GlobalData)> {
+        self.globals.iter().scan(GLOBAL_BASE, |next, g| {
+            let base = *next;
+            *next += padded_size(g) as i64;
+            Some((base, g))
+        })
+    }
+
+    /// Base address of a named global under the deterministic layout
+    /// (declaration order from [`GLOBAL_BASE`], each 8-byte aligned).
     pub fn global_addr(&self, name: &str) -> Option<i64> {
-        let mut addr = GLOBAL_BASE;
-        for g in &self.globals {
-            if g.name == name {
-                return Some(addr);
-            }
-            addr += ((g.size + 7) & !7) as i64;
-        }
-        None
+        self.placed()
+            .find(|(_, g)| g.name == name)
+            .map(|(base, _)| base)
     }
 
     /// Total memory image size (bytes) needed to run this program.
     pub fn memory_size(&self) -> usize {
-        let mut addr = GLOBAL_BASE as usize;
-        for g in &self.globals {
-            addr += (g.size + 7) & !7;
-        }
-        addr
+        GLOBAL_BASE as usize + self.globals.iter().map(padded_size).sum::<usize>()
     }
 
     /// Build the initial memory image: globals with their initializers.
     pub fn initial_memory(&self) -> Vec<u8> {
         let mut mem = vec![0u8; self.memory_size()];
-        let mut addr = GLOBAL_BASE as usize;
-        for g in &self.globals {
+        for (base, g) in self.placed() {
+            let addr = base as usize;
             match &g.init {
                 GlobalInit::Zero => {}
                 GlobalInit::Bytes(b) => {
@@ -327,7 +328,6 @@ impl Program {
                     }
                 }
             }
-            addr += (g.size + 7) & !7;
         }
         mem
     }
@@ -338,16 +338,15 @@ impl Program {
     }
 }
 
+/// Bytes a global occupies in the layout: its size rounded up to 8.
+fn padded_size(g: &GlobalData) -> usize {
+    (g.size + 7) & !7
+}
+
 impl fmt::Display for Program {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for g in &self.globals {
-            writeln!(
-                f,
-                "global {} [{} bytes] @ {}",
-                g.name,
-                g.size,
-                self.global_addr(&g.name).unwrap()
-            )?;
+        for (base, g) in self.placed() {
+            writeln!(f, "global {} [{} bytes] @ {base}", g.name, g.size)?;
         }
         for func in &self.funcs {
             write!(f, "{func}")?;

@@ -181,14 +181,14 @@ struct FnLowerer<'a> {
 
 impl<'a> FnLowerer<'a> {
     fn lower(mut self) -> Result<metaopt_ir::Function, LangError> {
-        self.scopes.push(HashMap::new());
+        let mut params = HashMap::new();
         for (name, ty) in &self.decl.params {
             let class = match ty {
                 ast::Type::Int => RegClass::Int,
                 ast::Type::Float => RegClass::Float,
             };
             let reg = self.fb.param(class);
-            self.scopes.last_mut().unwrap().insert(
+            params.insert(
                 name.clone(),
                 Val {
                     reg,
@@ -196,6 +196,7 @@ impl<'a> FnLowerer<'a> {
                 },
             );
         }
+        self.scopes.push(params);
         let terminated = self.stmts(&self.decl.body.clone())?;
         if !terminated {
             match self.decl.ret {
@@ -248,7 +249,11 @@ impl<'a> FnLowerer<'a> {
             Stmt::Let { name, init, line } => {
                 let v = self.expr(init)?;
                 let v = self.coerce_bool_to_int(v);
-                if self.scopes.last().unwrap().contains_key(name) {
+                if self
+                    .scopes
+                    .last()
+                    .is_some_and(|scope| scope.contains_key(name))
+                {
                     return fail(*line, format!("redeclaration of {name} in the same scope"));
                 }
                 // Dedicated mutable cell so later assignments can overwrite.
@@ -259,13 +264,16 @@ impl<'a> FnLowerer<'a> {
                 };
                 let cell = self.fb.new_vreg(class);
                 self.copy_into(cell, v);
-                self.scopes.last_mut().unwrap().insert(
-                    name.clone(),
-                    Val {
-                        reg: cell,
-                        ty: v.ty,
-                    },
-                );
+                self.scopes
+                    .last_mut()
+                    .expect("`lower` opens the function's scope before any statement")
+                    .insert(
+                        name.clone(),
+                        Val {
+                            reg: cell,
+                            ty: v.ty,
+                        },
+                    );
                 Ok(false)
             }
             Stmt::Assign { target, value } => {
@@ -435,7 +443,7 @@ impl<'a> FnLowerer<'a> {
                                     .push(Inst::new(Opcode::FBits).dst(bits).args(&[v.reg]));
                                 self.fb.ret(Some(bits));
                             }
-                            Ty::Bool => unreachable!(),
+                            Ty::Bool => unreachable!("a return value is coerced to int above"),
                         }
                     }
                     (None, Some(_)) => return fail(*line, "missing return value"),
@@ -503,10 +511,9 @@ impl<'a> FnLowerer<'a> {
         if iv.ty != Ty::Int {
             return fail(line, "array index must be int");
         }
-        let scaled = match g.elem.size() {
-            1 => iv.reg,
-            8 => self.fb.muli(iv.reg, 8),
-            _ => unreachable!(),
+        let scaled = match g.elem {
+            ElemType::Byte => iv.reg,
+            ElemType::Int | ElemType::Float => self.fb.muli(iv.reg, g.elem.size() as i64),
         };
         let base = self.fb.movi(g.addr);
         let addr = self.fb.add(base, scaled);
@@ -688,7 +695,7 @@ impl<'a> FnLowerer<'a> {
                     Ge => self
                         .fb
                         .push(Inst::new(Opcode::FCmpLe).dst(r).args(&[b.reg, a.reg])),
-                    _ => unreachable!(),
+                    _ => unreachable!("only comparisons reach here, not {op:?}"),
                 }
             } else {
                 match op {
@@ -710,7 +717,7 @@ impl<'a> FnLowerer<'a> {
                     Ge => self
                         .fb
                         .push(Inst::new(Opcode::CmpLe).dst(r).args(&[b.reg, a.reg])),
-                    _ => unreachable!(),
+                    _ => unreachable!("only comparisons reach here, not {op:?}"),
                 }
             }
             return Ok(Val {
@@ -739,7 +746,7 @@ impl<'a> FnLowerer<'a> {
                 Xor => Opcode::Xor,
                 Shl => Opcode::Shl,
                 Shr => Opcode::Shr,
-                _ => unreachable!(),
+                _ => unreachable!("{op:?} is a comparison or logical operator, lowered above"),
             }
         };
         let class = if is_float {
