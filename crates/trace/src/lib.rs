@@ -222,12 +222,14 @@ impl Tracer {
         fields.extend(attrs.into_iter().map(|(k, v)| (k.to_string(), v)));
         fields.extend(self.scope.iter().map(|(k, v)| (k.to_string(), v.clone())));
         let event = Value::Obj(fields);
+        // The sink's lock is taken before the fold, so that concurrent
+        // emitters fold their events in the order of their lines.
+        let sink = (self.inner.as_ref())
+            .map(|inner| (event.to_string(), inner.sink.lock().expect(SINK_LOCK)));
         if let Some(registry) = &self.metrics {
             registry.fold(&event);
         }
-        let Some(inner) = &self.inner else { return };
-        let line = event.to_string();
-        let mut sink = inner.sink.lock().expect(SINK_LOCK);
+        let Some((line, mut sink)) = sink else { return };
         match &mut *sink {
             SinkKind::Writer(w) => {
                 let _ = writeln!(w, "{line}");
