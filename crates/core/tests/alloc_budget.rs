@@ -14,13 +14,20 @@
 //!   data, as set-up runs it. A run allocates while it lowers the program
 //!   and folds the profile, never per step, so the figure is a bound per
 //!   run however many steps the run takes.
+//! * Priority evaluations: a genome evaluates inside every compile, once
+//!   per decision, so evaluating one allocates nothing.
 
 use metaopt::pipeline::PreparedBench;
 use metaopt::study::{self, ExprPriority};
 use metaopt_compiler::{compile, Passes, ValidationLevel};
+use metaopt_gp::expr::Env;
+use metaopt_gp::gen::random_expr;
+use metaopt_gp::Kind;
 use metaopt_ir::budget::KERNEL_VERIFY_MAX_STEPS;
 use metaopt_ir::interp::{run, RunConfig};
 use metaopt_suite::DataSet;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -129,4 +136,26 @@ fn profiled_runs_stay_within_the_allocation_budget() {
         most.1,
         most.0
     );
+}
+
+#[test]
+fn evaluating_a_genome_allocates_nothing() {
+    let mut rng = StdRng::seed_from_u64(5);
+    for study in [study::hyperblock(), study::regalloc(), study::prefetch()] {
+        let fs = &study.features;
+        let reals: Vec<f64> = (0..fs.num_reals()).map(|i| i as f64 * 1.5 - 2.0).collect();
+        let bools: Vec<bool> = (0..fs.num_bools()).map(|i| i % 2 == 0).collect();
+        let env = Env {
+            reals: &reals,
+            bools: &bools,
+        };
+        let mut genomes = vec![study.baseline_seed.clone()];
+        for kind in [Kind::Real, Kind::Bool] {
+            genomes.extend((0..20).map(|_| random_expr(&mut rng, fs, kind, 1, 9)));
+        }
+        for g in &genomes {
+            let (n, _) = allocations(|| (g.eval_real(&env), g.eval_bool(&env)));
+            assert_eq!(n, 0, "evaluating {g} allocated {n} times");
+        }
+    }
 }
