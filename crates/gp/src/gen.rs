@@ -2,7 +2,7 @@
 //! expressions of varying heights using the primitives in Table 1 and
 //! features extracted by the compiler writer").
 
-use crate::expr::{BExpr, Expr, Kind, RExpr};
+use crate::expr::{Expr, Kind, Prim};
 use crate::features::FeatureSet;
 use rand::{Rng, RngExt};
 
@@ -18,82 +18,35 @@ pub fn random_const<R: Rng>(rng: &mut R) -> f64 {
     }
 }
 
-/// Grow a random real expression of height at most `depth`.
-pub fn random_real<R: Rng>(rng: &mut R, fs: &FeatureSet, depth: usize) -> RExpr {
-    let leaf = depth <= 1 || rng.random_bool(0.25);
-    if leaf {
-        if fs.num_reals() > 0 && rng.random_bool(0.6) {
-            RExpr::Feat(rng.random_range(0..fs.num_reals()) as u16)
+/// Grow a random subtree of sort `kind` and height at most `depth`,
+/// appending it to `out` in preorder.
+fn grow<R: Rng>(rng: &mut R, fs: &FeatureSet, kind: Kind, depth: usize, out: &mut Vec<Prim>) {
+    // Per sort: the chance of a leaf above the depth bound, the chance
+    // that a leaf reads a feature, and how many features there are.
+    let (leaf, feature, features) = match kind {
+        Kind::Real => (0.25, 0.6, fs.num_reals()),
+        Kind::Bool => (0.2, 0.7, fs.num_bools()),
+    };
+    if depth <= 1 || rng.random_bool(leaf) {
+        let node = if features > 0 && rng.random_bool(feature) {
+            let i = rng.random_range(0..features) as u16;
+            match kind {
+                Kind::Real => Prim::RArg(i),
+                Kind::Bool => Prim::BArg(i),
+            }
         } else {
-            RExpr::Const(random_const(rng))
-        }
+            match kind {
+                Kind::Real => Prim::RConst(random_const(rng)),
+                Kind::Bool => Prim::BConst(rng.random_bool(0.5)),
+            }
+        };
+        out.push(node);
     } else {
-        let d = depth - 1;
-        match rng.random_range(0..7u8) {
-            0 => RExpr::Add(
-                Box::new(random_real(rng, fs, d)),
-                Box::new(random_real(rng, fs, d)),
-            ),
-            1 => RExpr::Sub(
-                Box::new(random_real(rng, fs, d)),
-                Box::new(random_real(rng, fs, d)),
-            ),
-            2 => RExpr::Mul(
-                Box::new(random_real(rng, fs, d)),
-                Box::new(random_real(rng, fs, d)),
-            ),
-            3 => RExpr::Div(
-                Box::new(random_real(rng, fs, d)),
-                Box::new(random_real(rng, fs, d)),
-            ),
-            4 => RExpr::Sqrt(Box::new(random_real(rng, fs, d))),
-            5 => RExpr::Tern(
-                Box::new(random_bool_expr(rng, fs, d)),
-                Box::new(random_real(rng, fs, d)),
-                Box::new(random_real(rng, fs, d)),
-            ),
-            _ => RExpr::Cmul(
-                Box::new(random_bool_expr(rng, fs, d)),
-                Box::new(random_real(rng, fs, d)),
-                Box::new(random_real(rng, fs, d)),
-            ),
-        }
-    }
-}
-
-/// Grow a random Boolean expression of height at most `depth`.
-pub fn random_bool_expr<R: Rng>(rng: &mut R, fs: &FeatureSet, depth: usize) -> BExpr {
-    let leaf = depth <= 1 || rng.random_bool(0.2);
-    if leaf {
-        if fs.num_bools() > 0 && rng.random_bool(0.7) {
-            BExpr::Feat(rng.random_range(0..fs.num_bools()) as u16)
-        } else {
-            BExpr::Const(rng.random_bool(0.5))
-        }
-    } else {
-        let d = depth - 1;
-        match rng.random_range(0..6u8) {
-            0 => BExpr::And(
-                Box::new(random_bool_expr(rng, fs, d)),
-                Box::new(random_bool_expr(rng, fs, d)),
-            ),
-            1 => BExpr::Or(
-                Box::new(random_bool_expr(rng, fs, d)),
-                Box::new(random_bool_expr(rng, fs, d)),
-            ),
-            2 => BExpr::Not(Box::new(random_bool_expr(rng, fs, d))),
-            3 => BExpr::Lt(
-                Box::new(random_real(rng, fs, d)),
-                Box::new(random_real(rng, fs, d)),
-            ),
-            4 => BExpr::Gt(
-                Box::new(random_real(rng, fs, d)),
-                Box::new(random_real(rng, fs, d)),
-            ),
-            _ => BExpr::Eq(
-                Box::new(random_real(rng, fs, d)),
-                Box::new(random_real(rng, fs, d)),
-            ),
+        let ops = Prim::operators(kind);
+        let op = ops[usize::from(rng.random_range(0..ops.len() as u8))];
+        out.push(op);
+        for &arg in op.args() {
+            grow(rng, fs, arg, depth - 1, out);
         }
     }
 }
@@ -108,10 +61,9 @@ pub fn random_expr<R: Rng>(
     max_depth: usize,
 ) -> Expr {
     let depth = rng.random_range(min_depth..=max_depth.max(min_depth));
-    match kind {
-        Kind::Real => Expr::Real(random_real(rng, fs, depth)),
-        Kind::Bool => Expr::Bool(random_bool_expr(rng, fs, depth)),
-    }
+    let mut prims = Vec::new();
+    grow(rng, fs, kind, depth, &mut prims);
+    Expr { prims }
 }
 
 #[cfg(test)]

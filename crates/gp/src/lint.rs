@@ -7,20 +7,24 @@
 //! evaluation ([`reject`]) and annotate evolved winners for the compiler
 //! writer ([`lint`]).
 //!
+//! The rules run in one pass over the genome's preorder array, so findings
+//! come in node order. A feature-free subtree is folded by evaluating it,
+//! the same fold [`simplify`](crate::simplify) applies.
+//!
 //! Error-level rules (a genome with any of these is rejected):
 //!
 //! * `kind-mismatch` — the genome's sort differs from the study's;
 //! * `unknown-feature` — a feature terminal indexes past the feature set,
 //!   so it silently evaluates to `0.0`/`false`;
-//! * `non-finite-constant` — a NaN/∞ constant, which the arithmetic
-//!   clamps into unrelated values;
+//! * `non-finite-constant` — a NaN/∞ constant, which the evaluator
+//!   clamps into unrelated values (NaN to 0, ±∞ to ±1e18);
 //! * `certain-zero-division` — a denominator that is provably zero, so the
 //!   protected division *always* takes its fallback of `1`.
 //!
 //! Warning-level rules (suspicious but evaluable): `possibly-zero-denominator`,
 //! `dead-branch`, `constant-subtree`. Info-level: `unused-feature`.
 
-use crate::expr::{BExpr, Env, Expr, Kind, RExpr};
+use crate::expr::{end, fold, operands, Expr, Kind, Prim};
 use crate::features::FeatureSet;
 use std::fmt;
 
@@ -67,14 +71,16 @@ impl fmt::Display for Lint {
 /// `expected`-sorted genomes over `features`. Findings come in discovery
 /// order (errors are not guaranteed first).
 pub fn lint(genome: &Expr, expected: Kind, features: &FeatureSet) -> Vec<Lint> {
-    let mut cx = Cx {
-        features,
-        lints: Vec::new(),
-        used_reals: vec![false; features.num_reals()],
-        used_bools: vec![false; features.num_bools()],
+    let mut lints = Vec::new();
+    let mut push = |level, rule, message| {
+        lints.push(Lint {
+            level,
+            rule,
+            message,
+        })
     };
     if genome.kind() != expected {
-        cx.push(
+        push(
             LintLevel::Error,
             "kind-mismatch",
             format!(
@@ -85,31 +91,116 @@ pub fn lint(genome: &Expr, expected: Kind, features: &FeatureSet) -> Vec<Lint> {
             ),
         );
     }
-    match genome {
-        Expr::Real(r) => cx.walk_real(r, false),
-        Expr::Bool(b) => cx.walk_bool(b, false),
-    }
-    for (i, used) in cx.used_reals.iter().enumerate() {
-        if !used {
-            let name = cx.features.real_name(i).unwrap_or("?").to_string();
-            cx.lints.push(Lint {
-                level: LintLevel::Info,
-                rule: "unused-feature",
-                message: format!("real feature '{name}' is never read"),
-            });
+    let mut used_reals = vec![false; features.num_reals()];
+    let mut used_bools = vec![false; features.num_bools()];
+    let prims = &genome.prims;
+    // Nodes before this index lie inside a subtree already reported as
+    // constant, so only the maximal foldable subtree is flagged.
+    let mut in_const_until = 0;
+    for (i, &node) in prims.iter().enumerate() {
+        let tree = &prims[i..end(prims, i)];
+        if i >= in_const_until && tree.len() > 1 {
+            if let Some(v) = fold(tree) {
+                let kind = node.kind();
+                push(
+                    LintLevel::Warning,
+                    "constant-subtree",
+                    format!(
+                        "{}-node {} subtree reads no features and always evaluates to {}",
+                        tree.len(),
+                        kind.name(),
+                        shown(kind, v)
+                    ),
+                );
+                in_const_until = i + tree.len();
+            }
+        }
+        let args: Vec<&[Prim]> = operands(tree).collect();
+        match (node, &args[..]) {
+            (Prim::Div, [_, den]) => {
+                if cancels(den) {
+                    push(
+                        LintLevel::Error,
+                        "certain-zero-division",
+                        "denominator subtracts a subtree from itself: always zero, so the \
+                         protected division always yields its fallback of 1"
+                            .to_string(),
+                    );
+                } else if let Some(v) = fold(den) {
+                    if v.abs() < 1e-9 {
+                        push(
+                            LintLevel::Error,
+                            "certain-zero-division",
+                            format!(
+                                "denominator is the constant {v}: the protected division \
+                                 always yields its fallback of 1"
+                            ),
+                        );
+                    }
+                } else if possibly_zero(den) {
+                    push(
+                        LintLevel::Warning,
+                        "possibly-zero-denominator",
+                        "denominator can plausibly reach zero; the protected division \
+                         silently yields 1 there"
+                            .to_string(),
+                    );
+                }
+            }
+            (Prim::Tern | Prim::Cmul, [cond, ..]) => {
+                if let Some(v) = fold(cond) {
+                    let cv = v > 0.0;
+                    let dead = if cv { "else" } else { "then" };
+                    push(
+                        LintLevel::Warning,
+                        "dead-branch",
+                        format!("condition is constantly {cv}: the {dead} branch is dead code"),
+                    );
+                }
+            }
+            (Prim::RConst(k), _) if !k.is_finite() => push(
+                LintLevel::Error,
+                "non-finite-constant",
+                format!(
+                    "real constant {k} is not finite; the evaluator clamps it into \
+                     unrelated values"
+                ),
+            ),
+            (Prim::RArg(i) | Prim::BArg(i), _) => {
+                let (used, fallback) = match node.kind() {
+                    Kind::Real => (&mut used_reals, "0.0"),
+                    Kind::Bool => (&mut used_bools, "false"),
+                };
+                let count = used.len();
+                match used.get_mut(usize::from(i)) {
+                    Some(u) => *u = true,
+                    None => push(
+                        LintLevel::Error,
+                        "unknown-feature",
+                        format!(
+                            "{} feature index {i} is out of range (feature set has {count}); \
+                             it silently evaluates to {fallback}",
+                            node.kind().name()
+                        ),
+                    ),
+                }
+            }
+            _ => {}
         }
     }
-    for (i, used) in cx.used_bools.iter().enumerate() {
-        if !used {
-            let name = cx.features.bool_name(i).unwrap_or("?").to_string();
-            cx.lints.push(Lint {
-                level: LintLevel::Info,
-                rule: "unused-feature",
-                message: format!("bool feature '{name}' is never read"),
-            });
+    for (kind, used, names) in [
+        (Kind::Real, &used_reals, features.real_names()),
+        (Kind::Bool, &used_bools, features.bool_names()),
+    ] {
+        for (name, _) in names.iter().zip(used).filter(|(_, used)| !**used) {
+            push(
+                LintLevel::Info,
+                "unused-feature",
+                format!("{} feature '{name}' is never read", kind.name()),
+            );
         }
     }
-    cx.lints
+    lints
 }
 
 /// [`lint`], failing when any error-level finding exists. The GP engine
@@ -126,221 +217,31 @@ pub fn reject(genome: &Expr, expected: Kind, features: &FeatureSet) -> Result<()
     }
 }
 
-struct Cx<'a> {
-    features: &'a FeatureSet,
-    lints: Vec<Lint>,
-    used_reals: Vec<bool>,
-    used_bools: Vec<bool>,
-}
-
-const EMPTY: Env<'static> = Env {
-    reals: &[],
-    bools: &[],
-};
-
-/// Does the subtree read any feature terminal?
-fn has_features_real(e: &RExpr) -> bool {
-    match e {
-        RExpr::Add(a, b) | RExpr::Sub(a, b) | RExpr::Mul(a, b) | RExpr::Div(a, b) => {
-            has_features_real(a) || has_features_real(b)
-        }
-        RExpr::Sqrt(a) => has_features_real(a),
-        RExpr::Tern(c, a, b) | RExpr::Cmul(c, a, b) => {
-            has_features_bool(c) || has_features_real(a) || has_features_real(b)
-        }
-        RExpr::Const(_) => false,
-        RExpr::Feat(_) => true,
+/// A folded value as the lint messages print it.
+fn shown(kind: Kind, v: f64) -> String {
+    match kind {
+        Kind::Real => v.to_string(),
+        Kind::Bool => (v > 0.0).to_string(),
     }
 }
 
-fn has_features_bool(e: &BExpr) -> bool {
-    match e {
-        BExpr::And(a, b) | BExpr::Or(a, b) => has_features_bool(a) || has_features_bool(b),
-        BExpr::Not(a) => has_features_bool(a),
-        BExpr::Lt(a, b) | BExpr::Gt(a, b) | BExpr::Eq(a, b) => {
-            has_features_real(a) || has_features_real(b)
-        }
-        BExpr::Const(_) => false,
-        BExpr::Feat(_) => true,
-    }
+/// Does the subtree subtract a subtree from itself?
+fn cancels(tree: &[Prim]) -> bool {
+    let mut sides = operands(tree);
+    tree[0] == Prim::Sub && sides.next() == sides.next()
 }
 
-/// Constant-fold a feature-free subtree with the evaluator's own (total)
-/// semantics; `None` when the subtree reads features.
-fn const_real(e: &RExpr) -> Option<f64> {
-    (!has_features_real(e)).then(|| e.eval(&EMPTY))
-}
-
-fn const_bool(e: &BExpr) -> Option<bool> {
-    (!has_features_bool(e)).then(|| e.eval(&EMPTY))
-}
-
-/// Can the subtree evaluate to (near) zero? Syntactic witnesses only:
+/// Can the real subtree evaluate to (near) zero? Syntactic witnesses only:
 /// a near-zero constant or a subtraction (which can cancel). Used to flag
 /// denominators where the protected-division fallback is plausibly live.
-fn possibly_zero(e: &RExpr) -> bool {
-    match e {
-        RExpr::Const(k) => k.abs() < 1e-9,
-        RExpr::Sub(_, _) => true,
-        RExpr::Add(a, b) | RExpr::Mul(a, b) => possibly_zero(a) || possibly_zero(b),
-        RExpr::Div(_, _) => false, // protected: yields 1 when the denominator dies
-        RExpr::Sqrt(a) => possibly_zero(a),
-        RExpr::Tern(_, a, b) | RExpr::Cmul(_, a, b) => possibly_zero(a) || possibly_zero(b),
-        RExpr::Feat(_) => false,
-    }
-}
-
-impl Cx<'_> {
-    fn push(&mut self, level: LintLevel, rule: &'static str, message: String) {
-        self.lints.push(Lint {
-            level,
-            rule,
-            message,
-        });
-    }
-
-    /// `in_const`: an enclosing subtree was already reported as constant —
-    /// suppresses nested `constant-subtree` findings so only the maximal
-    /// foldable subtree is flagged.
-    fn walk_real(&mut self, e: &RExpr, in_const: bool) {
-        let mut in_const = in_const;
-        if !in_const && e.size() > 1 {
-            if let Some(v) = const_real(e) {
-                self.push(
-                    LintLevel::Warning,
-                    "constant-subtree",
-                    format!(
-                        "{}-node real subtree reads no features and always evaluates to {v}",
-                        e.size()
-                    ),
-                );
-                in_const = true;
-            }
-        }
-        match e {
-            RExpr::Add(a, b) | RExpr::Sub(a, b) | RExpr::Mul(a, b) => {
-                self.walk_real(a, in_const);
-                self.walk_real(b, in_const);
-            }
-            RExpr::Div(a, b) => {
-                if matches!(&**b, RExpr::Sub(x, y) if x == y) {
-                    self.push(
-                        LintLevel::Error,
-                        "certain-zero-division",
-                        "denominator subtracts a subtree from itself: always zero, so the \
-                         protected division always yields its fallback of 1"
-                            .to_string(),
-                    );
-                } else if let Some(v) = const_real(b) {
-                    if v.abs() < 1e-9 {
-                        self.push(
-                            LintLevel::Error,
-                            "certain-zero-division",
-                            format!(
-                                "denominator is the constant {v}: the protected division \
-                                 always yields its fallback of 1"
-                            ),
-                        );
-                    }
-                } else if possibly_zero(b) {
-                    self.push(
-                        LintLevel::Warning,
-                        "possibly-zero-denominator",
-                        "denominator can plausibly reach zero; the protected division \
-                         silently yields 1 there"
-                            .to_string(),
-                    );
-                }
-                self.walk_real(a, in_const);
-                self.walk_real(b, in_const);
-            }
-            RExpr::Sqrt(a) => self.walk_real(a, in_const),
-            RExpr::Tern(c, a, b) | RExpr::Cmul(c, a, b) => {
-                if let Some(cv) = const_bool(c) {
-                    let dead = if cv { "else" } else { "then" };
-                    self.push(
-                        LintLevel::Warning,
-                        "dead-branch",
-                        format!("condition is constantly {cv}: the {dead} branch is dead code"),
-                    );
-                }
-                self.walk_bool(c, in_const);
-                self.walk_real(a, in_const);
-                self.walk_real(b, in_const);
-            }
-            RExpr::Const(k) => {
-                if !k.is_finite() {
-                    self.push(
-                        LintLevel::Error,
-                        "non-finite-constant",
-                        format!(
-                            "real constant {k} is not finite; the evaluator clamps it into \
-                             unrelated values"
-                        ),
-                    );
-                }
-            }
-            RExpr::Feat(i) => {
-                let i = *i as usize;
-                if i >= self.features.num_reals() {
-                    self.push(
-                        LintLevel::Error,
-                        "unknown-feature",
-                        format!(
-                            "real feature index {i} is out of range (feature set has {}); \
-                             it silently evaluates to 0.0",
-                            self.features.num_reals()
-                        ),
-                    );
-                } else {
-                    self.used_reals[i] = true;
-                }
-            }
-        }
-    }
-
-    fn walk_bool(&mut self, e: &BExpr, in_const: bool) {
-        let mut in_const = in_const;
-        if !in_const && e.size() > 1 && const_bool(e).is_some() {
-            let v = const_bool(e).unwrap();
-            self.push(
-                LintLevel::Warning,
-                "constant-subtree",
-                format!(
-                    "{}-node bool subtree reads no features and always evaluates to {v}",
-                    e.size()
-                ),
-            );
-            in_const = true;
-        }
-        match e {
-            BExpr::And(a, b) | BExpr::Or(a, b) => {
-                self.walk_bool(a, in_const);
-                self.walk_bool(b, in_const);
-            }
-            BExpr::Not(a) => self.walk_bool(a, in_const),
-            BExpr::Lt(a, b) | BExpr::Gt(a, b) | BExpr::Eq(a, b) => {
-                self.walk_real(a, in_const);
-                self.walk_real(b, in_const);
-            }
-            BExpr::Const(_) => {}
-            BExpr::Feat(i) => {
-                let i = *i as usize;
-                if i >= self.features.num_bools() {
-                    self.push(
-                        LintLevel::Error,
-                        "unknown-feature",
-                        format!(
-                            "bool feature index {i} is out of range (feature set has {}); \
-                             it silently evaluates to false",
-                            self.features.num_bools()
-                        ),
-                    );
-                } else {
-                    self.used_bools[i] = true;
-                }
-            }
-        }
+fn possibly_zero(tree: &[Prim]) -> bool {
+    match tree[0] {
+        Prim::RConst(k) => k.abs() < 1e-9,
+        Prim::Sub => true,
+        Prim::Div => false, // protected: yields 1 when the denominator dies
+        Prim::Tern | Prim::Cmul => operands(tree).skip(1).any(possibly_zero),
+        // add, mul and sqrt; a feature terminal has no operands.
+        _ => operands(tree).any(possibly_zero),
     }
 }
 
@@ -389,10 +290,7 @@ mod tests {
     #[test]
     fn non_finite_constant_is_rejected() {
         let f = fs();
-        let e = Expr::Real(RExpr::Add(
-            Box::new(RExpr::Feat(0)),
-            Box::new(RExpr::Const(f64::NAN)),
-        ));
+        let e = parse_expr("(add x NaN)", &f).unwrap();
         let lints = reject(&e, Kind::Real, &f).unwrap_err();
         assert_eq!(errors(&lints), ["non-finite-constant"]);
     }
@@ -400,10 +298,10 @@ mod tests {
     #[test]
     fn out_of_range_feature_is_rejected() {
         let f = fs();
-        let e = Expr::Real(RExpr::Feat(7));
+        let e = parse_expr("r7", &f).unwrap();
         let lints = reject(&e, Kind::Real, &f).unwrap_err();
         assert_eq!(errors(&lints), ["unknown-feature"]);
-        let b = Expr::Bool(BExpr::Feat(9));
+        let b = parse_expr("b9", &f).unwrap();
         assert!(reject(&b, Kind::Bool, &f).is_err());
     }
 

@@ -1,6 +1,6 @@
 //! Genetic operators: depth-fair crossover and Banzhaf-style mutation.
 
-use crate::expr::{node_info, subtree, with_replaced, BExpr, Expr, Kind, RExpr};
+use crate::expr::{node_info, Expr, Kind, Prim};
 use crate::features::FeatureSet;
 use crate::gen::{random_const, random_expr};
 use rand::{Rng, RngExt};
@@ -39,12 +39,11 @@ pub fn crossover<R: Rng>(rng: &mut R, a: &Expr, b: &Expr, max_depth: usize) -> E
         let Some(ix) = pick_node_depth_fair(rng, a, None) else {
             break;
         };
-        let kind = node_info(a)[ix].0;
+        let kind = a.prims[ix].kind();
         let Some(donor_ix) = pick_node_depth_fair(rng, b, Some(kind)) else {
             continue;
         };
-        let donor = subtree(b, donor_ix).expect("donor index in range");
-        let child = with_replaced(a, ix, &donor).expect("kinds match");
+        let child = a.splice(ix, b.node(donor_ix));
         if child.depth() <= max_depth {
             return child;
         }
@@ -63,14 +62,14 @@ pub fn mutate<R: Rng>(rng: &mut R, e: &Expr, fs: &FeatureSet, max_depth: usize) 
 }
 
 /// Replace a depth-fairly chosen node with a freshly grown subtree.
-pub fn mutate_subtree<R: Rng>(rng: &mut R, e: &Expr, fs: &FeatureSet, max_depth: usize) -> Expr {
+fn mutate_subtree<R: Rng>(rng: &mut R, e: &Expr, fs: &FeatureSet, max_depth: usize) -> Expr {
     let Some(ix) = pick_node_depth_fair(rng, e, None) else {
         return e.clone();
     };
-    let kind = node_info(e)[ix].0;
+    let kind = e.prims[ix].kind();
     for _ in 0..8 {
         let fresh = random_expr(rng, fs, kind, 1, 4);
-        let child = with_replaced(e, ix, &fresh).expect("kinds match");
+        let child = e.splice(ix, &fresh.prims);
         if child.depth() <= max_depth {
             return child;
         }
@@ -78,42 +77,35 @@ pub fn mutate_subtree<R: Rng>(rng: &mut R, e: &Expr, fs: &FeatureSet, max_depth:
     e.clone()
 }
 
-/// Swap one operator for another of the same arity and sort.
-pub fn mutate_point<R: Rng>(rng: &mut R, e: &Expr) -> Expr {
+/// Replace one depth-fairly chosen node: an operator by one with the same
+/// sort and operand sorts (the other one of a pair, a uniform draw from a
+/// larger group), a real constant by a perturbed one, and a Boolean
+/// constant by its negation. Feature terminals and operators without a
+/// partner stay as they are.
+fn mutate_point<R: Rng>(rng: &mut R, e: &Expr) -> Expr {
     let Some(ix) = pick_node_depth_fair(rng, e, None) else {
         return e.clone();
     };
-    let Some(node) = subtree(e, ix) else {
-        return e.clone();
-    };
+    let node = e.prims[ix];
     let swapped = match node {
-        Expr::Real(r) => Expr::Real(match r {
-            RExpr::Add(a, b) | RExpr::Sub(a, b) | RExpr::Mul(a, b) | RExpr::Div(a, b) => {
-                match rng.random_range(0..4u8) {
-                    0 => RExpr::Add(a, b),
-                    1 => RExpr::Sub(a, b),
-                    2 => RExpr::Mul(a, b),
-                    _ => RExpr::Div(a, b),
-                }
+        Prim::RConst(k) => Prim::RConst(perturb(rng, k)),
+        Prim::BConst(k) => Prim::BConst(!k),
+        op => {
+            let group: Vec<Prim> = Prim::operators(op.kind())
+                .iter()
+                .copied()
+                .filter(|other| other.args() == op.args())
+                .collect();
+            match group.len() {
+                2 => group[usize::from(group[0] == op)],
+                n if n > 2 => group[usize::from(rng.random_range(0..n as u8))],
+                _ => op,
             }
-            RExpr::Tern(c, a, b) => RExpr::Cmul(c, a, b),
-            RExpr::Cmul(c, a, b) => RExpr::Tern(c, a, b),
-            RExpr::Const(k) => RExpr::Const(perturb(rng, k)),
-            other => other,
-        }),
-        Expr::Bool(b) => Expr::Bool(match b {
-            BExpr::And(x, y) => BExpr::Or(x, y),
-            BExpr::Or(x, y) => BExpr::And(x, y),
-            BExpr::Lt(x, y) | BExpr::Gt(x, y) | BExpr::Eq(x, y) => match rng.random_range(0..3u8) {
-                0 => BExpr::Lt(x, y),
-                1 => BExpr::Gt(x, y),
-                _ => BExpr::Eq(x, y),
-            },
-            BExpr::Const(k) => BExpr::Const(!k),
-            other => other,
-        }),
+        }
     };
-    with_replaced(e, ix, &swapped).unwrap_or_else(|| e.clone())
+    let mut prims = e.prims.clone();
+    prims[ix] = swapped;
+    Expr { prims }
 }
 
 fn perturb<R: Rng>(rng: &mut R, k: f64) -> f64 {
@@ -126,50 +118,24 @@ fn perturb<R: Rng>(rng: &mut R, k: f64) -> f64 {
     }
 }
 
-/// Jitter every real constant in the tree (Gaussian-ish scale + shift).
-pub fn mutate_constants<R: Rng>(rng: &mut R, e: &Expr) -> Expr {
-    fn go_r<R: Rng>(rng: &mut R, e: &RExpr) -> RExpr {
-        match e {
-            RExpr::Add(a, b) => RExpr::Add(Box::new(go_r(rng, a)), Box::new(go_r(rng, b))),
-            RExpr::Sub(a, b) => RExpr::Sub(Box::new(go_r(rng, a)), Box::new(go_r(rng, b))),
-            RExpr::Mul(a, b) => RExpr::Mul(Box::new(go_r(rng, a)), Box::new(go_r(rng, b))),
-            RExpr::Div(a, b) => RExpr::Div(Box::new(go_r(rng, a)), Box::new(go_r(rng, b))),
-            RExpr::Sqrt(a) => RExpr::Sqrt(Box::new(go_r(rng, a))),
-            RExpr::Tern(c, a, b) => RExpr::Tern(
-                Box::new(go_b(rng, c)),
-                Box::new(go_r(rng, a)),
-                Box::new(go_r(rng, b)),
-            ),
-            RExpr::Cmul(c, a, b) => RExpr::Cmul(
-                Box::new(go_b(rng, c)),
-                Box::new(go_r(rng, a)),
-                Box::new(go_r(rng, b)),
-            ),
-            RExpr::Const(k) => RExpr::Const(perturb(rng, *k)),
-            RExpr::Feat(i) => RExpr::Feat(*i),
-        }
-    }
-    fn go_b<R: Rng>(rng: &mut R, e: &BExpr) -> BExpr {
-        match e {
-            BExpr::And(a, b) => BExpr::And(Box::new(go_b(rng, a)), Box::new(go_b(rng, b))),
-            BExpr::Or(a, b) => BExpr::Or(Box::new(go_b(rng, a)), Box::new(go_b(rng, b))),
-            BExpr::Not(a) => BExpr::Not(Box::new(go_b(rng, a))),
-            BExpr::Lt(a, b) => BExpr::Lt(Box::new(go_r(rng, a)), Box::new(go_r(rng, b))),
-            BExpr::Gt(a, b) => BExpr::Gt(Box::new(go_r(rng, a)), Box::new(go_r(rng, b))),
-            BExpr::Eq(a, b) => BExpr::Eq(Box::new(go_r(rng, a)), Box::new(go_r(rng, b))),
-            BExpr::Const(k) => BExpr::Const(*k),
-            BExpr::Feat(i) => BExpr::Feat(*i),
-        }
-    }
-    match e {
-        Expr::Real(r) => Expr::Real(go_r(rng, r)),
-        Expr::Bool(b) => Expr::Bool(go_b(rng, b)),
-    }
+/// Jitter every real constant in the tree (Gaussian-ish scale + shift),
+/// in preorder.
+fn mutate_constants<R: Rng>(rng: &mut R, e: &Expr) -> Expr {
+    let prims = e
+        .prims
+        .iter()
+        .map(|&p| match p {
+            Prim::RConst(k) => Prim::RConst(perturb(rng, k)),
+            other => other,
+        })
+        .collect();
+    Expr { prims }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::subtree;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -8,7 +8,7 @@
 //! with two ergonomic sugars: a bare numeric literal is `(rconst K)` and a
 //! bare identifier is a feature terminal looked up in the [`FeatureSet`].
 
-use crate::expr::{BExpr, Expr, RExpr};
+use crate::expr::{Expr, Kind, Prim};
 use crate::features::FeatureSet;
 use std::fmt;
 
@@ -72,18 +72,14 @@ fn tokenize(src: &str) -> Vec<Tok> {
 pub const MAX_NESTING: usize = 256;
 
 struct Parser<'a> {
-    toks: Vec<Tok>,
+    toks: &'a [Tok],
     pos: usize,
     /// Operator forms currently open.
     depth: usize,
     fs: &'a FeatureSet,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
-    }
-
+impl Parser<'_> {
     fn next(&mut self) -> Result<Tok, ParseError> {
         let t = self.toks.get(self.pos).cloned();
         self.pos += 1;
@@ -101,7 +97,10 @@ impl<'a> Parser<'a> {
                 "expression nested deeper than {MAX_NESTING} levels"
             ));
         }
-        self.head()
+        match self.next()? {
+            Tok::Sym(s) => Ok(s),
+            t => err(format!("expected operator symbol, found {t:?}")),
+        }
     }
 
     /// Step out of an operator form: consume its `)`.
@@ -113,164 +112,107 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn head(&mut self) -> Result<String, ParseError> {
-        match self.next()? {
-            Tok::Sym(s) => Ok(s),
-            t => err(format!("expected operator symbol, found {t:?}")),
-        }
-    }
-
-    fn real(&mut self) -> Result<RExpr, ParseError> {
-        match self.peek() {
+    /// Parse one subtree of sort `kind`, appending it to `out` in preorder.
+    fn node(&mut self, kind: Kind, out: &mut Vec<Prim>) -> Result<(), ParseError> {
+        match self.toks.get(self.pos) {
             Some(Tok::Open) => {
-                let op = self.open()?;
-                let e = match op.as_str() {
-                    "add" => RExpr::Add(Box::new(self.real()?), Box::new(self.real()?)),
-                    "sub" => RExpr::Sub(Box::new(self.real()?), Box::new(self.real()?)),
-                    "mul" => RExpr::Mul(Box::new(self.real()?), Box::new(self.real()?)),
-                    "div" => RExpr::Div(Box::new(self.real()?), Box::new(self.real()?)),
-                    "sqrt" => RExpr::Sqrt(Box::new(self.real()?)),
-                    "tern" => RExpr::Tern(
-                        Box::new(self.boolean()?),
-                        Box::new(self.real()?),
-                        Box::new(self.real()?),
-                    ),
-                    "cmul" => RExpr::Cmul(
-                        Box::new(self.boolean()?),
-                        Box::new(self.real()?),
-                        Box::new(self.real()?),
-                    ),
-                    "rconst" => match self.next()? {
-                        Tok::Sym(s) => match s.parse::<f64>() {
-                            Ok(k) => RExpr::Const(k),
-                            Err(_) => return err(format!("bad real constant {s}")),
-                        },
-                        t => return err(format!("rconst expects a number, found {t:?}")),
-                    },
-                    other => return err(format!("unknown real operator {other}")),
-                };
-                self.close()?;
-                Ok(e)
+                let head = self.open()?;
+                match Prim::operators(kind).iter().find(|op| op.name() == head) {
+                    Some(&op) => {
+                        out.push(op);
+                        for &arg in op.args() {
+                            self.node(arg, out)?;
+                        }
+                    }
+                    None => out.push(self.leaf_form(kind, &head)?),
+                }
+                self.close()
             }
-            Some(Tok::Sym(_)) => {
-                let Tok::Sym(s) = self.next()? else {
-                    unreachable!()
-                };
-                if let Ok(k) = s.parse::<f64>() {
-                    return Ok(RExpr::Const(k));
-                }
-                if let Some(i) = self.fs.real_index(&s) {
-                    return Ok(RExpr::Feat(i));
-                }
-                // Accept the printer's positional form `rN`.
-                if let Some(i) = s.strip_prefix('r').and_then(|r| r.parse::<u16>().ok()) {
-                    return Ok(RExpr::Feat(i));
-                }
-                err(format!("unknown real feature {s}"))
+            Some(Tok::Sym(s)) => {
+                out.push(self.symbol(kind, s)?);
+                self.pos += 1;
+                Ok(())
             }
-            _ => err("expected real expression"),
+            _ => err(format!("expected {} expression", kind.name())),
         }
     }
 
-    fn boolean(&mut self) -> Result<BExpr, ParseError> {
-        match self.peek() {
-            Some(Tok::Open) => {
-                let op = self.open()?;
-                let e = match op.as_str() {
-                    "and" => BExpr::And(Box::new(self.boolean()?), Box::new(self.boolean()?)),
-                    "or" => BExpr::Or(Box::new(self.boolean()?), Box::new(self.boolean()?)),
-                    "not" => BExpr::Not(Box::new(self.boolean()?)),
-                    "lt" => BExpr::Lt(Box::new(self.real()?), Box::new(self.real()?)),
-                    "gt" => BExpr::Gt(Box::new(self.real()?), Box::new(self.real()?)),
-                    "eq" => BExpr::Eq(Box::new(self.real()?), Box::new(self.real()?)),
-                    "bconst" => match self.next()? {
-                        Tok::Sym(s) if s == "true" => BExpr::Const(true),
-                        Tok::Sym(s) if s == "false" => BExpr::Const(false),
-                        t => return err(format!("bconst expects true/false, found {t:?}")),
-                    },
-                    "barg" => match self.next()? {
-                        Tok::Sym(s) => match self.fs.bool_index(&s) {
-                            Some(i) => BExpr::Feat(i),
-                            None => return err(format!("unknown bool feature {s}")),
-                        },
-                        t => return err(format!("barg expects a name, found {t:?}")),
-                    },
-                    other => return err(format!("unknown bool operator {other}")),
-                };
-                self.close()?;
-                Ok(e)
-            }
-            Some(Tok::Sym(_)) => {
-                let Tok::Sym(s) = self.next()? else {
-                    unreachable!()
-                };
-                match s.as_str() {
-                    "true" => return Ok(BExpr::Const(true)),
-                    "false" => return Ok(BExpr::Const(false)),
-                    _ => {}
-                }
-                if let Some(i) = self.fs.bool_index(&s) {
-                    return Ok(BExpr::Feat(i));
-                }
-                // Accept the printer's positional form `bN`.
-                if let Some(i) = s.strip_prefix('b').and_then(|r| r.parse::<u16>().ok()) {
-                    return Ok(BExpr::Feat(i));
-                }
-                err(format!("unknown bool feature {s}"))
-            }
-            _ => err("expected bool expression"),
+    /// The rest of a leaf form after its head: `(rconst K)`,
+    /// `(bconst true|false)` or `(barg name)`.
+    fn leaf_form(&mut self, kind: Kind, head: &str) -> Result<Prim, ParseError> {
+        match (kind, head) {
+            (Kind::Real, "rconst") => match self.next()? {
+                Tok::Sym(s) => match s.parse::<f64>() {
+                    Ok(k) => Ok(Prim::RConst(k)),
+                    Err(_) => err(format!("bad real constant {s}")),
+                },
+                t => err(format!("rconst expects a number, found {t:?}")),
+            },
+            (Kind::Bool, "bconst") => match self.next()? {
+                Tok::Sym(s) if s == "true" => Ok(Prim::BConst(true)),
+                Tok::Sym(s) if s == "false" => Ok(Prim::BConst(false)),
+                t => err(format!("bconst expects true/false, found {t:?}")),
+            },
+            (Kind::Bool, "barg") => match self.next()? {
+                Tok::Sym(s) => match self.fs.bool_index(&s) {
+                    Some(i) => Ok(Prim::BArg(i)),
+                    None => err(format!("unknown bool feature {s}")),
+                },
+                t => err(format!("barg expects a name, found {t:?}")),
+            },
+            _ => err(format!("unknown {} operator {head}", kind.name())),
         }
     }
 
-    fn finish(&mut self) -> Result<(), ParseError> {
-        if self.pos != self.toks.len() {
-            return err("trailing tokens after expression");
-        }
-        Ok(())
+    /// A bare symbol: a literal constant, a feature name, or the printer's
+    /// positional form `rN` / `bN`.
+    fn symbol(&self, kind: Kind, s: &str) -> Result<Prim, ParseError> {
+        let positional = |prefix| s.strip_prefix(prefix).and_then(|i| i.parse::<u16>().ok());
+        let leaf = match kind {
+            Kind::Real => s.parse::<f64>().ok().map(Prim::RConst).or_else(|| {
+                self.fs
+                    .real_index(s)
+                    .or_else(|| positional('r'))
+                    .map(Prim::RArg)
+            }),
+            Kind::Bool => match s {
+                "true" => Some(Prim::BConst(true)),
+                "false" => Some(Prim::BConst(false)),
+                _ => self
+                    .fs
+                    .bool_index(s)
+                    .or_else(|| positional('b'))
+                    .map(Prim::BArg),
+            },
+        };
+        leaf.ok_or_else(|| ParseError {
+            message: format!("unknown {} feature {s}", kind.name()),
+        })
     }
-}
-
-/// Parse a real-valued expression.
-///
-/// # Errors
-/// Returns a [`ParseError`] on malformed syntax or unknown features.
-pub fn parse_real(src: &str, fs: &FeatureSet) -> Result<RExpr, ParseError> {
-    let mut p = Parser {
-        toks: tokenize(src),
-        pos: 0,
-        depth: 0,
-        fs,
-    };
-    let e = p.real()?;
-    p.finish()?;
-    Ok(e)
-}
-
-/// Parse a Boolean-valued expression.
-///
-/// # Errors
-/// Returns a [`ParseError`] on malformed syntax or unknown features.
-pub fn parse_bool(src: &str, fs: &FeatureSet) -> Result<BExpr, ParseError> {
-    let mut p = Parser {
-        toks: tokenize(src),
-        pos: 0,
-        depth: 0,
-        fs,
-    };
-    let e = p.boolean()?;
-    p.finish()?;
-    Ok(e)
 }
 
 /// Parse an expression of either sort: tries real first, then Boolean.
 ///
 /// # Errors
-/// Returns the real-parse error if both fail.
+/// Returns a [`ParseError`] on malformed syntax or unknown features: the
+/// real attempt's error if both fail.
 pub fn parse_expr(src: &str, fs: &FeatureSet) -> Result<Expr, ParseError> {
-    match parse_real(src, fs) {
-        Ok(r) => Ok(Expr::Real(r)),
-        Err(e) => parse_bool(src, fs).map(Expr::Bool).map_err(|_| e),
-    }
+    let toks = tokenize(src);
+    let parse = |kind| {
+        let mut p = Parser {
+            toks: &toks,
+            pos: 0,
+            depth: 0,
+            fs,
+        };
+        let mut prims = Vec::new();
+        p.node(kind, &mut prims)?;
+        if p.pos != toks.len() {
+            return err("trailing tokens after expression");
+        }
+        Ok(Expr { prims })
+    };
+    parse(Kind::Real).or_else(|e| parse(Kind::Bool).map_err(|_| e))
 }
 
 #[cfg(test)]
@@ -290,12 +232,12 @@ mod tests {
     fn parses_eq1_style_expression() {
         // priority = exec_ratio * h * (2.1 - d - o) with h via cmul
         let fs = fs();
-        let e = parse_real(
+        let e = parse_expr(
             "(mul exec_ratio (cmul (barg mem_hazard) 0.25 (sub 2.1 num_ops)))",
             &fs,
         )
         .unwrap();
-        let v = e.eval(&Env {
+        let v = e.eval_real(&Env {
             reals: &[0.5, 1.0],
             bools: &[false],
         });
@@ -306,18 +248,18 @@ mod tests {
     fn round_trips_through_display() {
         let fs = fs();
         let src = "(cmul (not (barg mem_hazard)) (div num_ops exec_ratio) (rconst 0.25))";
-        let e = parse_real(src, &fs).unwrap();
+        let e = parse_expr(src, &fs).unwrap();
         let printed = e.to_string();
-        let re = parse_real(&printed, &fs).unwrap();
+        let re = parse_expr(&printed, &fs).unwrap();
         assert_eq!(e, re);
     }
 
     #[test]
     fn bare_literals_and_features() {
         let fs = fs();
-        let e = parse_real("(add 1.5 exec_ratio)", &fs).unwrap();
+        let e = parse_expr("(add 1.5 exec_ratio)", &fs).unwrap();
         assert_eq!(
-            e.eval(&Env {
+            e.eval_real(&Env {
                 reals: &[2.0, 0.0],
                 bools: &[]
             }),
@@ -328,12 +270,12 @@ mod tests {
     #[test]
     fn bool_expressions() {
         let fs = fs();
-        let e = parse_bool("(and (gt num_ops 3) (not mem_hazard))", &fs).unwrap();
-        assert!(e.eval(&Env {
+        let e = parse_expr("(and (gt num_ops 3) (not mem_hazard))", &fs).unwrap();
+        assert!(e.eval_bool(&Env {
             reals: &[0.0, 4.0],
             bools: &[false]
         }));
-        assert!(!e.eval(&Env {
+        assert!(!e.eval_bool(&Env {
             reals: &[0.0, 2.0],
             bools: &[false]
         }));
@@ -342,17 +284,17 @@ mod tests {
     #[test]
     fn errors_are_reported() {
         let fs = fs();
-        assert!(parse_real("(add 1", &fs).is_err());
-        assert!(parse_real("(frob 1 2)", &fs).is_err());
-        assert!(parse_real("(add 1 unknown_feat)", &fs).is_err());
-        assert!(parse_real("(add 1 2) extra", &fs).is_err());
-        assert!(parse_bool("(lt 1)", &fs).is_err());
+        assert!(parse_expr("(add 1", &fs).is_err());
+        assert!(parse_expr("(frob 1 2)", &fs).is_err());
+        assert!(parse_expr("(add 1 unknown_feat)", &fs).is_err());
+        assert!(parse_expr("(add 1 2) extra", &fs).is_err());
+        assert!(parse_expr("(lt 1)", &fs).is_err());
     }
 
     #[test]
     fn parse_expr_dispatches_on_sort() {
         let fs = fs();
-        assert!(matches!(parse_expr("(add 1 2)", &fs), Ok(Expr::Real(_))));
-        assert!(matches!(parse_expr("(lt 1 2)", &fs), Ok(Expr::Bool(_))));
+        assert_eq!(parse_expr("(add 1 2)", &fs).unwrap().kind(), Kind::Real);
+        assert_eq!(parse_expr("(lt 1 2)", &fs).unwrap().kind(), Kind::Bool);
     }
 }

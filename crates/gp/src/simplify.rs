@@ -5,162 +5,80 @@
 //! with no effect on the result (which are nonetheless useful during
 //! evolution as crossover ballast, §5.4.3). This pass mechanizes the hand
 //! simplification: constant folding, algebraic identities, and
-//! branch-elimination on constant conditions. It never changes the
-//! function's value on any input (checked by property tests).
+//! branch-elimination on constant conditions. Folding goes through the
+//! evaluator, as lint's does, so a folded constant is exactly the value
+//! the subtree evaluated to. It never changes the function's value on any
+//! input (checked by property tests).
 
-use crate::expr::{BExpr, Expr, RExpr};
+use crate::expr::{fold, operands, Expr, Kind, Prim};
 
 const EPS: f64 = 1e-12;
 
-fn is_const(e: &RExpr, k: f64) -> bool {
-    matches!(e, RExpr::Const(c) if (c - k).abs() < EPS)
+/// Is the subtree the real constant `k` (within [`EPS`])?
+fn is_const(tree: &[Prim], k: f64) -> bool {
+    matches!(tree, [Prim::RConst(c)] if (c - k).abs() < EPS)
 }
 
-/// Simplify a real-valued expression.
-pub fn simplify_real(e: &RExpr) -> RExpr {
-    use RExpr::*;
-    match e {
-        Add(a, b) => {
-            let (a, b) = (simplify_real(a), simplify_real(b));
-            match (&a, &b) {
-                (Const(x), Const(y)) => Const(x + y),
-                _ if is_const(&a, 0.0) => b,
-                _ if is_const(&b, 0.0) => a,
-                _ => Add(Box::new(a), Box::new(b)),
-            }
-        }
-        Sub(a, b) => {
-            let (a, b) = (simplify_real(a), simplify_real(b));
-            match (&a, &b) {
-                (Const(x), Const(y)) => Const(x - y),
-                _ if is_const(&b, 0.0) => a,
-                _ if a == b => Const(0.0),
-                _ => Sub(Box::new(a), Box::new(b)),
-            }
-        }
-        Mul(a, b) => {
-            let (a, b) = (simplify_real(a), simplify_real(b));
-            match (&a, &b) {
-                (Const(x), Const(y)) => Const(x * y),
-                _ if is_const(&a, 1.0) => b,
-                _ if is_const(&b, 1.0) => a,
-                // NOTE: x*0 cannot fold to 0 in general IEEE arithmetic, but
-                // our evaluator clamps NaN to 0, so 0*x == 0 for every
-                // representable input.
-                _ if is_const(&a, 0.0) || is_const(&b, 0.0) => Const(0.0),
-                _ => Mul(Box::new(a), Box::new(b)),
-            }
-        }
-        Div(a, b) => {
-            let (a, b) = (simplify_real(a), simplify_real(b));
-            match (&a, &b) {
-                // Protected division: /0 yields 1.
-                (_, Const(y)) if y.abs() < 1e-9 => Const(1.0),
-                (Const(x), Const(y)) => Const(x / y),
-                _ if is_const(&b, 1.0) => a,
-                _ => Div(Box::new(a), Box::new(b)),
-            }
-        }
-        Sqrt(a) => {
-            let a = simplify_real(a);
-            match &a {
-                Const(x) => Const(x.abs().sqrt()),
-                _ => Sqrt(Box::new(a)),
-            }
-        }
-        Tern(c, a, b) => {
-            let c = simplify_bool(c);
-            let (a, b) = (simplify_real(a), simplify_real(b));
-            match &c {
-                BExpr::Const(true) => a,
-                BExpr::Const(false) => b,
-                _ if a == b => a, // intron: both arms identical
-                _ => Tern(Box::new(c), Box::new(a), Box::new(b)),
-            }
-        }
-        Cmul(c, a, b) => {
-            let c = simplify_bool(c);
-            let (a, b) = (simplify_real(a), simplify_real(b));
-            match &c {
-                BExpr::Const(true) => simplify_real(&Mul(Box::new(a), Box::new(b))),
-                BExpr::Const(false) => b,
-                _ if is_const(&a, 1.0) => b, // 1*b == b on both arms
-                _ => Cmul(Box::new(c), Box::new(a), Box::new(b)),
-            }
-        }
-        Const(k) => Const(*k),
-        Feat(i) => Feat(*i),
+/// Simplify the subtree `tree` bottom-up, in one pass.
+fn simplify_tree(tree: &[Prim]) -> Vec<Prim> {
+    use Prim::*;
+    let simplified: Vec<Vec<Prim>> = operands(tree).map(simplify_tree).collect();
+    let args: Vec<&[Prim]> = simplified.iter().map(Vec::as_slice).collect();
+    let mut node = vec![tree[0]];
+    node.extend(args.concat());
+    // A node whose simplified operands are all constant reads no features.
+    if let Some(v) = fold(&node) {
+        return vec![match tree[0].kind() {
+            Kind::Real => RConst(v),
+            Kind::Bool => BConst(v > 0.0),
+        }];
     }
-}
-
-/// Simplify a Boolean expression.
-pub fn simplify_bool(e: &BExpr) -> BExpr {
-    use BExpr::*;
-    match e {
-        And(a, b) => {
-            let (a, b) = (simplify_bool(a), simplify_bool(b));
-            match (&a, &b) {
-                (Const(false), _) | (_, Const(false)) => Const(false),
-                (Const(true), _) => b,
-                (_, Const(true)) => a,
-                _ if a == b => a,
-                _ => And(Box::new(a), Box::new(b)),
+    let out: &[Prim] = match (tree[0], &args[..]) {
+        (Add, [a, b]) if is_const(a, 0.0) => b,
+        (Add, [a, b]) if is_const(b, 0.0) => a,
+        (Sub, [a, b]) if is_const(b, 0.0) => a,
+        (Sub, [a, b]) if a == b => &[RConst(0.0)],
+        (Mul, [a, b]) if is_const(a, 1.0) => b,
+        (Mul, [a, b]) if is_const(b, 1.0) => a,
+        // NOTE: x*0 cannot fold to 0 in general IEEE arithmetic, but the
+        // evaluator reads every NaN as 0 and clamps infinities, so 0*x == 0
+        // for every input.
+        (Mul, [a, b]) if is_const(a, 0.0) || is_const(b, 0.0) => &[RConst(0.0)],
+        // Protected division: /0 yields 1.
+        (Div, [_, [RConst(y)]]) if y.abs() < 1e-9 => &[RConst(1.0)],
+        (Div, [a, b]) if is_const(b, 1.0) => a,
+        (Tern, [[BConst(c)], a, b]) => {
+            if *c {
+                a
+            } else {
+                b
             }
         }
-        Or(a, b) => {
-            let (a, b) = (simplify_bool(a), simplify_bool(b));
-            match (&a, &b) {
-                (Const(true), _) | (_, Const(true)) => Const(true),
-                (Const(false), _) => b,
-                (_, Const(false)) => a,
-                _ if a == b => a,
-                _ => Or(Box::new(a), Box::new(b)),
-            }
-        }
-        Not(a) => {
-            let a = simplify_bool(a);
-            match a {
-                Const(k) => Const(!k),
-                Not(inner) => *inner,
-                other => Not(Box::new(other)),
-            }
-        }
-        Lt(a, b) => {
-            let (a, b) = (simplify_real(a), simplify_real(b));
-            match (&a, &b) {
-                (RExpr::Const(x), RExpr::Const(y)) => Const(x < y),
-                _ if a == b => Const(false),
-                _ => Lt(Box::new(a), Box::new(b)),
-            }
-        }
-        Gt(a, b) => {
-            let (a, b) = (simplify_real(a), simplify_real(b));
-            match (&a, &b) {
-                (RExpr::Const(x), RExpr::Const(y)) => Const(x > y),
-                _ if a == b => Const(false),
-                _ => Gt(Box::new(a), Box::new(b)),
-            }
-        }
-        Eq(a, b) => {
-            let (a, b) = (simplify_real(a), simplify_real(b));
-            match (&a, &b) {
-                (RExpr::Const(x), RExpr::Const(y)) => Const(x == y),
-                _ if a == b => Const(true),
-                _ => Eq(Box::new(a), Box::new(b)),
-            }
-        }
-        Const(k) => Const(*k),
-        Feat(i) => Feat(*i),
-    }
+        (Tern, [_, a, b]) if a == b => a, // intron: both arms identical
+        (Cmul, [[BConst(true)], a, b]) => return simplify_tree(&[&[Mul], *a, *b].concat()),
+        (Cmul, [[BConst(false)], _, b]) => b,
+        (Cmul, [_, a, b]) if is_const(a, 1.0) => b, // 1*b == b on both arms
+        (And, [[BConst(false)], _] | [_, [BConst(false)]]) => &[BConst(false)],
+        (And, [[BConst(true)], b]) => b,
+        (And, [a, [BConst(true)]]) => a,
+        (Or, [[BConst(true)], _] | [_, [BConst(true)]]) => &[BConst(true)],
+        (Or, [[BConst(false)], b]) => b,
+        (Or, [a, [BConst(false)]]) => a,
+        (And | Or, [a, b]) if a == b => a,
+        (Not, [a]) if a[0] == Not => &a[1..],
+        (Lt | Gt, [a, b]) if a == b => &[BConst(false)],
+        (Eq, [a, b]) if a == b => &[BConst(true)],
+        _ => &node,
+    };
+    out.to_vec()
 }
 
 /// Simplify a genome to a fixpoint (at most a few passes in practice).
 pub fn simplify(e: &Expr) -> Expr {
     let mut cur = e.clone();
     for _ in 0..8 {
-        let next = match &cur {
-            Expr::Real(r) => Expr::Real(simplify_real(r)),
-            Expr::Bool(b) => Expr::Bool(simplify_bool(b)),
+        let next = Expr {
+            prims: simplify_tree(&cur.prims),
         };
         if next == cur {
             break;
@@ -226,6 +144,26 @@ mod tests {
     #[test]
     fn protected_division_folds_correctly() {
         assert_eq!(simp("(div x 0.0)"), "(rconst 1.0000)");
+    }
+
+    #[test]
+    fn folds_agree_with_the_evaluator_beyond_the_clamp() {
+        // Each fold leaves the evaluator's clamp range; the folded constant
+        // must still be the value the genome evaluates to.
+        let env = Env {
+            reals: &[],
+            bools: &[],
+        };
+        for src in ["(mul 1e10 1e10)", "(add 9e17 9e17)", "(sqrt 1e300)"] {
+            let e = parse_expr(src, &fs()).unwrap();
+            let s = simplify(&e);
+            assert_eq!(
+                s.eval_real(&env).to_bits(),
+                e.eval_real(&env).to_bits(),
+                "{src} -> {}",
+                s.key()
+            );
+        }
     }
 
     #[test]

@@ -51,9 +51,19 @@ proptest! {
         e in arb_expr(Kind::Real),
         reals in proptest::collection::vec(-1e12f64..1e12, 3),
         bools in proptest::collection::vec(any::<bool>(), 2),
+        odd in (0usize..3, prop_oneof![
+            Just(f64::NAN),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+        ]),
     ) {
         let v = e.eval_real(&Env { reals: &reals, bools: &bools });
         prop_assert!(v.is_finite(), "{e} -> {v}");
+        // A non-finite feature value is clamped like any other leaf.
+        let mut reals = reals;
+        reals[odd.0] = odd.1;
+        let v = e.eval_real(&Env { reals: &reals, bools: &bools });
+        prop_assert!(v.is_finite(), "{e} on {reals:?} -> {v}");
     }
 
     #[test]
