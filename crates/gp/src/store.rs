@@ -38,7 +38,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Magic + version line (line 1 of the file).
 pub const STORE_MAGIC: &str = "metaopt-fitness-cache v1";
@@ -263,12 +263,25 @@ impl FitnessStore {
                 break; // absurd length or torn payload/checksum
             }
             let payload = &rest[4..4 + len];
-            let sum = u64::from_le_bytes(rest[4 + len..4 + len + 8].try_into().unwrap());
+            // The length check above makes every fixed-width read succeed;
+            // a read that failed would be a corrupt record, so it ends the
+            // valid prefix like one.
+            let Ok(sum) = rest[4 + len..4 + len + 8]
+                .try_into()
+                .map(u64::from_le_bytes)
+            else {
+                break;
+            };
             if fnv1a(payload) != sum {
                 break; // bit flip or torn write
             }
-            let case = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
-            let score = f64::from_bits(u64::from_le_bytes(payload[4..12].try_into().unwrap()));
+            let (Ok(case), Ok(score)) = (
+                payload[..4].try_into().map(u32::from_le_bytes),
+                payload[4..12].try_into().map(u64::from_le_bytes),
+            ) else {
+                break;
+            };
+            let (case, score) = (case as usize, f64::from_bits(score));
             let key = match std::str::from_utf8(&payload[12..]) {
                 Ok(k) => k,
                 Err(_) => break,
@@ -327,7 +340,9 @@ impl FitnessStore {
         record.extend_from_slice(&payload);
         record.extend_from_slice(&sum.to_le_bytes());
 
-        let mut guard = self.writer.lock().unwrap();
+        // A panic while another append held the lock leaves at worst a torn
+        // record, which the next open recovers from like any other.
+        let mut guard = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(f) = guard.as_mut() {
             if f.write_all(&record).is_err() {
                 *guard = None;
