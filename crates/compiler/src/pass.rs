@@ -25,6 +25,7 @@ use metaopt_ir::profile::FuncProfile;
 use metaopt_ir::verify::CfgForm;
 use metaopt_ir::Function;
 use metaopt_sim::{MachineConfig, MachineProgram};
+use metaopt_trace::Event;
 use std::borrow::Cow;
 use std::time::Instant;
 
@@ -170,20 +171,13 @@ impl PassManager {
             }
             let delta = ctx.stats.counters.delta_since(before);
             if ctx.config.tracer.enabled() {
-                use metaopt_trace::json::Value;
-                let delta_obj = delta
-                    .nonzero()
-                    .into_iter()
-                    .map(|(name, v)| (name.to_string(), Value::UInt(v)))
-                    .collect();
-                ctx.config.tracer.emit(
-                    "pass",
-                    [
-                        ("pass", Value::str(pass.name())),
-                        ("wall_ns", Value::UInt(wall_nanos)),
-                        ("delta", Value::Obj(delta_obj)),
-                    ],
-                );
+                ctx.config.tracer.emit(Event::Pass {
+                    pass: pass.name().to_string(),
+                    wall_ns: wall_nanos,
+                    delta: (delta.nonzero().into_iter())
+                        .map(|(name, v)| (name.to_string(), v))
+                        .collect(),
+                });
             }
             ctx.stats.per_pass.push(PassStat {
                 name: pass.name(),
@@ -264,17 +258,13 @@ fn validate_after(
     }
     let ok = first_error(&diags).is_none();
     if ctx.config.tracer.enabled() {
-        use metaopt_trace::json::Value;
-        ctx.config.tracer.emit(
-            "validate",
-            [
-                ("pass", Value::str(pass)),
-                ("level", Value::str(ctx.config.validate.label())),
-                ("ok", Value::Bool(ok)),
-                ("findings", Value::UInt(diags.len() as u64)),
-                ("wall_ns", Value::UInt(wall_ns)),
-            ],
-        );
+        ctx.config.tracer.emit(Event::Validate {
+            pass: pass.to_string(),
+            level: ctx.config.validate.label().to_string(),
+            ok,
+            findings: diags.len() as u64,
+            wall_ns,
+        });
     }
     ctx.validation.extend(diags.iter().cloned());
     if !ok {

@@ -79,7 +79,7 @@ use metaopt::experiment::{ExperimentError, RunControl};
 use metaopt::{experiment, study, EvalRequest, PreparedBench, StudyConfig};
 use metaopt_gp::expr::display_named;
 use metaopt_gp::{GpParams, QuarantineRecord};
-use metaopt_trace::{json::Value, Tracer};
+use metaopt_trace::{json::Value, Event, Tracer};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -475,17 +475,16 @@ fn main() -> ExitCode {
     let command = opts.positional.join(" ");
     let run_span = tracer.begin();
     if tracer.enabled() {
-        tracer.emit("run-start", [("command", Value::str(command.as_str()))]);
+        tracer.emit(Event::RunStart {
+            command: command.clone(),
+        });
     }
     let code = run(&opts, &tracer);
     if tracer.enabled() {
-        tracer.emit(
-            "run-end",
-            [
-                ("command", Value::str(command.as_str())),
-                ("dur_ns", Value::UInt(run_span.dur_ns())),
-            ],
-        );
+        tracer.emit(Event::RunEnd {
+            command,
+            dur_ns: run_span.dur_ns(),
+        });
         tracer.flush();
     }
     code

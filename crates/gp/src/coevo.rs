@@ -52,7 +52,7 @@ use crate::pareto::{
     crowding_distance, dominates, hypervolume_proxy, non_dominated_sort, ParetoPoint,
     NUM_OBJECTIVES, OBJECTIVE_NAMES,
 };
-use metaopt_trace::{json::Value, Tracer};
+use metaopt_trace::{Event, FrontPoint, Tracer};
 use rand::rngs::StdRng;
 use rand::RngExt;
 use std::collections::HashSet;
@@ -509,28 +509,18 @@ impl<'a, E: MultiEvaluator, P: PlanSpace> CoEvolution<'a, E, P> {
     fn emit_front(&self, generation: usize, points: &[ParetoPoint]) {
         let vectors: Vec<[u64; NUM_OBJECTIVES]> = points.iter().map(|p| p.objectives).collect();
         let hv = hypervolume_proxy(&vectors, &self.objectives);
-        let arr = points
-            .iter()
-            .map(|p| {
-                Value::Obj(vec![
-                    ("plan".to_string(), Value::str(&p.plan)),
-                    ("expr".to_string(), Value::str(&p.expr)),
-                    (
-                        "objectives".to_string(),
-                        Value::Arr(p.objectives.iter().map(|&x| Value::UInt(x)).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        self.lifecycle.tracer.emit(
-            "pareto-front",
-            [
-                ("gen", Value::UInt(generation as u64)),
-                ("size", Value::UInt(points.len() as u64)),
-                ("hypervolume", Value::UInt(hv)),
-                ("points", Value::Arr(arr)),
-            ],
-        );
+        self.lifecycle.tracer.emit(Event::ParetoFront {
+            gen: generation as u64,
+            size: points.len() as u64,
+            hypervolume: hv,
+            points: (points.iter())
+                .map(|p| FrontPoint {
+                    plan: p.plan.clone(),
+                    expr: p.expr.clone(),
+                    objectives: p.objectives.to_vec(),
+                })
+                .collect(),
+        });
     }
 }
 
@@ -578,6 +568,7 @@ mod tests {
     use super::*;
     use crate::eval::EvalErrorKind;
     use crate::expr::Kind;
+    use metaopt_trace::json::Value;
     use std::collections::HashMap;
 
     /// Deterministic synthetic objective landscape with genuine trade-offs:

@@ -60,9 +60,8 @@ use crate::gen::random_expr;
 use crate::pareto::{ParetoPoint, NUM_OBJECTIVES};
 use crate::parse::parse_expr;
 use crate::store::{fnv1a, FitnessStore};
-use metaopt_trace::json::Value;
 use metaopt_trace::schema::OUTCOME_SCORE;
-use metaopt_trace::{Span, Tracer};
+use metaopt_trace::{Event, Span, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -80,8 +79,8 @@ pub(crate) trait Outcome: Copy + Send + Sync {
     fn load(store: &FitnessStore, key: &str, case: usize) -> Option<Self>;
     /// Persist as case `case` of `key`.
     fn save(&self, store: &FitnessStore, key: &str, case: usize);
-    /// The attributes a scored `eval` event carries.
-    fn trace_attrs(&self, attrs: &mut Vec<(&'static str, Value)>);
+    /// A scored `eval` event's `score` and `objectives`.
+    fn trace_fields(&self) -> (f64, Option<Vec<u64>>);
 }
 
 /// Scalar GP: the speedup score, persisted at the case itself.
@@ -94,8 +93,8 @@ impl Outcome for f64 {
         store.append(key, case, *self);
     }
 
-    fn trace_attrs(&self, attrs: &mut Vec<(&'static str, Value)>) {
-        attrs.push(("score", Value::Num(*self)));
+    fn trace_fields(&self) -> (f64, Option<Vec<u64>>) {
+        (*self, None)
     }
 }
 
@@ -121,12 +120,8 @@ impl Outcome for [u64; NUM_OBJECTIVES] {
         }
     }
 
-    fn trace_attrs(&self, attrs: &mut Vec<(&'static str, Value)>) {
-        attrs.push(("score", Value::Num(self[0] as f64)));
-        attrs.push((
-            "objectives",
-            Value::Arr(self.iter().map(|&x| Value::UInt(x)).collect()),
-        ));
+    fn trace_fields(&self) -> (f64, Option<Vec<u64>>) {
+        (self[0] as f64, Some(self.to_vec()))
     }
 }
 
@@ -225,21 +220,13 @@ impl<O: Outcome> EvalCore<O> {
                 .map(|r| ((r.genome.clone(), r.case), r.error.clone()))
                 .collect();
         }
-        if tracer.enabled() {
-            tracer.emit(
-                "evolution-start",
-                [
-                    ("population", Value::UInt(params.population as u64)),
-                    ("generations", Value::UInt(params.generations as u64)),
-                    (
-                        "start_gen",
-                        Value::UInt(resume.map_or(0, |ck| ck.next_generation) as u64),
-                    ),
-                    ("threads", Value::UInt(params.threads as u64)),
-                    ("resumed", Value::Bool(resume.is_some())),
-                ],
-            );
-        }
+        tracer.emit(Event::EvolutionStart {
+            population: params.population as u64,
+            generations: params.generations as u64,
+            start_gen: resume.map_or(0, |ck| ck.next_generation) as u64,
+            threads: params.threads as u64,
+            resumed: resume.is_some(),
+        });
         core
     }
 
@@ -383,35 +370,32 @@ impl<O: Outcome> EvalCore<O> {
         let dur_ns = span.dur_ns();
         if self.tracer.enabled() {
             for (attempt, (kind, ns)) in retried.iter().enumerate() {
-                self.tracer.emit(
-                    "retry",
-                    [
-                        ("gen", Value::UInt(gen as u64)),
-                        ("genome", Value::str(key)),
-                        ("case", Value::UInt(case as u64)),
-                        ("attempt", Value::UInt(attempt as u64)),
-                        ("kind", Value::str(kind.label())),
-                        ("backoff_ns", Value::UInt(*ns)),
-                    ],
-                );
+                self.tracer.emit(Event::Retry {
+                    gen: gen as u64,
+                    genome: key.to_string(),
+                    case: case as u64,
+                    attempt: attempt as u64,
+                    kind: kind.label().to_string(),
+                    backoff_ns: *ns,
+                });
             }
-            let mut attrs = vec![
-                ("gen", Value::UInt(gen as u64)),
-                ("genome", Value::str(key)),
-                ("case", Value::UInt(case as u64)),
-            ];
-            match &result {
+            let (outcome, score, objectives) = match &result {
                 Ok(o) => {
-                    attrs.push(("outcome", Value::str(OUTCOME_SCORE)));
-                    o.trace_attrs(&mut attrs);
+                    let (score, objectives) = o.trace_fields();
+                    (OUTCOME_SCORE, Some(score), objectives)
                 }
-                Err(e) => attrs.push(("outcome", Value::str(e.kind.label()))),
-            }
-            if warm {
-                attrs.push(("warm", Value::Bool(true)));
-            }
-            attrs.push(("dur_ns", Value::UInt(dur_ns)));
-            self.tracer.emit("eval", attrs);
+                Err(e) => (e.kind.label(), None, None),
+            };
+            self.tracer.emit(Event::Eval {
+                gen: gen as u64,
+                genome: key.to_string(),
+                case: case as u64,
+                outcome: outcome.to_string(),
+                score,
+                objectives,
+                warm: warm.then_some(true),
+                dur_ns,
+            });
         }
         Resolved { result, warm }
     }
@@ -430,22 +414,16 @@ impl<O: Outcome> EvalCore<O> {
     pub(crate) fn end_generation(&mut self, gl: &GenLog, mark: Mark) {
         let dur_ns = mark.span.dur_ns();
         if self.tracer.enabled() {
-            self.tracer.emit(
-                "generation",
-                [
-                    ("gen", Value::UInt(gl.generation as u64)),
-                    (
-                        "subset",
-                        Value::Arr(gl.subset.iter().map(|&c| Value::UInt(c as u64)).collect()),
-                    ),
-                    ("evals", Value::UInt(self.evaluations - mark.evaluations)),
-                    ("cache_hits", Value::UInt(self.cache_hits - mark.cache_hits)),
-                    ("best_fitness", Value::Num(gl.best_fitness)),
-                    ("mean_fitness", Value::Num(gl.mean_fitness)),
-                    ("best_size", Value::UInt(gl.best_size as u64)),
-                    ("dur_ns", Value::UInt(dur_ns)),
-                ],
-            );
+            self.tracer.emit(Event::Generation {
+                gen: gl.generation as u64,
+                subset: gl.subset.iter().map(|&c| c as u64).collect(),
+                evals: self.evaluations - mark.evaluations,
+                cache_hits: self.cache_hits - mark.cache_hits,
+                best_fitness: gl.best_fitness,
+                mean_fitness: gl.mean_fitness,
+                best_size: gl.best_size as u64,
+                dur_ns,
+            });
         }
         self.snapshot(gl.generation);
     }
@@ -465,22 +443,11 @@ impl<O: Outcome> EvalCore<O> {
             ("warm_hits", self.warm_hits),
             ("quarantined", self.ledger.len() as u64),
         ];
-        self.tracer.emit(
-            "metrics-snapshot",
-            [
-                ("seq", Value::UInt(self.seq)),
-                ("gen", Value::UInt(gen as u64)),
-                (
-                    "counters",
-                    Value::Obj(
-                        counters
-                            .iter()
-                            .map(|&(k, v)| (k.to_string(), Value::UInt(v)))
-                            .collect(),
-                    ),
-                ),
-            ],
-        );
+        self.tracer.emit(Event::MetricsSnapshot {
+            seq: self.seq,
+            gen: gen as u64,
+            counters: counters.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+        });
         self.seq += 1;
     }
 
@@ -519,18 +486,15 @@ impl<O: Outcome> EvalCore<O> {
             front,
         };
         if self.tracer.enabled() {
-            self.tracer.emit(
-                "evolution-end",
-                [
-                    ("evaluations", Value::UInt(result.evaluations)),
-                    ("successes", Value::UInt(result.successes)),
-                    ("failures", Value::UInt(result.failures)),
-                    ("quarantined", Value::UInt(result.quarantined.len() as u64)),
-                    ("best_fitness", Value::Num(result.best_fitness)),
-                    ("best", Value::str(best_key)),
-                    ("dur_ns", Value::UInt(self.run.dur_ns())),
-                ],
-            );
+            self.tracer.emit(Event::EvolutionEnd {
+                evaluations: result.evaluations,
+                successes: result.successes,
+                failures: result.failures,
+                quarantined: result.quarantined.len() as u64,
+                best_fitness: result.best_fitness,
+                best: best_key.to_string(),
+                dur_ns: self.run.dur_ns(),
+            });
             self.tracer.flush();
         }
         result
@@ -677,15 +641,10 @@ impl<O: Outcome> Run<O> {
         fill(&mut ck);
         let span = core.tracer.begin();
         ck.save(path)?;
-        if core.tracer.enabled() {
-            core.tracer.emit(
-                "checkpoint",
-                [
-                    ("gen", Value::UInt(next_generation as u64)),
-                    ("dur_ns", Value::UInt(span.dur_ns())),
-                ],
-            );
-        }
+        core.tracer.emit(Event::Checkpoint {
+            gen: next_generation as u64,
+            dur_ns: span.dur_ns(),
+        });
         Ok(())
     }
 }

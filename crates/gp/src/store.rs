@@ -31,8 +31,7 @@
 //! emits a traced warning, so a mis-pointed `--eval-cache` can never
 //! destroy data or serve a wrong fitness.
 
-use metaopt_trace::json::Value;
-use metaopt_trace::Tracer;
+use metaopt_trace::{Event, Tracer};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -113,14 +112,11 @@ impl FitnessStore {
     pub fn open(path: &Path, fingerprint: &str, tracer: &Tracer) -> FitnessStore {
         let (store, emit) = Self::open_inner(path, fingerprint, tracer);
         if let Some(mode) = emit {
-            tracer.emit(
-                "cache-recovered",
-                [
-                    ("mode", Value::Str(mode.to_string())),
-                    ("entries", Value::UInt(store.entries)),
-                    ("dropped_bytes", Value::UInt(store.dropped_bytes)),
-                ],
-            );
+            tracer.emit(Event::CacheRecovered {
+                mode: mode.to_string(),
+                entries: store.entries,
+                dropped_bytes: store.dropped_bytes,
+            });
         }
         store
     }
@@ -346,14 +342,11 @@ impl FitnessStore {
         if let Some(f) = guard.as_mut() {
             if f.write_all(&record).is_err() {
                 *guard = None;
-                self.tracer.emit(
-                    "cache-recovered",
-                    [
-                        ("mode", Value::Str("degraded".to_string())),
-                        ("entries", Value::UInt(self.entries)),
-                        ("dropped_bytes", Value::UInt(0)),
-                    ],
-                );
+                self.tracer.emit(Event::CacheRecovered {
+                    mode: "degraded".to_string(),
+                    entries: self.entries,
+                    dropped_bytes: 0,
+                });
             } else {
                 self.appended.fetch_add(1, Ordering::Relaxed);
             }

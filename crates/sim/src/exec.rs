@@ -394,16 +394,12 @@ pub fn simulate_traced(
     let dur_ns = span.dur_ns();
     if let Ok(r) = &mut result {
         if tracer.enabled() {
-            use metaopt_trace::json::Value;
-            tracer.emit(
-                "sim",
-                [
-                    ("cycles", Value::UInt(r.cycles)),
-                    ("insts", Value::UInt(r.insts)),
-                    ("dur_ns", Value::UInt(dur_ns)),
-                    ("tier", Value::Str(tier.as_str().to_string())),
-                ],
-            );
+            tracer.emit(metaopt_trace::Event::Sim {
+                cycles: r.cycles,
+                insts: r.insts,
+                dur_ns,
+                tier: Some(tier.as_str().to_string()),
+            });
         }
         if let Some((amplitude, seed)) = noise {
             r.cycles = jitter(r.cycles, amplitude, seed);

@@ -9,30 +9,18 @@
 //! Events stream to a versioned JSONL format, **`run-trace.v1`**
 //! ([`SCHEMA_VERSION`]): one JSON object per line, each carrying a `type`,
 //! a monotonic `ts` (nanoseconds since trace start), and type-specific
-//! attributes. The taxonomy (enforced by [`schema`]):
-//!
-//! | type              | emitted by        | one per                              |
-//! |-------------------|-------------------|--------------------------------------|
-//! | `trace-header`    | [`Tracer`] itself | trace (always the first line)        |
-//! | `run-start`/`run-end` | `metaopt` CLI | process                              |
-//! | `evolution-start`/`evolution-end` | GP engine | evolution run              |
-//! | `generation`      | GP engine         | generation (subset, cache counters)  |
-//! | `eval`            | GP engine         | uncached `(genome, case)` evaluation |
-//! | `pass`            | pass manager      | executed compiler pass               |
-//! | `sim`             | simulator         | simulator run (noise-free cycles)    |
-//! | `validate`        | pass manager      | semantic validation of one pass      |
-//! | `checkpoint`      | GP engine         | checkpoint write                     |
-//! | `metrics-snapshot` | GP engine        | generation, with a [`metrics`] registry (engine counters) |
-//!
-//! A `metrics-snapshot` event written by earlier builds may also carry
-//! `runtime`, a dump of the former atomic registry's counters and
-//! histograms; [`schema`] still checks it and [`strip_timing`] drops it.
+//! attributes. [`Event`] is the vocabulary: one variant per event type,
+//! whose rustdoc lists each type's attributes and JSON types. Emitters
+//! build a variant and [`Tracer::emit`] writes it; [`schema`] and
+//! [`report`] read lines back through [`Event::from_value`], and a
+//! [`metrics::MetricsRegistry`] folds the emitted value itself.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Free when off.** A [`Tracer`] with neither a sink nor a
-//!    [`metrics::MetricsRegistry`] is two `None`s; every emission site is
-//!    a branch on [`Tracer::enabled`] and no clock is read, so runs without
+//!    [`metrics::MetricsRegistry`] is two `None`s; every emission is a
+//!    branch on [`Tracer::enabled`], taken before building the event
+//!    wherever the event allocates, and no clock is read, so runs without
 //!    `--trace-out` or `--metrics-addr` are bit-identical to runs built
 //!    before tracing existed.
 //! 2. **Deterministic payloads.** For a fixed configuration, every event's
@@ -44,6 +32,7 @@
 //!    serialized to a line off-lock and appended under a mutex, so lines
 //!    never interleave.
 
+pub mod events;
 pub mod json;
 pub mod live;
 pub mod metrics;
@@ -51,6 +40,7 @@ pub mod report;
 pub mod schema;
 pub mod serve;
 
+pub use events::{Event, FrontPoint};
 use json::Value;
 use metrics::MetricsRegistry;
 use std::fmt;
@@ -132,13 +122,10 @@ impl Tracer {
             scope: Vec::new(),
             metrics: None,
         };
-        t.emit(
-            "trace-header",
-            [
-                ("schema", Value::str(SCHEMA_VERSION)),
-                ("producer", Value::str("metaopt")),
-            ],
-        );
+        t.emit(Event::TraceHeader {
+            schema: SCHEMA_VERSION.to_string(),
+            producer: "metaopt".to_string(),
+        });
         t
     }
 
@@ -201,31 +188,26 @@ impl Tracer {
         }
     }
 
-    /// Emit one event, `{"type": kind, "ts": ..., <attrs>, <scope>}`: fold
-    /// it into the attached registry's digest and write it to the sink as
-    /// a single JSONL line. `ts` is 0 without a sink. No-op when disabled.
-    pub fn emit<I>(&self, kind: &str, attrs: I)
-    where
-        I: IntoIterator<Item = (&'static str, Value)>,
-    {
+    /// Emit one event, `{"type", "ts", <attributes>, <scope>}`: fold it
+    /// into the attached registry's digest and write it to the sink as a
+    /// single JSONL line. No-op when disabled.
+    pub fn emit(&self, event: Event) {
         if !self.enabled() {
             return;
         }
-        let ts = self
-            .inner
-            .as_ref()
-            .map_or(0, |inner| inner.start.elapsed().as_nanos() as u64);
-        let mut fields: Vec<(String, Value)> = vec![
-            ("type".to_string(), Value::str(kind)),
-            ("ts".to_string(), Value::UInt(ts)),
-        ];
-        fields.extend(attrs.into_iter().map(|(k, v)| (k.to_string(), v)));
-        fields.extend(self.scope.iter().map(|(k, v)| (k.to_string(), v.clone())));
-        let event = Value::Obj(fields);
         // The sink's lock is taken before the fold, so that concurrent
         // emitters fold their events in the order of their lines.
-        let sink = (self.inner.as_ref())
-            .map(|inner| (event.to_string(), inner.sink.lock().expect(SINK_LOCK)));
+        let sink = self.inner.as_ref().map(|inner| {
+            let ts = inner.start.elapsed().as_nanos() as u64;
+            let mut fields = vec![
+                ("type".to_string(), Value::str(event.name())),
+                ("ts".to_string(), Value::UInt(ts)),
+            ];
+            event.write_attrs(&mut fields);
+            fields.extend(self.scope.iter().map(|(k, v)| (k.to_string(), v.clone())));
+            let line = Value::Obj(fields).to_string();
+            (line, inner.sink.lock().expect(SINK_LOCK))
+        });
         if let Some(registry) = &self.metrics {
             registry.fold(&event);
         }
@@ -312,7 +294,16 @@ mod tests {
     fn disabled_tracer_records_nothing() {
         let t = Tracer::disabled();
         assert!(!t.enabled());
-        t.emit("generation", [("gen", Value::UInt(0))]);
+        t.emit(Event::Generation {
+            gen: 0,
+            subset: vec![],
+            evals: 0,
+            cache_hits: 0,
+            best_fitness: 0.0,
+            mean_fitness: 0.0,
+            best_size: 0,
+            dur_ns: 0,
+        });
         assert_eq!(t.lines(), None);
         assert_eq!(t.begin().dur_ns(), 0);
         // Scoping a disabled tracer stays disabled.
@@ -329,15 +320,20 @@ mod tests {
         // Scoping keeps the registry (one shared digest).
         let scoped = t.scoped([("bench", Value::str("x"))]);
         assert!(scoped.enabled());
-        scoped.emit(
-            "sim",
-            [
-                ("cycles", Value::UInt(40)),
-                ("insts", Value::UInt(9)),
-                ("dur_ns", Value::UInt(3)),
-            ],
-        );
-        t.emit("retry", [("gen", Value::UInt(0))]);
+        scoped.emit(Event::Sim {
+            cycles: 40,
+            insts: 9,
+            dur_ns: 3,
+            tier: None,
+        });
+        t.emit(Event::Retry {
+            gen: 0,
+            genome: "g".to_string(),
+            case: 0,
+            attempt: 0,
+            kind: "timeout".to_string(),
+            backoff_ns: 0,
+        });
         let digest = registry.report();
         assert_eq!((digest.events, digest.sims, digest.sim_ns), (2, (1, 40), 3));
         assert_eq!(digest.reliability.retries, 1);
@@ -358,7 +354,9 @@ mod tests {
     #[test]
     fn memory_tracer_starts_with_the_header() {
         let t = Tracer::in_memory();
-        t.emit("run-start", [("command", Value::str("test"))]);
+        t.emit(Event::RunStart {
+            command: "test".to_string(),
+        });
         let lines = t.lines().unwrap();
         assert_eq!(lines.len(), 2);
         let header = json::parse(&lines[0]).unwrap();
@@ -371,7 +369,11 @@ mod tests {
     fn scope_attributes_ride_along() {
         let t = Tracer::in_memory();
         let scoped = t.scoped([("bench", Value::str("unepic"))]);
-        scoped.emit("pass", [("pass", Value::str("regalloc"))]);
+        scoped.emit(Event::Pass {
+            pass: "regalloc".to_string(),
+            wall_ns: 0,
+            delta: vec![],
+        });
         let lines = t.lines().unwrap();
         let ev = json::parse(lines.last().unwrap()).unwrap();
         assert_eq!(ev.get("pass").unwrap().as_str(), Some("regalloc"));
@@ -382,7 +384,9 @@ mod tests {
     fn clones_share_one_sink() {
         let t = Tracer::in_memory();
         let u = t.clone();
-        u.emit("run-start", [("command", Value::str("x"))]);
+        u.emit(Event::RunStart {
+            command: "x".to_string(),
+        });
         assert_eq!(t.lines().unwrap().len(), 2);
     }
 
@@ -400,7 +404,9 @@ mod tests {
         let path = std::env::temp_dir().join(format!("metaopt-trace-{}.jsonl", std::process::id()));
         {
             let t = Tracer::to_file(&path).unwrap();
-            t.emit("run-start", [("command", Value::str("smoke"))]);
+            t.emit(Event::RunStart {
+                command: "smoke".to_string(),
+            });
             t.flush();
         }
         let text = std::fs::read_to_string(&path).unwrap();

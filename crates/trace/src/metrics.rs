@@ -17,8 +17,8 @@
 //! search reads a metric back, so a run with a registry attached is
 //! bit-identical to one without.
 
-use crate::json::Value;
 use crate::report::Report;
+use crate::Event;
 use std::fmt::Write;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -41,7 +41,7 @@ impl MetricsRegistry {
     }
 
     /// Fold one emitted event into the digest.
-    pub(crate) fn fold(&self, event: &Value) {
+    pub(crate) fn fold(&self, event: &Event) {
         self.lock().fold(event);
     }
 
@@ -145,17 +145,16 @@ mod tests {
         let registry = MetricsRegistry::new();
         let t = Tracer::disabled().with_metrics(registry.clone());
         for i in 0..n {
-            t.emit(
-                "eval",
-                [
-                    ("gen", Value::UInt(0)),
-                    ("genome", Value::str("g")),
-                    ("case", Value::UInt(i)),
-                    ("outcome", Value::str(OUTCOME_SCORE)),
-                    ("score", Value::Num(1.0)),
-                    ("dur_ns", Value::UInt((n - i) * 1000)),
-                ],
-            );
+            t.emit(Event::Eval {
+                gen: 0,
+                genome: "g".to_string(),
+                case: i,
+                outcome: OUTCOME_SCORE.to_string(),
+                score: Some(1.0),
+                objectives: None,
+                warm: None,
+                dur_ns: (n - i) * 1000,
+            });
         }
         registry
     }
@@ -214,72 +213,57 @@ mod tests {
     fn prometheus_exposition_is_well_formed() {
         let registry = MetricsRegistry::new();
         let t = Tracer::disabled().with_metrics(registry.clone());
-        t.emit(
-            "evolution-start",
-            [
-                ("population", Value::UInt(16)),
-                ("generations", Value::UInt(12)),
-                ("start_gen", Value::UInt(0)),
-                ("threads", Value::UInt(2)),
-                ("resumed", Value::Bool(false)),
-            ],
-        );
+        t.emit(Event::EvolutionStart {
+            population: 16,
+            generations: 12,
+            start_gen: 0,
+            threads: 2,
+            resumed: false,
+        });
         for (outcome, warm) in [(OUTCOME_SCORE, true), ("budget", false)] {
-            t.emit(
-                "eval",
-                [
-                    ("gen", Value::UInt(0)),
-                    ("genome", Value::str("g")),
-                    ("case", Value::UInt(0)),
-                    ("outcome", Value::str(outcome)),
-                    ("dur_ns", Value::UInt(100)),
-                    ("warm", Value::Bool(warm)),
-                ],
-            );
+            t.emit(Event::Eval {
+                gen: 0,
+                genome: "g".to_string(),
+                case: 0,
+                outcome: outcome.to_string(),
+                score: None,
+                objectives: None,
+                warm: Some(warm),
+                dur_ns: 100,
+            });
         }
-        t.emit(
-            "retry",
-            [
-                ("gen", Value::UInt(0)),
-                ("genome", Value::str("g")),
-                ("case", Value::UInt(0)),
-                ("attempt", Value::UInt(0)),
-                ("kind", Value::str("timeout")),
-                ("backoff_ns", Value::UInt(5)),
-            ],
-        );
+        t.emit(Event::Retry {
+            gen: 0,
+            genome: "g".to_string(),
+            case: 0,
+            attempt: 0,
+            kind: "timeout".to_string(),
+            backoff_ns: 5,
+        });
         for pass in ["schedule", "regalloc", "schedule", "odd\"na\\me"] {
-            t.emit(
-                "pass",
-                [
-                    ("pass", Value::str(pass)),
-                    ("wall_ns", Value::UInt(7)),
-                    ("delta", Value::Obj(vec![])),
-                ],
-            );
+            t.emit(Event::Pass {
+                pass: pass.to_string(),
+                wall_ns: 7,
+                delta: vec![],
+            });
         }
-        t.emit(
-            "sim",
-            [
-                ("cycles", Value::UInt(900)),
-                ("insts", Value::UInt(50)),
-                ("dur_ns", Value::UInt(30)),
-            ],
-        );
+        t.emit(Event::Sim {
+            cycles: 900,
+            insts: 50,
+            dur_ns: 30,
+            tier: None,
+        });
         for gen in [0, 1] {
-            t.emit(
-                "generation",
-                [
-                    ("gen", Value::UInt(gen)),
-                    ("subset", Value::Arr(vec![])),
-                    ("evals", Value::UInt(1)),
-                    ("cache_hits", Value::UInt(4)),
-                    ("best_fitness", Value::Num(1.0)),
-                    ("mean_fitness", Value::Num(1.0)),
-                    ("best_size", Value::UInt(1)),
-                    ("dur_ns", Value::UInt(1000)),
-                ],
-            );
+            t.emit(Event::Generation {
+                gen,
+                subset: vec![],
+                evals: 1,
+                cache_hits: 4,
+                best_fitness: 1.0,
+                mean_fitness: 1.0,
+                best_size: 1,
+                dur_ns: 1000,
+            });
         }
         let text = render(&registry.report());
         for needle in [

@@ -15,6 +15,7 @@
 
 use crate::json::{self, Value};
 use crate::schema::{validate_line, SchemaError, OUTCOME_SCORE};
+use crate::Event;
 
 /// One generation's aggregated row.
 #[derive(Clone, Debug, PartialEq)]
@@ -185,62 +186,70 @@ pub struct Report {
 impl Report {
     /// Fold one JSONL event into the digest. A line that does not parse as
     /// JSON, or has no string `type`, is ignored: a live tail races the
-    /// writer, so its last line may be torn. Attributes are read leniently
-    /// (absent counts as 0); [`analyze`] validates every line first.
+    /// writer, so its last line may be torn. Any other line counts in
+    /// [`Report::events`], and only an [`Event`] it reads as adds to the
+    /// figures: an unknown type, or a known one lacking an attribute,
+    /// counts and adds nothing. [`analyze`] validates every line first.
     pub fn push_line(&mut self, line: &str) {
-        if let Ok(v) = json::parse(line) {
-            self.fold(&v);
+        let Ok(v) = json::parse(line) else { return };
+        if v.get("type").and_then(Value::as_str).is_none() {
+            return;
+        }
+        match Event::from_value(&v) {
+            Ok(event) => self.fold(&event),
+            Err(_) => self.events += 1,
         }
     }
 
-    /// Fold one event, parsed from a line or built by [`crate::Tracer`]'s
-    /// emission, into the digest. An event without a string `type` is
-    /// ignored.
-    pub(crate) fn fold(&mut self, v: &Value) {
-        let Some(ty) = v.get("type").and_then(Value::as_str) else {
-            return;
-        };
+    /// Fold one event, read from a line or emitted by [`crate::Tracer`],
+    /// into the digest.
+    pub(crate) fn fold(&mut self, event: &Event) {
         self.events += 1;
-        let u = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
-        let f = |key: &str| v.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
-        let pass = || v.get("pass").and_then(Value::as_str).unwrap_or("?");
-        match ty {
-            "run-start" => {
-                self.run.command = v.get("command").and_then(Value::as_str).map(str::to_string);
+        match event {
+            Event::RunStart { command } => self.run.command = Some(command.clone()),
+            Event::RunEnd { .. } => self.run.finished = true,
+            Event::EvolutionStart {
+                population,
+                generations,
+                threads,
+                ..
+            } => {
+                self.run.population = *population;
+                self.run.generations = *generations;
+                self.run.threads = *threads;
             }
-            "run-end" => self.run.finished = true,
-            "evolution-start" => {
-                self.run.population = u("population");
-                self.run.generations = u("generations");
-                self.run.threads = u("threads");
+            Event::Generation {
+                gen,
+                subset,
+                evals,
+                cache_hits,
+                best_fitness,
+                mean_fitness,
+                dur_ns,
+                ..
+            } => {
+                self.total_evals = self.total_evals.saturating_add(*evals);
+                self.total_hits = self.total_hits.saturating_add(*cache_hits);
+                self.generations.push(GenRow {
+                    gen: *gen,
+                    subset_len: subset.len(),
+                    evals: *evals,
+                    cache_hits: *cache_hits,
+                    best_fitness: *best_fitness,
+                    mean_fitness: *mean_fitness,
+                    dur_ns: *dur_ns,
+                });
             }
-            "generation" => {
-                let row = GenRow {
-                    gen: u("gen"),
-                    subset_len: v
-                        .get("subset")
-                        .and_then(Value::as_arr)
-                        .map_or(0, <[Value]>::len),
-                    evals: u("evals"),
-                    cache_hits: u("cache_hits"),
-                    best_fitness: f("best_fitness"),
-                    mean_fitness: f("mean_fitness"),
-                    dur_ns: u("dur_ns"),
-                };
-                self.total_evals = self.total_evals.saturating_add(row.evals);
-                self.total_hits = self.total_hits.saturating_add(row.cache_hits);
-                self.generations.push(row);
-            }
-            "pass" => {
-                let wall = u("wall_ns");
-                match self.passes.iter_mut().find(|p| p.pass == pass()) {
+            Event::Pass { pass, wall_ns, .. } => {
+                let wall = *wall_ns;
+                match self.passes.iter_mut().find(|p| p.pass == *pass) {
                     Some(p) => {
                         p.runs += 1;
                         p.total_ns = p.total_ns.saturating_add(wall);
                         p.max_ns = p.max_ns.max(wall);
                     }
                     None => self.passes.push(PassRow {
-                        pass: pass().to_string(),
+                        pass: pass.clone(),
                         runs: 1,
                         total_ns: wall,
                         max_ns: wall,
@@ -249,80 +258,84 @@ impl Report {
                 self.passes
                     .sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.pass.cmp(&b.pass)));
             }
-            "eval" => {
-                let outcome = v.get("outcome").and_then(Value::as_str).unwrap_or("?");
+            Event::Eval {
+                outcome,
+                warm,
+                dur_ns,
+                ..
+            } => {
                 if outcome != OUTCOME_SCORE {
                     match self.quarantine.iter_mut().find(|(k, _)| k == outcome) {
                         Some((_, n)) => *n += 1,
-                        None => self.quarantine.push((outcome.to_string(), 1)),
+                        None => self.quarantine.push((outcome.clone(), 1)),
                     }
                 }
-                if matches!(v.get("warm"), Some(Value::Bool(true))) {
-                    self.reliability.warm_evals += 1;
-                }
-                self.eval_ns.push(u("dur_ns"));
+                self.reliability.warm_evals += u64::from(*warm == Some(true));
+                self.eval_ns.push(*dur_ns);
             }
-            "retry" => self.reliability.retries += 1,
-            "cache-recovered" => match v.get("mode").and_then(Value::as_str) {
-                Some("recovered") => self.reliability.cache_recovered += 1,
+            Event::Retry { .. } => self.reliability.retries += 1,
+            Event::CacheRecovered { mode, .. } => match mode.as_str() {
+                "recovered" => self.reliability.cache_recovered += 1,
                 _ => self.reliability.cache_degraded += 1,
             },
-            "sim" => {
+            Event::Sim { cycles, dur_ns, .. } => {
                 self.sims.0 += 1;
-                self.sims.1 = self.sims.1.saturating_add(u("cycles"));
-                self.sim_ns = self.sim_ns.saturating_add(u("dur_ns"));
+                self.sims.1 = self.sims.1.saturating_add(*cycles);
+                self.sim_ns = self.sim_ns.saturating_add(*dur_ns);
             }
-            "validate" => {
-                let ok = matches!(v.get("ok"), Some(Value::Bool(true)));
-                let wall = u("wall_ns");
-                let found = u("findings");
-                match self.validation.iter_mut().find(|r| r.pass == pass()) {
+            Event::Validate {
+                pass,
+                ok,
+                findings,
+                wall_ns,
+                ..
+            } => {
+                let failed = u64::from(!*ok);
+                match self.validation.iter_mut().find(|r| r.pass == *pass) {
                     Some(r) => {
                         r.runs += 1;
-                        r.failures += u64::from(!ok);
-                        r.findings = r.findings.saturating_add(found);
-                        r.total_ns = r.total_ns.saturating_add(wall);
+                        r.failures += failed;
+                        r.findings = r.findings.saturating_add(*findings);
+                        r.total_ns = r.total_ns.saturating_add(*wall_ns);
                     }
                     None => self.validation.push(ValidateRow {
-                        pass: pass().to_string(),
+                        pass: pass.clone(),
                         runs: 1,
-                        failures: u64::from(!ok),
-                        findings: found,
-                        total_ns: wall,
+                        failures: failed,
+                        findings: *findings,
+                        total_ns: *wall_ns,
                     }),
                 }
                 self.validation
                     .sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.pass.cmp(&b.pass)));
             }
-            "checkpoint" => {
+            Event::Checkpoint { dur_ns, .. } => {
                 self.checkpoints.0 += 1;
-                self.checkpoints.1 = self.checkpoints.1.saturating_add(u("dur_ns"));
+                self.checkpoints.1 = self.checkpoints.1.saturating_add(*dur_ns);
             }
-            "pareto-front" => {
+            Event::ParetoFront {
+                gen,
+                size,
+                hypervolume,
+                points,
+            } => {
                 // Keep the last event (the final front); the running count
                 // carries over so the digest also says how many fronts the
                 // run reported.
                 let mut best: Vec<u64> = Vec::new();
-                if let Some(points) = v.get("points").and_then(Value::as_arr) {
-                    for point in points {
-                        let objectives = point
-                            .get("objectives")
-                            .and_then(Value::as_arr)
-                            .unwrap_or(&[]);
-                        for (k, o) in objectives.iter().enumerate() {
-                            let val = o.as_u64().unwrap_or(0);
-                            match best.get_mut(k) {
-                                Some(b) => *b = (*b).min(val),
-                                None => best.push(val),
-                            }
+                for point in points {
+                    for (k, &val) in point.objectives.iter().enumerate() {
+                        match best.get_mut(k) {
+                            Some(b) => *b = (*b).min(val),
+                            None => best.push(val),
                         }
                     }
                 }
                 let events = self.front.as_ref().map_or(0, |f| f.events) + 1;
                 self.front = Some(FrontDigest {
-                    gen: u("gen"),
-                    size: u("size"),
-                    hypervolume: u("hypervolume"),
+                    gen: *gen,
+                    size: *size,
+                    hypervolume: *hypervolume,
                     best,
                     events,
                 });
@@ -673,8 +686,7 @@ pub fn analyze(text: &str) -> Result<Report, SchemaError> {
     let mut report = Report::default();
     for (ix, line) in text.lines().enumerate() {
         if !line.is_empty() {
-            validate_line(ix + 1, line)?;
-            report.push_line(line);
+            report.fold(&validate_line(ix + 1, line)?);
         }
     }
     if report.events == 0 {
@@ -688,168 +700,113 @@ pub fn analyze(text: &str) -> Result<Report, SchemaError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Tracer;
+    use crate::{FrontPoint, Tracer};
 
     fn synthetic_trace() -> String {
         let t = Tracer::in_memory();
-        t.emit(
-            "run-start",
-            [("command", Value::str("specialize hyperblock x"))],
-        );
-        t.emit(
-            "evolution-start",
-            [
-                ("population", Value::UInt(3)),
-                ("generations", Value::UInt(2)),
-                ("start_gen", Value::UInt(0)),
-                ("threads", Value::UInt(1)),
-                ("resumed", Value::Bool(false)),
-            ],
-        );
+        t.emit(Event::RunStart {
+            command: "specialize hyperblock x".to_string(),
+        });
+        t.emit(Event::EvolutionStart {
+            population: 3,
+            generations: 2,
+            start_gen: 0,
+            threads: 1,
+            resumed: false,
+        });
         for gen in 0..2u64 {
             for case in 0..3u64 {
-                t.emit(
-                    "eval",
-                    [
-                        ("gen", Value::UInt(gen)),
-                        ("genome", Value::str(format!("(g{gen}-{case})"))),
-                        ("case", Value::UInt(case)),
-                        (
-                            "outcome",
-                            Value::str(if case == 2 && gen == 1 {
-                                "budget"
-                            } else {
-                                OUTCOME_SCORE
-                            }),
-                        ),
-                        ("score", Value::Num(1.1)),
-                        ("dur_ns", Value::UInt(500)),
-                        ("warm", Value::Bool(gen == 0 && case == 0)),
-                    ],
-                );
-                t.emit(
-                    "pass",
-                    [
-                        (
-                            "pass",
-                            Value::str(if case == 0 { "regalloc" } else { "schedule" }),
-                        ),
-                        ("wall_ns", Value::UInt(1000 * (case + 1))),
-                        ("delta", Value::Obj(vec![])),
-                    ],
-                );
-                t.emit(
-                    "sim",
-                    [
-                        ("cycles", Value::UInt(100)),
-                        ("insts", Value::UInt(50)),
-                        ("dur_ns", Value::UInt(10)),
-                    ],
-                );
-                t.emit(
-                    "validate",
-                    [
-                        (
-                            "pass",
-                            Value::str(if case == 0 { "regalloc" } else { "schedule" }),
-                        ),
-                        ("level", Value::str("full")),
-                        ("ok", Value::Bool(!(case == 2 && gen == 1))),
-                        ("findings", Value::UInt(case)),
-                        ("wall_ns", Value::UInt(200 * (case + 1))),
-                    ],
-                );
+                t.emit(Event::Eval {
+                    gen,
+                    genome: format!("(g{gen}-{case})"),
+                    case,
+                    outcome: if case == 2 && gen == 1 {
+                        "budget"
+                    } else {
+                        OUTCOME_SCORE
+                    }
+                    .to_string(),
+                    score: Some(1.1),
+                    objectives: None,
+                    warm: Some(gen == 0 && case == 0),
+                    dur_ns: 500,
+                });
+                t.emit(Event::Pass {
+                    pass: if case == 0 { "regalloc" } else { "schedule" }.to_string(),
+                    wall_ns: 1000 * (case + 1),
+                    delta: vec![],
+                });
+                t.emit(Event::Sim {
+                    cycles: 100,
+                    insts: 50,
+                    dur_ns: 10,
+                    tier: None,
+                });
+                t.emit(Event::Validate {
+                    pass: if case == 0 { "regalloc" } else { "schedule" }.to_string(),
+                    level: "full".to_string(),
+                    ok: !(case == 2 && gen == 1),
+                    findings: case,
+                    wall_ns: 200 * (case + 1),
+                });
             }
-            t.emit(
-                "generation",
-                [
-                    ("gen", Value::UInt(gen)),
-                    (
-                        "subset",
-                        Value::Arr(vec![Value::UInt(0), Value::UInt(1), Value::UInt(2)]),
-                    ),
-                    ("evals", Value::UInt(3)),
-                    ("cache_hits", Value::UInt(1)),
-                    ("best_fitness", Value::Num(1.5)),
-                    ("mean_fitness", Value::Num(1.2)),
-                    ("best_size", Value::UInt(5)),
-                    ("dur_ns", Value::UInt(3_000_000)),
-                ],
-            );
-            t.emit(
-                "checkpoint",
-                [
-                    ("gen", Value::UInt(gen + 1)),
-                    ("dur_ns", Value::UInt(2_000_000)),
-                ],
-            );
-            t.emit(
-                "metrics-snapshot",
-                [
-                    ("seq", Value::UInt(gen)),
-                    ("gen", Value::UInt(gen)),
-                    (
-                        "counters",
-                        Value::Obj(vec![("evaluations".to_string(), Value::UInt(3))]),
-                    ),
-                ],
-            );
+            t.emit(Event::Generation {
+                gen,
+                subset: vec![0, 1, 2],
+                evals: 3,
+                cache_hits: 1,
+                best_fitness: 1.5,
+                mean_fitness: 1.2,
+                best_size: 5,
+                dur_ns: 3_000_000,
+            });
+            t.emit(Event::Checkpoint {
+                gen: gen + 1,
+                dur_ns: 2_000_000,
+            });
+            t.emit(Event::MetricsSnapshot {
+                seq: gen,
+                gen,
+                counters: vec![("evaluations".to_string(), 3)],
+            });
         }
         // Reliability events from a contained run over a recovered cache.
-        t.emit(
-            "retry",
-            [
-                ("gen", Value::UInt(0)),
-                ("genome", Value::str("(g0-0)")),
-                ("case", Value::UInt(0)),
-                ("attempt", Value::UInt(0)),
-                ("kind", Value::str("timeout")),
-                ("backoff_ns", Value::UInt(65_536)),
-            ],
-        );
-        t.emit(
-            "timeout",
-            [
-                ("genome", Value::str("(g0-1)")),
-                ("case", Value::UInt(1)),
-                ("wall_ns", Value::UInt(5_000_000)),
-            ],
-        );
-        t.emit(
-            "worker-restart",
-            [
-                ("worker", Value::UInt(1)),
-                ("restarts", Value::UInt(1)),
-                ("reason", Value::str("worker thread died")),
-            ],
-        );
-        t.emit(
-            "cache-recovered",
-            [
-                ("mode", Value::str("recovered")),
-                ("entries", Value::UInt(4)),
-                ("dropped_bytes", Value::UInt(12)),
-            ],
-        );
-        t.emit(
-            "evolution-end",
-            [
-                ("evaluations", Value::UInt(6)),
-                ("successes", Value::UInt(5)),
-                ("failures", Value::UInt(1)),
-                ("quarantined", Value::UInt(1)),
-                ("best_fitness", Value::Num(1.5)),
-                ("best", Value::str("(g1-0)")),
-                ("dur_ns", Value::UInt(6_000_000)),
-            ],
-        );
-        t.emit(
-            "run-end",
-            [
-                ("command", Value::str("specialize")),
-                ("dur_ns", Value::UInt(7_000_000)),
-            ],
-        );
+        t.emit(Event::Retry {
+            gen: 0,
+            genome: "(g0-0)".to_string(),
+            case: 0,
+            attempt: 0,
+            kind: "timeout".to_string(),
+            backoff_ns: 65_536,
+        });
+        t.emit(Event::Timeout {
+            genome: "(g0-1)".to_string(),
+            case: 1,
+            wall_ns: 5_000_000,
+        });
+        t.emit(Event::WorkerRestart {
+            worker: 1,
+            restarts: 1,
+            reason: "worker thread died".to_string(),
+        });
+        t.emit(Event::CacheRecovered {
+            mode: "recovered".to_string(),
+            entries: 4,
+            dropped_bytes: 12,
+        });
+        t.emit(Event::EvolutionEnd {
+            evaluations: 6,
+            successes: 5,
+            failures: 1,
+            quarantined: 1,
+            best_fitness: 1.5,
+            best: "(g1-0)".to_string(),
+            dur_ns: 6_000_000,
+        });
+        t.emit(Event::RunEnd {
+            command: "specialize".to_string(),
+            dur_ns: 7_000_000,
+        });
         t.lines().unwrap().join("\n")
     }
 
@@ -897,17 +854,16 @@ mod tests {
         let digest = |n: u64| {
             let t = Tracer::in_memory();
             for i in 0..n {
-                t.emit(
-                    "eval",
-                    [
-                        ("gen", Value::UInt(0)),
-                        ("genome", Value::str("g")),
-                        ("case", Value::UInt(i)),
-                        ("outcome", Value::str(OUTCOME_SCORE)),
-                        ("score", Value::Num(1.0)),
-                        ("dur_ns", Value::UInt((n - i) * 1000)),
-                    ],
-                );
+                t.emit(Event::Eval {
+                    gen: 0,
+                    genome: "g".to_string(),
+                    case: i,
+                    outcome: OUTCOME_SCORE.to_string(),
+                    score: Some(1.0),
+                    objectives: None,
+                    warm: None,
+                    dur_ns: (n - i) * 1000,
+                });
             }
             analyze(&t.lines().unwrap().join("\n")).unwrap()
         };
@@ -1014,14 +970,11 @@ mod tests {
         assert_eq!(per_compile, Some(r.pass_us_per_compile()));
         // No schedule run, no compile: reported as 0.
         let t = Tracer::in_memory();
-        t.emit(
-            "pass",
-            [
-                ("pass", Value::str("regalloc")),
-                ("wall_ns", Value::UInt(1000)),
-                ("delta", Value::Obj(vec![])),
-            ],
-        );
+        t.emit(Event::Pass {
+            pass: "regalloc".to_string(),
+            wall_ns: 1000,
+            delta: vec![],
+        });
         let r = analyze(&t.lines().unwrap().join("\n")).unwrap();
         assert_eq!(r.pass_us_per_compile(), 0.0);
     }
@@ -1046,10 +999,7 @@ mod tests {
         }
         // A trace with no reliability events renders no reliability line.
         let quiet = Tracer::in_memory();
-        quiet.emit(
-            "checkpoint",
-            [("gen", Value::UInt(1)), ("dur_ns", Value::UInt(1))],
-        );
+        quiet.emit(Event::Checkpoint { gen: 1, dur_ns: 1 });
         let quiet = analyze(&quiet.lines().unwrap().join("\n")).unwrap();
         assert!(quiet.reliability.is_quiet());
         assert!(!quiet.render().contains("reliability:"));
@@ -1139,27 +1089,22 @@ mod tests {
         // An "instant" trace: work recorded, but zero wall time everywhere
         // (e.g. a clock too coarse to observe the run).
         let t = Tracer::in_memory();
-        t.emit(
-            "generation",
-            [
-                ("gen", Value::UInt(0)),
-                ("subset", Value::Arr(vec![Value::UInt(0)])),
-                ("evals", Value::UInt(5)),
-                ("cache_hits", Value::UInt(0)),
-                ("best_fitness", Value::Num(1.0)),
-                ("mean_fitness", Value::Num(1.0)),
-                ("best_size", Value::UInt(1)),
-                ("dur_ns", Value::UInt(0)),
-            ],
-        );
-        t.emit(
-            "sim",
-            [
-                ("cycles", Value::UInt(100)),
-                ("insts", Value::UInt(50)),
-                ("dur_ns", Value::UInt(0)),
-            ],
-        );
+        t.emit(Event::Generation {
+            gen: 0,
+            subset: vec![0],
+            evals: 5,
+            cache_hits: 0,
+            best_fitness: 1.0,
+            mean_fitness: 1.0,
+            best_size: 1,
+            dur_ns: 0,
+        });
+        t.emit(Event::Sim {
+            cycles: 100,
+            insts: 50,
+            dur_ns: 0,
+            tier: None,
+        });
         let r = analyze(&t.lines().unwrap().join("\n")).unwrap();
         assert_eq!(r.evals_per_sec(), 0.0);
         assert_eq!(r.sim_cycles_per_sec(), 0.0);
@@ -1179,26 +1124,18 @@ mod tests {
         let points = vectors
             .iter()
             .enumerate()
-            .map(|(i, o)| {
-                Value::Obj(vec![
-                    ("plan".to_string(), Value::str(format!("p{i}"))),
-                    ("expr".to_string(), Value::str("(rconst 1.0)")),
-                    (
-                        "objectives".to_string(),
-                        Value::Arr(o.iter().map(|&x| Value::UInt(x)).collect()),
-                    ),
-                ])
+            .map(|(i, o)| FrontPoint {
+                plan: format!("p{i}"),
+                expr: "(rconst 1.0)".to_string(),
+                objectives: o.to_vec(),
             })
             .collect::<Vec<_>>();
-        t.emit(
-            "pareto-front",
-            [
-                ("gen", Value::UInt(gen)),
-                ("size", Value::UInt(vectors.len() as u64)),
-                ("hypervolume", Value::UInt(1000 + gen)),
-                ("points", Value::Arr(points)),
-            ],
-        );
+        t.emit(Event::ParetoFront {
+            gen,
+            size: vectors.len() as u64,
+            hypervolume: 1000 + gen,
+            points,
+        });
     }
 
     #[test]

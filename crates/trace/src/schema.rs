@@ -1,4 +1,6 @@
-//! The `run-trace.v1` schema: event taxonomy and JSONL validation.
+//! The `run-trace.v1` schema: JSONL validation of the [`Event`]
+//! vocabulary, plus the contracts between attributes that a type alone
+//! does not state.
 //!
 //! Versioning policy (see DESIGN.md §12): a trace's first line is a
 //! `trace-header` event naming its schema. Within `v1`, *adding* event
@@ -9,195 +11,8 @@
 //! compatibility within the version).
 
 use crate::json::{self, Value};
-use crate::SCHEMA_VERSION;
+use crate::{Event, SCHEMA_VERSION};
 use std::fmt;
-
-/// The expected JSON shape of a required attribute.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FieldKind {
-    /// A JSON string.
-    Str,
-    /// An unsigned integer.
-    UInt,
-    /// Any number (integer or float; `null` tolerated for non-finite).
-    Num,
-    /// `true`/`false`.
-    Bool,
-    /// An array.
-    Arr,
-    /// An object.
-    Obj,
-}
-
-impl FieldKind {
-    fn matches(self, v: &Value) -> bool {
-        match self {
-            FieldKind::Str => matches!(v, Value::Str(_)),
-            FieldKind::UInt => matches!(v, Value::UInt(_)),
-            FieldKind::Num => matches!(v, Value::UInt(_) | Value::Num(_) | Value::Null),
-            FieldKind::Bool => matches!(v, Value::Bool(_)),
-            FieldKind::Arr => matches!(v, Value::Arr(_)),
-            FieldKind::Obj => matches!(v, Value::Obj(_)),
-        }
-    }
-}
-
-/// Required attributes per event type (beyond the universal `type` and
-/// `ts`). This table *is* the `run-trace.v1` contract; the golden trace
-/// test and DESIGN.md §12 mirror it.
-pub const EVENT_TYPES: &[(&str, &[(&str, FieldKind)])] = &[
-    (
-        "trace-header",
-        &[("schema", FieldKind::Str), ("producer", FieldKind::Str)],
-    ),
-    ("run-start", &[("command", FieldKind::Str)]),
-    (
-        "run-end",
-        &[("command", FieldKind::Str), ("dur_ns", FieldKind::UInt)],
-    ),
-    (
-        "evolution-start",
-        &[
-            ("population", FieldKind::UInt),
-            ("generations", FieldKind::UInt),
-            ("start_gen", FieldKind::UInt),
-            ("threads", FieldKind::UInt),
-            ("resumed", FieldKind::Bool),
-        ],
-    ),
-    (
-        "evolution-end",
-        &[
-            ("evaluations", FieldKind::UInt),
-            ("successes", FieldKind::UInt),
-            ("failures", FieldKind::UInt),
-            ("quarantined", FieldKind::UInt),
-            ("best_fitness", FieldKind::Num),
-            ("best", FieldKind::Str),
-            ("dur_ns", FieldKind::UInt),
-        ],
-    ),
-    (
-        "generation",
-        &[
-            ("gen", FieldKind::UInt),
-            ("subset", FieldKind::Arr),
-            ("evals", FieldKind::UInt),
-            ("cache_hits", FieldKind::UInt),
-            ("best_fitness", FieldKind::Num),
-            ("mean_fitness", FieldKind::Num),
-            ("best_size", FieldKind::UInt),
-            ("dur_ns", FieldKind::UInt),
-        ],
-    ),
-    (
-        "eval",
-        &[
-            ("gen", FieldKind::UInt),
-            ("genome", FieldKind::Str),
-            ("case", FieldKind::UInt),
-            ("outcome", FieldKind::Str),
-            ("dur_ns", FieldKind::UInt),
-        ],
-    ),
-    (
-        "pass",
-        &[
-            ("pass", FieldKind::Str),
-            ("wall_ns", FieldKind::UInt),
-            ("delta", FieldKind::Obj),
-        ],
-    ),
-    (
-        "sim",
-        &[
-            ("cycles", FieldKind::UInt),
-            ("insts", FieldKind::UInt),
-            ("dur_ns", FieldKind::UInt),
-        ],
-    ),
-    (
-        "validate",
-        &[
-            ("pass", FieldKind::Str),
-            ("level", FieldKind::Str),
-            ("ok", FieldKind::Bool),
-            ("findings", FieldKind::UInt),
-            ("wall_ns", FieldKind::UInt),
-        ],
-    ),
-    (
-        "checkpoint",
-        &[("gen", FieldKind::UInt), ("dur_ns", FieldKind::UInt)],
-    ),
-    // Reliability events (additive within v1): retry comes from the
-    // evaluation core's bounded retries and cache-recovered from the
-    // persistent fitness store; timeout and worker-restart have no current
-    // producer and are only validated, so older traces still load.
-    (
-        "retry",
-        &[
-            ("gen", FieldKind::UInt),
-            ("genome", FieldKind::Str),
-            ("case", FieldKind::UInt),
-            ("attempt", FieldKind::UInt),
-            ("kind", FieldKind::Str),
-            ("backoff_ns", FieldKind::UInt),
-        ],
-    ),
-    (
-        "timeout",
-        &[
-            ("genome", FieldKind::Str),
-            ("case", FieldKind::UInt),
-            ("wall_ns", FieldKind::UInt),
-        ],
-    ),
-    (
-        "worker-restart",
-        &[
-            ("worker", FieldKind::UInt),
-            ("restarts", FieldKind::UInt),
-            ("reason", FieldKind::Str),
-        ],
-    ),
-    (
-        "cache-recovered",
-        &[
-            ("mode", FieldKind::Str),
-            ("entries", FieldKind::UInt),
-            ("dropped_bytes", FieldKind::UInt),
-        ],
-    ),
-    // Co-evolution (additive within v1): one Pareto-front snapshot per
-    // generation. `points` holds the non-dominated `(plan, expr)` genomes
-    // with their integer objective vectors (cycles, code size, compile-cost
-    // proxy — minimized); `hypervolume` is the front's saturating integer
-    // hypervolume proxy, so the digest never needs floating point.
-    (
-        "pareto-front",
-        &[
-            ("gen", FieldKind::UInt),
-            ("size", FieldKind::UInt),
-            ("hypervolume", FieldKind::UInt),
-            ("points", FieldKind::Arr),
-        ],
-    ),
-    // Live metrics (additive within v1): one snapshot per generation while
-    // a metrics registry is attached. `seq` is a monotonic snapshot
-    // sequence number (not wall time); `counters` holds the deterministic
-    // engine counters. Older traces also carry an optional `runtime` object,
-    // the former registry's dump (latency histograms, gauges, sim
-    // counters), stripped by `strip_timing` because it is schedule-dependent.
-    (
-        "metrics-snapshot",
-        &[
-            ("seq", FieldKind::UInt),
-            ("gen", FieldKind::UInt),
-            ("counters", FieldKind::Obj),
-        ],
-    ),
-];
 
 /// The `eval` outcome label for a successful evaluation; any other label is
 /// a quarantine error class.
@@ -229,141 +44,64 @@ pub struct TraceSummary {
     pub by_type: Vec<(String, usize)>,
 }
 
-/// Validate one line against `run-trace.v1`. `lineno` is 1-based; the
-/// first line must be the `trace-header`.
+/// Validate one line against `run-trace.v1` and return its event.
+/// `lineno` is 1-based; the first line must be the `trace-header`.
 ///
 /// # Errors
-/// Fails on malformed JSON, a non-object, a missing/unknown `type`, a
-/// missing or mistyped required attribute, or a bad header.
-pub fn validate_line(lineno: usize, line: &str) -> Result<String, SchemaError> {
+/// Fails on malformed JSON, a line [`Event::from_value`] rejects, a
+/// missing `ts`, or a broken contract between attributes.
+pub fn validate_line(lineno: usize, line: &str) -> Result<Event, SchemaError> {
     let err = |message: String| SchemaError {
         line: lineno,
         message,
     };
     let v = json::parse(line).map_err(|e| err(format!("invalid JSON: {e}")))?;
-    if v.as_obj().is_none() {
-        return Err(err("event is not a JSON object".to_string()));
-    }
-    let ty = v
-        .get("type")
-        .and_then(Value::as_str)
-        .ok_or_else(|| err("missing string field \"type\"".to_string()))?;
+    let event = Event::from_value(&v).map_err(err)?;
+    let ty = event.name();
     if v.get("ts").and_then(Value::as_u64).is_none() {
         return Err(err(format!(
             "event {ty:?} lacks the unsigned-integer field \"ts\""
         )));
     }
-    let Some((_, required)) = EVENT_TYPES.iter().find(|(name, _)| *name == ty) else {
-        return Err(err(format!(
-            "unknown event type {ty:?} (schema drift? bump {SCHEMA_VERSION})"
-        )));
-    };
-    for (key, kind) in *required {
-        match v.get(key) {
-            None => return Err(err(format!("event {ty:?} lacks required field {key:?}"))),
-            Some(val) if !kind.matches(val) => {
-                return Err(err(format!("event {ty:?} field {key:?} is not a {kind:?}")))
-            }
-            Some(_) => {}
+    match &event {
+        Event::TraceHeader { .. } if lineno != 1 => {
+            Err("trace-header must be the first line".to_string())
         }
+        Event::TraceHeader { schema, .. } if schema != SCHEMA_VERSION => Err(format!(
+            "unsupported schema {schema:?} (this validator reads {SCHEMA_VERSION})"
+        )),
+        Event::TraceHeader { .. } => Ok(()),
+        _ if lineno == 1 => Err(format!("first line must be the trace-header, found {ty:?}")),
+        // `null`, a non-finite score, reads as NaN.
+        Event::Eval { outcome, score, .. }
+            if outcome == OUTCOME_SCORE && !score.is_some_and(|s| !s.is_nan()) =>
+        {
+            Err("eval with outcome \"score\" lacks a numeric \"score\"".to_string())
+        }
+        Event::Sim {
+            tier: Some(tier), ..
+        } if !matches!(tier.as_str(), "fast" | "reference") => {
+            Err("sim \"tier\" must be \"fast\" or \"reference\"".to_string())
+        }
+        Event::ParetoFront { size, points, .. } if points.len() as u64 != *size => Err(format!(
+            "pareto-front size {size} disagrees with {} points",
+            points.len()
+        )),
+        // An older trace's `runtime` registry dump must be an object, and
+        // any histogram inside it must have well-formed log2 buckets.
+        Event::MetricsSnapshot { .. } => match v.get("runtime").map(Value::as_obj) {
+            None => Ok(()),
+            Some(None) => Err("metrics-snapshot \"runtime\" must be an object".to_string()),
+            Some(Some(metrics)) => metrics.iter().try_for_each(|(name, metric)| {
+                metric
+                    .get("buckets")
+                    .map_or(Ok(()), |buckets| validate_histogram(name, metric, buckets))
+            }),
+        },
+        _ => Ok(()),
     }
-    // Conditional contracts.
-    if ty == "trace-header" {
-        if lineno != 1 {
-            return Err(err("trace-header must be the first line".to_string()));
-        }
-        let schema = v.get("schema").and_then(Value::as_str).unwrap_or("");
-        if schema != SCHEMA_VERSION {
-            return Err(err(format!(
-                "unsupported schema {schema:?} (this validator reads {SCHEMA_VERSION})"
-            )));
-        }
-    } else if lineno == 1 {
-        return Err(err(format!(
-            "first line must be the trace-header, found {ty:?}"
-        )));
-    }
-    if ty == "eval"
-        && v.get("outcome").and_then(Value::as_str) == Some(OUTCOME_SCORE)
-        && !matches!(v.get("score"), Some(Value::UInt(_) | Value::Num(_)))
-    {
-        return Err(err(
-            "eval with outcome \"score\" lacks a numeric \"score\"".to_string()
-        ));
-    }
-    // Sim events may carry the executing tier (additive within v1); when
-    // present it must be one of the known tier names.
-    if ty == "sim" {
-        if let Some(tier) = v.get("tier") {
-            let known = matches!(tier.as_str(), Some("fast" | "reference"));
-            if !known {
-                return Err(err(
-                    "sim \"tier\" must be \"fast\" or \"reference\"".to_string()
-                ));
-            }
-        }
-    }
-    // `subset` entries must be case indices.
-    if ty == "generation" {
-        let subset = v.get("subset").and_then(Value::as_arr).unwrap_or(&[]);
-        if subset.iter().any(|c| c.as_u64().is_none()) {
-            return Err(err(
-                "generation subset entries must be case indices".to_string()
-            ));
-        }
-    }
-    // Pareto-front snapshots: `size` counts the points, and every point is
-    // an object carrying the genome (plan + expr strings) and an unsigned
-    // objective vector.
-    if ty == "pareto-front" {
-        let size = v.get("size").and_then(Value::as_u64).unwrap_or(0);
-        let points = v.get("points").and_then(Value::as_arr).unwrap_or(&[]);
-        if points.len() as u64 != size {
-            return Err(err(format!(
-                "pareto-front size {size} disagrees with {} points",
-                points.len()
-            )));
-        }
-        for p in points {
-            let well_formed = p.get("plan").and_then(Value::as_str).is_some()
-                && p.get("expr").and_then(Value::as_str).is_some()
-                && p.get("objectives")
-                    .and_then(Value::as_arr)
-                    .is_some_and(|os| !os.is_empty() && os.iter().all(|o| o.as_u64().is_some()));
-            if !well_formed {
-                return Err(err(
-                    "pareto-front points must carry \"plan\", \"expr\", and an \
-                     unsigned \"objectives\" vector"
-                        .to_string(),
-                ));
-            }
-        }
-    }
-    // Metrics snapshots: the deterministic `counters` object holds unsigned
-    // counts only; an older trace's `runtime` registry dump must be an
-    // object, and any histogram inside it must have well-formed log2
-    // buckets.
-    if ty == "metrics-snapshot" {
-        let counters = v.get("counters").and_then(Value::as_obj).unwrap_or(&[]);
-        if counters.iter().any(|(_, c)| c.as_u64().is_none()) {
-            return Err(err(
-                "metrics-snapshot counters must be unsigned integers".to_string()
-            ));
-        }
-        if let Some(runtime) = v.get("runtime") {
-            let Some(metrics) = runtime.as_obj() else {
-                return Err(err(
-                    "metrics-snapshot \"runtime\" must be an object".to_string()
-                ));
-            };
-            for (name, metric) in metrics {
-                if let Some(buckets) = metric.get("buckets") {
-                    validate_histogram(name, metric, buckets).map_err(err)?;
-                }
-            }
-        }
-    }
-    Ok(ty.to_string())
+    .map_err(err)?;
+    Ok(event)
 }
 
 /// Log₂ buckets of a `runtime` histogram dump: bucket `i` counted the
@@ -407,11 +145,11 @@ pub fn validate_trace(text: &str) -> Result<TraceSummary, SchemaError> {
             continue;
         }
         any = true;
-        let ty = validate_line(ix + 1, line)?;
+        let ty = validate_line(ix + 1, line)?.name();
         summary.events += 1;
-        match summary.by_type.iter_mut().find(|(t, _)| *t == ty) {
+        match summary.by_type.iter_mut().find(|(t, _)| t == ty) {
             Some((_, n)) => *n += 1,
-            None => summary.by_type.push((ty, 1)),
+            None => summary.by_type.push((ty.to_string(), 1)),
         }
     }
     if !any {
@@ -430,40 +168,33 @@ mod tests {
 
     fn smoke_trace() -> String {
         let t = Tracer::in_memory();
-        t.emit(
-            "evolution-start",
-            [
-                ("population", Value::UInt(8)),
-                ("generations", Value::UInt(2)),
-                ("start_gen", Value::UInt(0)),
-                ("threads", Value::UInt(1)),
-                ("resumed", Value::Bool(false)),
-            ],
-        );
-        t.emit(
-            "eval",
-            [
-                ("gen", Value::UInt(0)),
-                ("genome", Value::str("(mul 2.0 x)")),
-                ("case", Value::UInt(0)),
-                ("outcome", Value::str(OUTCOME_SCORE)),
-                ("score", Value::Num(1.25)),
-                ("dur_ns", Value::UInt(1000)),
-            ],
-        );
-        t.emit(
-            "generation",
-            [
-                ("gen", Value::UInt(0)),
-                ("subset", Value::Arr(vec![Value::UInt(0)])),
-                ("evals", Value::UInt(1)),
-                ("cache_hits", Value::UInt(0)),
-                ("best_fitness", Value::Num(1.25)),
-                ("mean_fitness", Value::Num(1.25)),
-                ("best_size", Value::UInt(3)),
-                ("dur_ns", Value::UInt(2000)),
-            ],
-        );
+        t.emit(Event::EvolutionStart {
+            population: 8,
+            generations: 2,
+            start_gen: 0,
+            threads: 1,
+            resumed: false,
+        });
+        t.emit(Event::Eval {
+            gen: 0,
+            genome: "(mul 2.0 x)".to_string(),
+            case: 0,
+            outcome: OUTCOME_SCORE.to_string(),
+            score: Some(1.25),
+            objectives: None,
+            warm: None,
+            dur_ns: 1000,
+        });
+        t.emit(Event::Generation {
+            gen: 0,
+            subset: vec![0],
+            evals: 1,
+            cache_hits: 0,
+            best_fitness: 1.25,
+            mean_fitness: 1.25,
+            best_size: 3,
+            dur_ns: 2000,
+        });
         t.lines().unwrap().join("\n")
     }
 

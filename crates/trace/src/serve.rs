@@ -133,25 +133,23 @@ fn request_line(stream: &TcpStream) -> std::io::Result<Option<String>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Value;
-    use crate::Tracer;
+    use crate::{Event, Tracer};
     use std::io::Read;
 
     /// Fold `n` evaluations of 1µs each into `registry`.
     fn evaluate(registry: &MetricsRegistry, n: u64) {
         let t = Tracer::disabled().with_metrics(registry.clone());
         for case in 0..n {
-            t.emit(
-                "eval",
-                [
-                    ("gen", Value::UInt(0)),
-                    ("genome", Value::str("g")),
-                    ("case", Value::UInt(case)),
-                    ("outcome", Value::str(crate::schema::OUTCOME_SCORE)),
-                    ("score", Value::Num(1.0)),
-                    ("dur_ns", Value::UInt(1000)),
-                ],
-            );
+            t.emit(Event::Eval {
+                gen: 0,
+                genome: "g".to_string(),
+                case,
+                outcome: crate::schema::OUTCOME_SCORE.to_string(),
+                score: Some(1.0),
+                objectives: None,
+                warm: None,
+                dur_ns: 1000,
+            });
         }
     }
 
