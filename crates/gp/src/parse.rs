@@ -194,8 +194,10 @@ impl Parser<'_> {
 /// Parse an expression of either sort: tries real first, then Boolean.
 ///
 /// # Errors
-/// Returns a [`ParseError`] on malformed syntax or unknown features: the
-/// real attempt's error if both fail.
+/// Returns a [`ParseError`] on malformed syntax or unknown features. When
+/// both attempts fail, the error is the Boolean attempt's if the text's
+/// head names that sort (a Boolean operator, `bconst`, `barg`, `true`,
+/// `false` or a Boolean feature), and the real attempt's otherwise.
 pub fn parse_expr(src: &str, fs: &FeatureSet) -> Result<Expr, ParseError> {
     let toks = tokenize(src);
     let parse = |kind| {
@@ -212,7 +214,20 @@ pub fn parse_expr(src: &str, fs: &FeatureSet) -> Result<Expr, ParseError> {
         }
         Ok(Expr { prims })
     };
-    parse(Kind::Real).or_else(|e| parse(Kind::Bool).map_err(|_| e))
+    let names_bool = match toks.as_slice() {
+        [Tok::Open, Tok::Sym(head), ..] => {
+            head == "bconst"
+                || head == "barg"
+                || Prim::operators(Kind::Bool)
+                    .iter()
+                    .any(|op| op.name() == head)
+        }
+        [Tok::Sym(s), ..] => s == "true" || s == "false" || fs.bool_index(s).is_some(),
+        _ => false,
+    };
+    parse(Kind::Real).or_else(|real| {
+        parse(Kind::Bool).map_err(|boolean| if names_bool { boolean } else { real })
+    })
 }
 
 #[cfg(test)]
@@ -242,6 +257,28 @@ mod tests {
             bools: &[false],
         });
         assert!((v - 0.5 * 1.1).abs() < 1e-12, "{v}");
+    }
+
+    #[test]
+    fn malformed_text_reports_the_error_of_the_sort_it_names() {
+        let mut fs = FeatureSet::new();
+        fs.add_real("trip_count");
+        fs.add_bool("trip_known");
+        let message = |src| parse_expr(src, &fs).unwrap_err().message;
+        assert_eq!(
+            message("(and (gt trip_count 10.0) (barg nope))"),
+            "unknown bool feature nope"
+        );
+        assert_eq!(
+            message("(or (barg trip_known) (gt trip_count x))"),
+            "unknown real feature x"
+        );
+        assert_eq!(
+            message("(and (gt trip_count 10.0) trip_known"),
+            "unexpected end of input"
+        );
+        // Text headed by a real operator keeps the real attempt's error.
+        assert_eq!(message("(add trip_count y)"), "unknown real feature y");
     }
 
     #[test]
