@@ -31,37 +31,13 @@ use crate::diagnostics::{Diagnostic, Severity};
 use metaopt_ir::cfg::Cfg;
 use metaopt_ir::liveness::Liveness;
 use metaopt_ir::{BlockId, Function, Inst, Opcode, RegClass, VReg, Width};
-use metaopt_sim::machine::unit_of;
+use metaopt_sim::machine::{first_allocatable, unit_of, FLOAT_TEMPS, INT_TEMPS, PRED_TEMPS};
 use metaopt_sim::{MachineConfig, MachineProgram};
 use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
 // Register allocation
 // ---------------------------------------------------------------------------
-
-// The allocator's register-file reservations (kept in lockstep with
-// `metaopt_compiler::regalloc`): int r0 is the zero/spill-base register and
-// r1–r3 are spill temps, floats reserve f0–f2, predicates p0–p3. Allocated
-// vregs always land at or above `FIRST_*`.
-const INT_TEMPS: [u32; 3] = [1, 2, 3];
-const FLOAT_TEMPS: [u32; 3] = [0, 1, 2];
-const PRED_TEMPS: [u32; 4] = [0, 1, 2, 3];
-
-fn first_alloc(class: RegClass) -> u32 {
-    match class {
-        RegClass::Int => 4,
-        RegClass::Float => 3,
-        RegClass::Pred => 4,
-    }
-}
-
-fn file_size(class: RegClass, m: &MachineConfig) -> u32 {
-    match class {
-        RegClass::Int => m.gpr as u32,
-        RegClass::Float => m.fpr as u32,
-        RegClass::Pred => m.pred as u32,
-    }
-}
 
 /// Where a virtual register lives after allocation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -264,7 +240,7 @@ pub fn validate_regalloc(
             match (p.pred, core.pred) {
                 (None, None) => {}
                 (Some(gv), Some(got)) => {
-                    if got.0 < first_alloc(RegClass::Pred) {
+                    if got.0 < first_allocatable(RegClass::Pred) {
                         match reloads_pred.iter_mut().find(|e| e.0 == got.0) {
                             Some(e) => {
                                 e.2 = true;
@@ -289,7 +265,7 @@ pub fn validate_regalloc(
                     p.op.arg_class(ai)
                         .expect("a verified instruction fits its arity");
                 let got = core.args[ai];
-                if got.0 < first_alloc(class) {
+                if got.0 < first_allocatable(class) {
                     let pool = match class {
                         RegClass::Int => &mut reloads_int,
                         RegClass::Float => &mut reloads_float,
@@ -484,16 +460,16 @@ fn check_phys(
     r: VReg,
     machine: &MachineConfig,
 ) {
-    if r.0 < first_alloc(class) || r.0 >= file_size(class, machine) {
+    let size = machine.file_size(class);
+    if r.0 < first_allocatable(class) || r.0 as usize >= size {
         diags.push(
             Diagnostic::new(
                 Severity::Error,
                 pass,
                 &pre.name,
                 format!(
-                    "{r} outside the allocatable {class:?} range [{}, {})",
-                    first_alloc(class),
-                    file_size(class, machine)
+                    "{r} outside the allocatable {class:?} range [{}, {size})",
+                    first_allocatable(class),
                 ),
             )
             .at_inst(BlockId(at.0 as u32), at.1),
@@ -1593,7 +1569,7 @@ mod tests {
             let range = Liveness::compute(func, &Cfg::new(func)).ranges(func);
             let mut assignment: Vec<Option<u32>> = vec![None; nv];
             let mut spilled = vec![false; nv];
-            let first = first_alloc(RegClass::Int);
+            let first = first_allocatable(RegClass::Int);
             let count = machine.gpr as u32;
             for v in 0..nv {
                 if range.row_is_empty(v) || func.vreg_class[v] != RegClass::Int {

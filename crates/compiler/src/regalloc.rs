@@ -30,6 +30,9 @@ use metaopt_ir::loops::LoopForest;
 use metaopt_ir::profile::FuncProfile;
 use metaopt_ir::util::BitMatrix;
 use metaopt_ir::{BlockId, Function, Inst, Opcode, RegClass, VReg};
+use metaopt_sim::machine::{
+    FIRST_FLOAT, FIRST_INT, FIRST_PRED, FLOAT_TEMPS, INT_TEMPS, PRED_TEMPS,
+};
 use metaopt_sim::MachineConfig;
 
 /// Real-valued features fed to the savings function, per (block, range).
@@ -74,13 +77,6 @@ pub struct RaResult {
     /// Required memory size (globals + spill slots).
     pub mem_size: usize,
 }
-
-const INT_TEMPS: [u32; 3] = [1, 2, 3]; // r0 is the zero/spill-base register
-const FLOAT_TEMPS: [u32; 3] = [0, 1, 2];
-const PRED_TEMPS: [u32; 4] = [0, 1, 2, 3];
-const FIRST_INT: u32 = 4;
-const FIRST_FLOAT: u32 = 3;
-const FIRST_PRED: u32 = 4;
 
 /// One register class's interference graph as a dense bit matrix: row i
 /// holds the class members whose live ranges share a block with member i.

@@ -1,7 +1,7 @@
 //! Machine configuration: register files, functional units, latencies,
 //! cache hierarchy. [`MachineConfig::table3`] reproduces the paper's Table 3.
 
-use metaopt_ir::Opcode;
+use metaopt_ir::{Opcode, RegClass};
 
 /// Which functional unit class an operation issues on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -168,12 +168,57 @@ impl MachineConfig {
     }
 
     /// Register-file size for a class.
-    pub fn file_size(&self, class: metaopt_ir::RegClass) -> usize {
+    pub fn file_size(&self, class: RegClass) -> usize {
         match class {
-            metaopt_ir::RegClass::Int => self.gpr,
-            metaopt_ir::RegClass::Float => self.fpr,
-            metaopt_ir::RegClass::Pred => self.pred,
+            RegClass::Int => self.gpr,
+            RegClass::Float => self.fpr,
+            RegClass::Pred => self.pred,
         }
+    }
+}
+
+// The register allocator's reservations, which the regalloc translation
+// validator reads back: registers below each class's first allocatable one
+// never hold an allocated value.
+
+/// Integer spill temps; r0 below them is the zero and spill-base register.
+pub const INT_TEMPS: [u32; 3] = [1, 2, 3];
+/// Float spill temps.
+pub const FLOAT_TEMPS: [u32; 3] = [0, 1, 2];
+/// Predicate spill temps.
+pub const PRED_TEMPS: [u32; 4] = [0, 1, 2, 3];
+/// First allocatable integer register.
+pub const FIRST_INT: u32 = 4;
+/// First allocatable float register.
+pub const FIRST_FLOAT: u32 = 3;
+/// First allocatable predicate register.
+pub const FIRST_PRED: u32 = 4;
+
+/// Whether every register in `temps` lies below `first`.
+const fn all_below(temps: &[u32], first: u32) -> bool {
+    let mut i = 0;
+    while i < temps.len() {
+        if temps[i] >= first {
+            return false;
+        }
+        i += 1;
+    }
+    true
+}
+
+const _: () = assert!(
+    all_below(&INT_TEMPS, FIRST_INT)
+        && all_below(&FLOAT_TEMPS, FIRST_FLOAT)
+        && all_below(&PRED_TEMPS, FIRST_PRED),
+    "a reserved temp would collide with an allocatable register"
+);
+
+/// The first register of `class` the allocator assigns.
+pub const fn first_allocatable(class: RegClass) -> u32 {
+    match class {
+        RegClass::Int => FIRST_INT,
+        RegClass::Float => FIRST_FLOAT,
+        RegClass::Pred => FIRST_PRED,
     }
 }
 
