@@ -4,8 +4,9 @@
 //!
 //! This module is the one statement of the format. Emitters build a
 //! variant and hand it to [`crate::Tracer::emit`], which writes
-//! `{"type", "ts", <attributes>, <scope attributes>}`; the validator, the
-//! digest and `/metrics` read a line back through [`Event::from_value`].
+//! `{"type", "ts", <attributes>, <scope attributes>}` and folds the value
+//! into an attached registry; the validator and the digest read a line
+//! back through [`Event::from_value`].
 //! A required attribute is a plain field, an optional one an `Option`,
 //! which is written only when it is `Some`. Reading ignores attributes the
 //! variant does not declare, so a trace may carry more than this crate
@@ -209,6 +210,12 @@ macro_rules! events {
         /// One `run-trace.v1` event: its type and its attributes. The
         /// trace line also carries `ts`, the nanoseconds since the trace
         /// started, and the emitting tracer's scope attributes (`bench`).
+        ///
+        /// An attribute's JSON type follows its field's: `u64` an unsigned
+        /// integer, `f64` any number (`null` when not finite), `bool` a
+        /// boolean, `String` a string, `Vec<u64>` an array of unsigned
+        /// integers and `Vec<(String, u64)>` an object of them. An
+        /// `Option` attribute is left out when `None`.
         #[derive(Clone, Debug, PartialEq)]
         pub enum Event {
             $(
