@@ -214,8 +214,9 @@ macro_rules! events {
         /// An attribute's JSON type follows its field's: `u64` an unsigned
         /// integer, `f64` any number (`null` when not finite), `bool` a
         /// boolean, `String` a string, `Vec<u64>` an array of unsigned
-        /// integers and `Vec<(String, u64)>` an object of them. An
-        /// `Option` attribute is left out when `None`.
+        /// integers, `Vec<(String, u64)>` an object of them and
+        /// `Vec<FrontPoint>` an array of objects with `FrontPoint`'s
+        /// fields. An `Option` attribute is left out when `None`.
         #[derive(Clone, Debug, PartialEq)]
         pub enum Event {
             $(
@@ -349,8 +350,8 @@ events! {
         case: u64,
         /// [`crate::schema::OUTCOME_SCORE`], or the failure's error class.
         outcome: String,
-        /// The speedup score (objective 0 for a co-evolved genome); present
-        /// exactly on a scored evaluation.
+        /// The speedup score (objective 0 for a co-evolved genome);
+        /// required when `outcome` is [`crate::schema::OUTCOME_SCORE`].
         score: Option<f64>,
         /// A co-evolved genome's objective vector.
         objectives: Option<Vec<u64>>,
