@@ -111,7 +111,7 @@ impl FitnessStore {
     /// (`mode: "recovered"`) with the tail truncated away.
     pub fn open(path: &Path, fingerprint: &str, tracer: &Tracer) -> FitnessStore {
         let (store, emit) = Self::open_inner(path, fingerprint, tracer);
-        if let Some(mode) = emit {
+        if let Some(mode) = emit.filter(|_| tracer.enabled()) {
             tracer.emit(Event::CacheRecovered {
                 mode: mode.to_string(),
                 entries: store.entries,
@@ -342,11 +342,13 @@ impl FitnessStore {
         if let Some(f) = guard.as_mut() {
             if f.write_all(&record).is_err() {
                 *guard = None;
-                self.tracer.emit(Event::CacheRecovered {
-                    mode: "degraded".to_string(),
-                    entries: self.entries,
-                    dropped_bytes: 0,
-                });
+                if self.tracer.enabled() {
+                    self.tracer.emit(Event::CacheRecovered {
+                        mode: "degraded".to_string(),
+                        entries: self.entries,
+                        dropped_bytes: 0,
+                    });
+                }
             } else {
                 self.appended.fetch_add(1, Ordering::Relaxed);
             }
