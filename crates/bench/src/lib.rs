@@ -2,8 +2,8 @@
 //! # metaopt-bench
 //!
 //! The reproduction harness: one binary per table and figure of the paper's
-//! evaluation (run e.g. `cargo run --release -p metaopt-bench --bin fig4`),
-//! plus Criterion micro-benchmarks of the substrate (`cargo bench`).
+//! evaluation (run e.g. `cargo run --release -p metaopt-bench --bin fig4`).
+//! Timing lives elsewhere: `perfbench/` is the repository's one benchmark.
 //!
 //! Every figure binary prints the same rows/series the paper reports. GP
 //! scale defaults to a laptop-friendly configuration; set the environment

@@ -230,8 +230,7 @@ pub struct Passes<'a> {
     pub prefetch_iters_ahead: i64,
     /// Run the `metaopt-analysis` invariant checker after every IR-mutating
     /// pass, attributing the first broken invariant to the pass that
-    /// produced it. Defaults to [`CHECK_IR_DEFAULT`] (the `check-ir` cargo
-    /// feature).
+    /// produced it. Off by default.
     pub check_ir: bool,
     /// Semantic validation level: per-pass translation validation and
     /// abstract interpretation (see [`ValidationLevel`]). Off by default.
@@ -241,10 +240,6 @@ pub struct Passes<'a> {
     /// default, which costs one branch per pass and changes nothing else.
     pub tracer: metaopt_trace::Tracer,
 }
-
-/// Whether [`Passes::check_ir`] defaults to on — true when the crate is
-/// built with the `check-ir` feature.
-pub const CHECK_IR_DEFAULT: bool = cfg!(feature = "check-ir");
 
 impl<'a> Default for Passes<'a> {
     /// The minimal pipeline (`regalloc,schedule`): no optimization passes,
@@ -256,7 +251,7 @@ impl<'a> Default for Passes<'a> {
             regalloc: &regalloc::BaselineEq2,
             prefetch: &prefetch::BaselineTripCount,
             prefetch_iters_ahead: 8,
-            check_ir: CHECK_IR_DEFAULT,
+            check_ir: false,
             validate: ValidationLevel::Off,
             tracer: metaopt_trace::Tracer::disabled(),
         }
@@ -438,12 +433,12 @@ fn checkpoint(
 /// independent of any priority function and therefore runs once per
 /// benchmark. The result always has a single function.
 ///
-/// Equivalent to [`prepare_checked`] with IR checking at the crate default.
+/// Equivalent to [`prepare_checked`] with IR checking off.
 ///
 /// # Errors
 /// Fails on recursive call graphs or a missing entry function.
 pub fn prepare(prog: &Program) -> Result<Program, CompileError> {
-    prepare_checked(prog, CHECK_IR_DEFAULT)
+    prepare_checked(prog, false)
 }
 
 /// [`prepare`] with explicit control over inter-pass IR checking: when
@@ -537,7 +532,7 @@ mod tests {
     #[test]
     fn invalid_plan_is_a_plan_error() {
         let prog = metaopt_lang::compile("fn main() -> int { return 7; }").unwrap();
-        let prepared = prepare(&prog).unwrap();
+        let prepared = prepare_checked(&prog, true).unwrap();
         let profile = metaopt_ir::interp::run(
             &prepared,
             &metaopt_ir::interp::RunConfig {

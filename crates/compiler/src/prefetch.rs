@@ -286,7 +286,7 @@ mod tests {
 
     fn prepared_with_profile(src: &str) -> (metaopt_ir::Program, FuncProfile) {
         let prog = metaopt_lang::compile(src).unwrap();
-        let prepared = crate::prepare(&prog).unwrap();
+        let prepared = crate::prepare_checked(&prog, true).unwrap();
         let prof = run(
             &prepared,
             &RunConfig {

@@ -446,7 +446,7 @@ mod tests {
 
     fn compile_and_compare(src: &str, machine: &MachineConfig) {
         let prog = metaopt_lang::compile(src).unwrap();
-        let prepared = crate::prepare(&prog).unwrap();
+        let prepared = crate::prepare_checked(&prog, true).unwrap();
         let interp_out = run(&prepared, &RunConfig::default()).unwrap();
         let profile = run(
             &prepared,
@@ -462,7 +462,10 @@ mod tests {
             &prepared,
             &profile.funcs[0],
             machine,
-            &crate::Passes::default(),
+            &crate::Passes {
+                check_ir: true,
+                ..Default::default()
+            },
         )
         .unwrap();
         let mem = compiled.initial_memory(&prepared);
@@ -527,7 +530,7 @@ mod tests {
     #[test]
     fn spill_count_grows_as_registers_shrink() {
         let prog = metaopt_lang::compile(KERNEL).unwrap();
-        let prepared = crate::prepare(&prog).unwrap();
+        let prepared = crate::prepare_checked(&prog, true).unwrap();
         let profile = run(
             &prepared,
             &RunConfig {
@@ -541,7 +544,11 @@ mod tests {
         let spills_at = |gpr: usize| {
             let mut m = MachineConfig::table3();
             m.gpr = gpr;
-            crate::compile(&prepared, &profile.funcs[0], &m, &crate::Passes::default())
+            let passes = crate::Passes {
+                check_ir: true,
+                ..Default::default()
+            };
+            crate::compile(&prepared, &profile.funcs[0], &m, &passes)
                 .unwrap()
                 .stats
                 .counters

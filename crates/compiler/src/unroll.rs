@@ -219,7 +219,7 @@ mod tests {
 
     fn prepared(src: &str) -> metaopt_ir::Program {
         let prog = metaopt_lang::compile(src).unwrap();
-        crate::prepare(&prog).unwrap()
+        crate::prepare_checked(&prog, true).unwrap()
     }
 
     const SUMLOOP: &str = r#"
@@ -347,8 +347,11 @@ mod tests {
         .profile
         .unwrap();
         let machine = metaopt_sim::MachineConfig::table3();
-        let compiled =
-            crate::compile(&p, &profile.funcs[0], &machine, &crate::Passes::default()).unwrap();
+        let passes = crate::Passes {
+            check_ir: true,
+            ..Default::default()
+        };
+        let compiled = crate::compile(&p, &profile.funcs[0], &machine, &passes).unwrap();
         let sim =
             metaopt_sim::simulate(&compiled.code, &machine, compiled.initial_memory(&p)).unwrap();
         assert_eq!(sim.ret, want);

@@ -3,7 +3,7 @@
 //! prefetch), **any** legal pipeline plan, on **any** reasonable machine
 //! must produce exactly the reference interpreter's result.
 
-use metaopt_compiler::{compile, prepare, Passes, PipelinePlan};
+use metaopt_compiler::{compile, prepare_checked, Passes, PipelinePlan};
 use metaopt_ir::interp::{run, RunConfig};
 use metaopt_sim::{simulate, MachineConfig};
 use proptest::prelude::*;
@@ -162,7 +162,7 @@ proptest! {
         let src = program_src(&stmts);
         let prog = metaopt_lang::compile(&src)
             .unwrap_or_else(|e| panic!("generated MiniC must compile: {e}\n{src}"));
-        let prepared = prepare(&prog).expect("prepares");
+        let prepared = prepare_checked(&prog, true).expect("prepares");
         let want = run(&prepared, &RunConfig::default()).expect("interprets");
         let profile = run(&prepared, &RunConfig { profile: true, ..Default::default() })
             .expect("profiles")

@@ -13,7 +13,7 @@
 //! `<study>` is `hyperblock`, `regalloc`, or `prefetch`. GP scale options:
 //! `--pop N`, `--gens N`, `--seed N`, `--threads N`. `--check-ir` runs the
 //! `metaopt-analysis` invariant checker at every pass boundary of every
-//! compilation (on by default when built with the `check-ir` feature).
+//! compilation.
 //! `--validate off|fast|full` turns on semantic validation: per-pass
 //! translation validators at `fast`, plus abstract interpretation of the
 //! post-pass IR at `full`. `check` sweeps every suite kernel (or one
@@ -54,9 +54,7 @@
 //! every successful score is appended as it is computed, and a rerun (or
 //! resume) under the same configuration answers those evaluations from
 //! disk — the run prints its warm-hit count. Corrupt or foreign cache
-//! files are recovered or ignored, never fatal. `--retries N` bounds how
-//! many times a transiently failing evaluation (timeout) is retried
-//! before quarantine (default 2).
+//! files are recovered or ignored, never fatal.
 //!
 //! Every subcommand accepts `--trace-out <path>`: structured run telemetry
 //! (the `run-trace.v1` JSONL schema — evolution generations, uncached
@@ -104,7 +102,7 @@ fn usage() -> ExitCode {
                   --co-evolve (specialize: evolve (plan, expr) genomes, NSGA-II)\n\
                   --objectives cycles,size,compile (co-evolve selection mask)\n\
                   --checkpoint <path> --resume <path> --trace-out <path>\n\
-                  --eval-cache <path> (persistent fitness cache) --retries N\n\
+                  --eval-cache <path> (persistent fitness cache)\n\
                   --bench-json <path> (trace-report: write throughput digest)\n\
                   --metrics-addr HOST:PORT (serve Prometheus /metrics)\n\
                   --follow (top: keep tailing until the run ends)\n\
@@ -160,7 +158,7 @@ struct Options {
 fn parse_args() -> Option<Options> {
     let mut params = GpParams::quick();
     let mut positional = Vec::new();
-    let mut check_ir = metaopt_compiler::CHECK_IR_DEFAULT;
+    let mut check_ir = false;
     let mut validate = metaopt_compiler::ValidationLevel::Off;
     let mut json = false;
     let mut control = RunControl::default();
@@ -224,7 +222,6 @@ fn parse_args() -> Option<Options> {
             "--checkpoint" => control.checkpoint = Some(args.next()?.into()),
             "--resume" => control.resume = Some(args.next()?.into()),
             "--eval-cache" => control.eval_cache = Some(args.next()?.into()),
-            "--retries" => params.retries = args.next()?.parse().ok()?,
             "--trace-out" => trace_out = Some(args.next()?.into()),
             "--bench-json" => bench_json = Some(args.next()?.into()),
             "--metrics-addr" => metrics_addr = Some(args.next()?),

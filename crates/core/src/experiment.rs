@@ -615,9 +615,15 @@ pub fn co_evolve_controlled(
     let (best_plan, best, train_speedup, novel_speedup) = match champion {
         Some((plan, expr)) => {
             let speedup = |ds: DataSet| {
+                let req = EvalRequest {
+                    expr: Some(&expr),
+                    plan: Some(&plan),
+                    ds,
+                    tracer: &Tracer::disabled(),
+                };
                 benches[0]
-                    .try_objectives_traced(study, &plan, &expr, ds, &Tracer::disabled())
-                    .map(|o| benches[0].baseline_cycles(ds) as f64 / o[0] as f64)
+                    .try_eval(study, &req)
+                    .map(|e| benches[0].baseline_cycles(ds) as f64 / e.cycles as f64)
                     .unwrap_or(f64::NAN)
             };
             let (t, n) = (speedup(DataSet::Train), speedup(DataSet::Novel));

@@ -31,21 +31,23 @@
 //! functions can only change *performance*, never correctness.
 //!
 //! ```no_run
-//! use metaopt::{study, experiment};
+//! use metaopt::{experiment, study, RunControl};
 //! use metaopt_gp::GpParams;
 //!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let cfg = study::hyperblock();
-//! let bench = metaopt_suite::by_name("rawcaudio").unwrap();
-//! let result = experiment::specialize(&cfg, &bench, &GpParams::quick());
+//! let bench = metaopt_suite::by_name("rawcaudio").ok_or("no benchmark named rawcaudio")?;
+//! let params = GpParams::quick();
+//! let result = experiment::specialize_controlled(&cfg, &bench, &params, &RunControl::default())?;
 //! println!("train speedup: {:.2}", result.train_speedup);
+//! # Ok(())
+//! # }
 //! ```
 
 pub mod experiment;
-pub mod fault;
 pub mod pipeline;
 pub mod study;
 
 pub use experiment::{CrossValidation, GeneralResult, RunControl, SpecializationResult};
-pub use fault::{FaultInjector, FaultStage};
 pub use pipeline::{EvalRequest, PrepareError, PreparedBench, StudyEvaluator};
 pub use study::{StudyConfig, StudyKind};

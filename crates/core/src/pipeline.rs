@@ -13,7 +13,6 @@
 //!   [`metaopt_gp::EvalError`] so the GP engine can quarantine the genome
 //!   instead of tearing down the run.
 
-use crate::fault::{FaultInjector, FaultStage};
 use crate::study::{ExprPriority, StudyConfig};
 use metaopt_compiler::{compile, prepare, CompileErrorKind, CompileStats, PipelinePlan};
 use metaopt_gp::{EvalError, EvalErrorKind, EvalOutcome, Expr};
@@ -166,7 +165,7 @@ impl PreparedBench {
             .map_err(|e| err(format!("reference run on novel data failed: {e}")))?;
         let profile = train_out
             .profile
-            .expect("profile requested")
+            .expect("the train run was asked for a profile")
             .funcs
             .swap_remove(0);
 
@@ -200,7 +199,7 @@ impl PreparedBench {
                     ds,
                     tracer: &off,
                 };
-                pb.eval(study, &req, &study.machine, None, None)
+                pb.eval(study, &req, &study.machine, None)
                     .map_err(|e| err(format!("baseline failed: {e}")))
             };
             thread::scope(|s| {
@@ -233,7 +232,7 @@ impl PreparedBench {
         study: &StudyConfig,
         req: &EvalRequest<'_>,
     ) -> Result<Evaluation, EvalError> {
-        self.eval(study, req, &self.eval_machine, None, None)
+        self.eval(study, req, &self.eval_machine, None)
     }
 
     /// Speedup of `expr` over the baseline heuristic on `ds`.
@@ -260,19 +259,11 @@ impl PreparedBench {
         }
     }
 
-    /// Compile with `expr` in the study's priority slot **under an
-    /// arbitrary legal pipeline plan** and simulate on `ds` — the joint
-    /// workload of co-evolution. Returns the multi-objective vector
-    /// (all minimized):
-    ///
-    /// * `cycles` — simulated cycles, differentially verified;
-    /// * `size` — static instruction count of the compiled code;
-    /// * `compile` — a deterministic compile-cost proxy,
-    ///   `plan length × static instructions` (the pass-sweep work bound).
-    ///   Measured wall time would make selection depend on host load and
-    ///   thread count, breaking the engine's bit-identical determinism
-    ///   contract; wall nanos stay observable via `pass` trace events and
-    ///   `metaopt ablate --json` instead.
+    /// The co-evolution objective vector of `expr` under `plan` on `ds`,
+    /// as [`StudyEvaluator`] scores a `(plan, expr)` genome: a
+    /// [`PreparedBench::try_eval`] with the plan. Outside tests only the
+    /// benchmark under `perfbench/` still calls it; it goes with the
+    /// benchmark's next change, whose caller then calls `try_eval` itself.
     pub fn try_objectives_traced(
         &self,
         study: &StudyConfig,
@@ -291,9 +282,7 @@ impl PreparedBench {
     }
 
     /// The one compile-and-simulate core behind every evaluation: compile
-    /// `req`, simulate it on `machine`, and check the result. `fault` is an
-    /// optional injector with the engine's retry attempt; only the
-    /// (transient) timeout stage is attempt-sensitive. `memo` is the
+    /// `req`, simulate it on `machine`, and check the result. `memo` is the
     /// calling evaluator's [`SimMemo`] with this bench's case number; its
     /// key leaves the machine out, so evaluators always pass
     /// `self.eval_machine` with it.
@@ -302,15 +291,8 @@ impl PreparedBench {
         study: &StudyConfig,
         req: &EvalRequest<'_>,
         machine: &MachineConfig,
-        fault: Option<(&FaultInjector, u32)>,
         memo: Option<(&SimMemo, usize)>,
     ) -> Result<Evaluation, EvalError> {
-        let key = req.expr.map(Expr::key).unwrap_or_default();
-        let inject = |stage, attempt| match fault {
-            Some((f, _)) => f.check_at(stage, &key, &self.name, attempt),
-            None => Ok(()),
-        };
-        inject(FaultStage::Compile, 0)?;
         let pri = req.expr.map(ExprPriority);
         let mut passes = match &pri {
             Some(pri) => study.passes_with(pri),
@@ -333,10 +315,6 @@ impl PreparedBench {
                 };
                 EvalError::new(kind, message)
             })?;
-        inject(FaultStage::CheckIr, 0)?;
-        inject(FaultStage::Validate, 0)?;
-        inject(FaultStage::Timeout, fault.map_or(0, |(_, attempt)| attempt))?;
-        inject(FaultStage::Simulate, 0)?;
 
         let ds = req.ds;
         let (image, expected) = match ds {
@@ -418,9 +396,9 @@ impl PreparedBench {
         let cycles = if study.noise > 0.0 {
             let seed = match req.expr {
                 None => 0,
-                Some(_) => {
+                Some(expr) => {
                     let mut h = DefaultHasher::new();
-                    key.hash(&mut h);
+                    expr.key().hash(&mut h);
                     if let Some(plan) = req.plan {
                         plan.to_string().hash(&mut h);
                     }
@@ -441,7 +419,7 @@ impl PreparedBench {
 }
 
 /// The co-evolution objective vector of an evaluation under `plan`: see
-/// [`PreparedBench::try_objectives_traced`].
+/// [`StudyEvaluator`].
 fn objectives(plan: &PipelinePlan, e: Evaluation) -> [u64; 3] {
     let size = e.stats.counters.static_insts;
     [
@@ -519,13 +497,21 @@ impl SimMemo {
 /// it scores an expression by its speedup over the baseline (paper §4:
 /// "total execution time" / Table 2: "average speedup over the baseline");
 /// as a [`metaopt_gp::MultiEvaluator`], a `(plan, expr)` genome compiled
-/// under its own plan by the objective vector of
-/// [`PreparedBench::try_objectives_traced`].
+/// under its own plan by an objective vector, all minimized:
+///
+/// * `cycles` — simulated cycles, differentially verified;
+/// * `size` — static instruction count of the compiled code;
+/// * `compile` — a deterministic compile-cost proxy,
+///   `plan length × static instructions` (the pass-sweep work bound).
+///   Measured wall time would make selection depend on host load and
+///   thread count, breaking the engine's bit-identical determinism
+///   contract; wall nanos stay observable via `pass` trace events and
+///   `metaopt ablate --json` instead.
 ///
 /// Evaluation failures are returned with a classified error; the GP engine
-/// quarantines the genome and assigns the penalty fitness. With the
-/// `fault-inject` feature, an optional [`FaultInjector`] can
-/// deterministically force such failures for robustness testing.
+/// quarantines the genome and assigns the penalty fitness. Every failure is
+/// a property of the genome, never of the host, so none is transient: the
+/// evaluator ignores the engine's retry attempt.
 ///
 /// Genomes that compile to the same program on the same case share one
 /// simulator run: the evaluator remembers each distinct program's
@@ -534,7 +520,6 @@ impl SimMemo {
 pub struct StudyEvaluator<'a> {
     study: &'a StudyConfig,
     benches: &'a [PreparedBench],
-    fault: Option<FaultInjector>,
     tracer: Tracer,
     memo: SimMemo,
 }
@@ -548,7 +533,6 @@ impl<'a> StudyEvaluator<'a> {
         StudyEvaluator {
             study,
             benches,
-            fault: None,
             tracer: Tracer::disabled(),
             memo: SimMemo::default(),
         }
@@ -561,13 +545,6 @@ impl<'a> StudyEvaluator<'a> {
         self
     }
 
-    /// Attach a deterministic fault injector (robustness testing only).
-    #[cfg(feature = "fault-inject")]
-    pub fn with_fault(mut self, injector: FaultInjector) -> Self {
-        self.fault = Some(injector);
-        self
-    }
-
     /// Number of training cases (prepared benchmarks), as both evaluator
     /// traits report it.
     pub fn num_cases(&self) -> usize {
@@ -575,13 +552,12 @@ impl<'a> StudyEvaluator<'a> {
     }
 
     /// Compile `expr` under `plan` (or the study's) and simulate it on case
-    /// `case`'s training data, through the memo, at retry `attempt`.
+    /// `case`'s training data, through the memo.
     fn evaluate(
         &self,
         expr: &Expr,
         plan: Option<&PipelinePlan>,
         case: usize,
-        attempt: u32,
     ) -> Result<Evaluation, EvalError> {
         let pb = &self.benches[case];
         let tracer = self
@@ -593,9 +569,7 @@ impl<'a> StudyEvaluator<'a> {
             ds: DataSet::Train,
             tracer: &tracer,
         };
-        let fault = self.fault.as_ref().map(|f| (f, attempt));
-        let memo = Some((&self.memo, case));
-        pb.eval(self.study, &req, &pb.eval_machine, fault, memo)
+        pb.eval(self.study, &req, &pb.eval_machine, Some((&self.memo, case)))
     }
 }
 
@@ -605,12 +579,8 @@ impl metaopt_gp::Evaluator for StudyEvaluator<'_> {
     }
 
     fn eval_case(&self, expr: &Expr, case: usize) -> EvalOutcome {
-        self.eval_case_attempt(expr, case, 0)
-    }
-
-    fn eval_case_attempt(&self, expr: &Expr, case: usize, attempt: u32) -> EvalOutcome {
         let pb = &self.benches[case];
-        match self.evaluate(expr, None, case, attempt) {
+        match self.evaluate(expr, None, case) {
             Ok(e) => EvalOutcome::Score(pb.baseline_train_cycles as f64 / e.cycles as f64),
             Err(e) => EvalOutcome::Failed(e),
         }
@@ -627,7 +597,7 @@ impl metaopt_gp::MultiEvaluator for StudyEvaluator<'_> {
         plan: &str,
         expr: &Expr,
         case: usize,
-        attempt: u32,
+        _attempt: u32,
     ) -> Result<[u64; 3], EvalError> {
         let pb = &self.benches[case];
         let plan: PipelinePlan = plan.parse().map_err(|e| {
@@ -636,7 +606,7 @@ impl metaopt_gp::MultiEvaluator for StudyEvaluator<'_> {
                 format!("{}: unparseable pipeline plan {plan:?}: {e}", pb.name),
             )
         })?;
-        let evaluation = self.evaluate(expr, Some(&plan), case, attempt)?;
+        let evaluation = self.evaluate(expr, Some(&plan), case)?;
         Ok(objectives(&plan, evaluation))
     }
 }
@@ -667,13 +637,11 @@ impl metaopt_gp::PlanSpace for StudyPlanSpace {
     }
 
     fn mutate_plan(&self, rng: &mut rand::rngs::StdRng, plan: &str) -> String {
-        let plan: PipelinePlan = plan.parse().expect("plan genomes are canonical");
-        metaopt_compiler::plan_ops::mutate_plan(rng, &plan).to_string()
+        metaopt_compiler::plan_ops::mutate_plan(rng, &plan_genome(plan)).to_string()
     }
 
     fn crossover_plans(&self, rng: &mut rand::rngs::StdRng, a: &str, b: &str) -> String {
-        let a: PipelinePlan = a.parse().expect("plan genomes are canonical");
-        let b: PipelinePlan = b.parse().expect("plan genomes are canonical");
+        let (a, b) = (plan_genome(a), plan_genome(b));
         metaopt_compiler::plan_ops::crossover_plans(rng, &a, &b).to_string()
     }
 
@@ -681,6 +649,14 @@ impl metaopt_gp::PlanSpace for StudyPlanSpace {
         plan.parse::<PipelinePlan>()
             .is_ok_and(|p| p.to_string() == plan)
     }
+}
+
+/// A plan genome of a population: a seed, an operator's output or a plan
+/// a resumed checkpoint passed [`metaopt_gp::PlanSpace::is_valid`] with,
+/// so always a plan that parses.
+fn plan_genome(plan: &str) -> PipelinePlan {
+    plan.parse()
+        .expect("a population holds only seeded, bred or validated plans")
 }
 
 #[cfg(test)]
@@ -844,27 +820,5 @@ mod tests {
         assert_eq!(metrics.report().sims.0 as usize, sims);
         // `(bconst true)` and its equivalent share a run but not its noise.
         assert_ne!(scores[0], scores[2]);
-    }
-
-    #[cfg(feature = "fault-inject")]
-    #[test]
-    fn injected_faults_surface_as_classified_failures() {
-        let cfg = study::hyperblock();
-        let bench = metaopt_suite::by_name("unepic").unwrap();
-        let benches = [PreparedBench::new(&cfg, &bench)];
-        // Only the per-evaluation pipeline stages surface through
-        // `eval_case`; `CacheCorrupt` acts at the storage layer and is
-        // exercised through the fitness store's corruption hook instead.
-        for stage in FaultStage::EVAL {
-            let ev = StudyEvaluator::new(&cfg, &benches)
-                .with_fault(FaultInjector::new(0).with_rate(stage, 1.0));
-            match metaopt_gp::Evaluator::eval_case(&ev, &cfg.baseline_seed, 0) {
-                EvalOutcome::Failed(e) => {
-                    assert_eq!(e.kind, stage.kind());
-                    assert!(e.injected);
-                }
-                EvalOutcome::Score(s) => panic!("expected injected failure, got score {s}"),
-            }
-        }
     }
 }

@@ -39,9 +39,8 @@ pub struct StudyConfig {
     /// Genome sort.
     pub genome_kind: Kind,
     /// Run the inter-pass IR invariant checker at every pass boundary of
-    /// every compilation in this study. Defaults to the compiler crate's
-    /// `check-ir` feature; flip at runtime with [`StudyConfig::with_check_ir`]
-    /// (the CLI's `--check-ir`).
+    /// every compilation in this study. Off by default; flip with
+    /// [`StudyConfig::with_check_ir`] (the CLI's `--check-ir`).
     pub check_ir: bool,
     /// The pipeline plan every compilation in this study executes. Each
     /// study's constructor picks the paper-calibrated plan (the evolved
@@ -65,79 +64,82 @@ pub struct StudyConfig {
     pub validate: ValidationLevel,
 }
 
-fn features_from(names: (Vec<&'static str>, Vec<&'static str>)) -> FeatureSet {
-    let mut fs = FeatureSet::new();
+/// A study of `kind` on `machine` with the paper-calibrated defaults: the
+/// baseline heuristic `seed` and the pipeline `plan`, both module
+/// constants, with IR checking and validation off and the fast simulator
+/// tier.
+fn study(
+    kind: StudyKind,
+    machine: MachineConfig,
+    names: (Vec<&'static str>, Vec<&'static str>),
+    seed: &str,
+    noise: f64,
+    plan: &str,
+) -> StudyConfig {
+    let mut features = FeatureSet::new();
     for r in names.0 {
-        fs.add_real(r);
+        features.add_real(r);
     }
     for b in names.1 {
-        fs.add_bool(b);
+        features.add_bool(b);
     }
-    fs
+    StudyConfig {
+        kind,
+        machine,
+        baseline_seed: parse_expr(seed, &features)
+            .expect("each study's seed is a constant genome over its own features"),
+        features,
+        noise,
+        genome_kind: match kind {
+            StudyKind::Prefetch => Kind::Bool,
+            StudyKind::Hyperblock | StudyKind::Regalloc => Kind::Real,
+        },
+        check_ir: false,
+        plan: PipelinePlan::parse(plan).expect("each study's plan is a constant legal plan"),
+        sim_tier: SimTier::default(),
+        validate: ValidationLevel::Off,
+    }
 }
 
 /// The hyperblock-formation study (paper §5): Table 3 machine, Table 4
 /// features, Eq. 1 seed.
 pub fn hyperblock() -> StudyConfig {
-    let features = features_from(hyperblock::feature_names());
-    let seed = parse_expr(
+    study(
+        StudyKind::Hyperblock,
+        MachineConfig::table3(),
+        hyperblock::feature_names(),
         "(mul exec_ratio (cmul (or (barg mem_hazard) (or (barg has_unsafe_jsr) (barg has_pointer_deref))) \
            0.25 \
            (sub 2.1 (add (div dep_height dep_height_max) (div num_ops num_ops_max)))))",
-        &features,
+        0.0,
+        "hyperblock,regalloc,schedule",
     )
-    .expect("Eq. 1 seed parses");
-    StudyConfig {
-        kind: StudyKind::Hyperblock,
-        machine: MachineConfig::table3(),
-        features,
-        baseline_seed: seed,
-        noise: 0.0,
-        genome_kind: Kind::Real,
-        check_ir: metaopt_compiler::CHECK_IR_DEFAULT,
-        sim_tier: SimTier::default(),
-        plan: PipelinePlan::parse("hyperblock,regalloc,schedule").expect("study plan is valid"),
-        validate: ValidationLevel::Off,
-    }
 }
 
 /// The register-allocation study (paper §6): Table 3 machine restricted to
 /// 32 GPR / 32 FPR, Eq. 2 seed.
 pub fn regalloc() -> StudyConfig {
-    let features = features_from(regalloc::feature_names());
-    let seed =
-        parse_expr("(mul w (add (mul 2.0 uses) defs))", &features).expect("Eq. 2 seed parses");
-    StudyConfig {
-        kind: StudyKind::Regalloc,
-        machine: MachineConfig::regalloc_stress(),
-        features,
-        baseline_seed: seed,
-        noise: 0.0,
-        genome_kind: Kind::Real,
-        check_ir: metaopt_compiler::CHECK_IR_DEFAULT,
-        sim_tier: SimTier::default(),
-        plan: PipelinePlan::parse("hyperblock,regalloc,schedule").expect("study plan is valid"),
-        validate: ValidationLevel::Off,
-    }
+    study(
+        StudyKind::Regalloc,
+        MachineConfig::regalloc_stress(),
+        regalloc::feature_names(),
+        "(mul w (add (mul 2.0 uses) defs))",
+        0.0,
+        "hyperblock,regalloc,schedule",
+    )
 }
 
 /// The data-prefetching study (paper §7): Itanium-like machine, Boolean
 /// confidence genome, ORC-like trip-count seed, real-machine noise.
 pub fn prefetch() -> StudyConfig {
-    let features = features_from(prefetch::feature_names());
-    let seed = parse_expr("(barg trip_known)", &features).expect("trip-count seed parses");
-    StudyConfig {
-        kind: StudyKind::Prefetch,
-        machine: MachineConfig::itanium_like(),
-        features,
-        baseline_seed: seed,
-        noise: 0.005,
-        genome_kind: Kind::Bool,
-        check_ir: metaopt_compiler::CHECK_IR_DEFAULT,
-        sim_tier: SimTier::default(),
-        plan: PipelinePlan::parse("prefetch,regalloc,schedule").expect("study plan is valid"),
-        validate: ValidationLevel::Off,
-    }
+    study(
+        StudyKind::Prefetch,
+        MachineConfig::itanium_like(),
+        prefetch::feature_names(),
+        "(barg trip_known)",
+        0.005,
+        "prefetch,regalloc,schedule",
+    )
 }
 
 /// Adapter: a GP expression used as a real-valued priority function.

@@ -260,48 +260,3 @@ fn baseline_suite_compiles_validate_cleanly_across_studies() {
         }
     }
 }
-
-/// Injected validation-stage faults surface in the quarantine ledger as
-/// [`EvalErrorKind::Validation`] records with the stage named.
-#[cfg(feature = "fault-inject")]
-#[test]
-fn injected_validation_faults_land_in_the_ledger() {
-    use metaopt::fault::{FaultInjector, FaultStage};
-    use metaopt::StudyEvaluator;
-    use metaopt_gp::{EvalErrorKind, Evolution, GpParams};
-
-    let cfg = study::regalloc();
-    let bench_names = ["codrle4", "huff_enc"];
-    let benches: Vec<PreparedBench> = bench_names
-        .iter()
-        .map(|n| PreparedBench::new(&cfg, &metaopt_suite::by_name(n).unwrap()))
-        .collect();
-    let injector = FaultInjector::new(7).with_rate(FaultStage::Validate, 0.3);
-    let evaluator = StudyEvaluator::new(&cfg, &benches).with_fault(injector);
-    let mut params = GpParams {
-        population: 12,
-        generations: 3,
-        seed: 7,
-        threads: 1,
-        ..GpParams::quick()
-    };
-    params.kind = cfg.genome_kind;
-    let result = Evolution::new(params, &cfg.features, &evaluator)
-        .with_seeds(vec![cfg.baseline_seed.clone()])
-        .run();
-    assert!(
-        !result.quarantined.is_empty(),
-        "a 30% validation-stage fault rate must quarantine someone"
-    );
-    for r in &result.quarantined {
-        assert_eq!(
-            r.error.kind,
-            EvalErrorKind::Validation,
-            "only the validation stage was armed: {r}"
-        );
-        assert!(
-            r.error.message.contains("validate"),
-            "ledger record must blame the validation stage: {r}"
-        );
-    }
-}

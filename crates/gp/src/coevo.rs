@@ -550,8 +550,8 @@ fn mean_cycles(objs: &[[u64; NUM_OBJECTIVES]]) -> f64 {
     clean.iter().map(|&c| c as f64).sum::<f64>() / clean.len() as f64
 }
 
-/// Sanity check used by tests and the CLI: no point on `front` may be
-/// dominated by another under `mask`.
+/// Sanity check for tests: no point on `front` may be dominated by
+/// another under `mask`.
 pub fn front_is_mutually_non_dominated(
     front: &[ParetoPoint],
     mask: &[bool; NUM_OBJECTIVES],

@@ -50,9 +50,10 @@ pub trait Evaluator: Sync {
     fn eval_case(&self, expr: &Expr, case: usize) -> EvalOutcome;
     /// [`Evaluator::eval_case`] with a retry-attempt index (0 = first try).
     /// The engine calls this; the default ignores `attempt`, which is right
-    /// for deterministic evaluators. Implementations whose transient
-    /// failures depend on the attempt (fault injectors, evaluators talking
-    /// to real hosts) override it.
+    /// for deterministic evaluators such as the compile-and-simulate study
+    /// evaluator. Evaluators whose [`crate::eval::EvalErrorKind::Timeout`]
+    /// failures can clear on a later attempt (the test suites' flaky
+    /// evaluators and fault injector) override it.
     fn eval_case_attempt(&self, expr: &Expr, case: usize, attempt: u32) -> EvalOutcome {
         let _ = attempt;
         self.eval_case(expr, case)
@@ -798,6 +799,14 @@ mod tests {
         dir.join("checkpoint.txt")
     }
 
+    /// Remove a [`temp_checkpoint`] or [`temp_store`] path with the
+    /// directory it was made in.
+    fn remove_temp(path: &std::path::Path) {
+        if let Some(dir) = path.parent() {
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
     #[test]
     fn resume_reproduces_uninterrupted_run() {
         let fs = features();
@@ -835,7 +844,7 @@ mod tests {
         // The deduped ledgers agree even though the resumed run re-evaluates
         // pairs the killed run had cached.
         assert_eq!(resumed.quarantined, straight.quarantined);
-        std::fs::remove_file(&path).ok();
+        remove_temp(&path);
     }
 
     #[test]
@@ -908,7 +917,7 @@ mod tests {
             })
             .sum();
         assert!(evals_in_gens <= result.evaluations);
-        std::fs::remove_file(&path).ok();
+        remove_temp(&path);
     }
 
     #[test]
@@ -1191,7 +1200,7 @@ mod tests {
             recovered.warm_hits,
             cold.successes
         );
-        std::fs::remove_file(&path).ok();
+        remove_temp(&path);
     }
 
     #[test]
@@ -1214,7 +1223,7 @@ mod tests {
         other.seed ^= 0x1000;
         let fresh = Evolution::new(other, &fs, &ev).with_eval_cache(&path).run();
         assert_eq!(fresh.warm_hits, 0, "foreign-fingerprint store was used");
-        std::fs::remove_file(&path).ok();
+        remove_temp(&path);
     }
 
     #[test]
@@ -1240,7 +1249,7 @@ mod tests {
                 if message == "checkpoint has 3 genomes, params want 10"),
             "{err}"
         );
-        std::fs::remove_file(&path).ok();
+        remove_temp(&path);
     }
 
     #[test]
@@ -1263,6 +1272,6 @@ mod tests {
             .try_run()
             .unwrap_err();
         assert!(matches!(err, CheckpointError::Mismatch { .. }));
-        std::fs::remove_file(&path).ok();
+        remove_temp(&path);
     }
 }

@@ -32,11 +32,13 @@ pub enum EvalErrorKind {
     /// The evaluator panicked; the panic was caught at the evaluation
     /// boundary and converted into this error.
     Panic,
-    /// The evaluation exceeded an operational wall-clock deadline (an
-    /// evaluator talking to a real host, or an injected timeout fault).
-    /// Unlike [`EvalErrorKind::Budget`] — the *deterministic* cooperative
+    /// The evaluation exceeded an operational wall-clock deadline. Unlike
+    /// [`EvalErrorKind::Budget`] — the *deterministic* cooperative
     /// deadline — a timeout reflects host-side conditions and is the one
-    /// transient class: the engine retries it before quarantining.
+    /// transient class: the engine retries it before quarantining. The
+    /// compile-and-simulate study evaluator never returns it; the test
+    /// suites' flaky evaluators and fault injector do, to exercise the
+    /// retry path.
     Timeout,
 }
 

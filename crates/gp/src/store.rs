@@ -37,7 +37,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Magic + version line (line 1 of the file).
 pub const STORE_MAGIC: &str = "metaopt-fitness-cache v1";
@@ -48,12 +48,6 @@ const MAX_PAYLOAD: usize = 1 << 20;
 
 /// Minimum payload: case (4) + score (8) + at least one key byte.
 const MIN_PAYLOAD: usize = 13;
-
-/// Hook consulted on every append; when it returns `true` the record is
-/// written with a corrupted checksum, simulating a torn write. Exists so
-/// the fault injector's `CacheCorrupt` stage (and tests) can exercise the
-/// recovery path deterministically.
-pub type CorruptHook = Arc<dyn Fn(&str, usize) -> bool + Send + Sync>;
 
 /// How the store came up when it was opened.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -79,7 +73,6 @@ pub struct FitnessStore {
     health: StoreHealth,
     dropped_bytes: u64,
     appended: AtomicU64,
-    corrupt_hook: Option<CorruptHook>,
     tracer: Tracer,
 }
 
@@ -136,7 +129,6 @@ impl FitnessStore {
                     health: StoreHealth::Degraded,
                     dropped_bytes: 0,
                     appended: AtomicU64::new(0),
-                    corrupt_hook: None,
                     tracer: tracer.clone(),
                 },
                 Some("degraded"),
@@ -228,7 +220,6 @@ impl FitnessStore {
                 0
             },
             appended: AtomicU64::new(0),
-            corrupt_hook: None,
             tracer: tracer.clone(),
         };
         let emit = match health {
@@ -299,14 +290,6 @@ impl FitnessStore {
         }
     }
 
-    /// Install a corruption hook (fault injection / tests): appends for
-    /// which the hook fires are written with a corrupted checksum,
-    /// simulating a torn write that the next open must recover from.
-    pub fn with_corrupt_hook(mut self, hook: CorruptHook) -> Self {
-        self.corrupt_hook = Some(hook);
-        self
-    }
-
     /// Score persisted for `(key, case)` by an earlier run, if any. Borrows
     /// the key — no allocation on the hot path.
     pub fn lookup(&self, key: &str, case: usize) -> Option<f64> {
@@ -325,12 +308,7 @@ impl FitnessStore {
         payload.extend_from_slice(&(case as u32).to_le_bytes());
         payload.extend_from_slice(&score.to_bits().to_le_bytes());
         payload.extend_from_slice(key.as_bytes());
-        let mut sum = fnv1a(&payload);
-        if let Some(hook) = &self.corrupt_hook {
-            if hook(key, case) {
-                sum ^= 0xFF; // torn-write simulation: checksum won't verify
-            }
-        }
+        let sum = fnv1a(&payload);
         let mut record = Vec::with_capacity(4 + payload.len() + 8);
         record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         record.extend_from_slice(&payload);
@@ -566,24 +544,6 @@ mod tests {
             .unwrap()
             .iter()
             .any(|l| l.contains("\"mode\":\"degraded\"")));
-    }
-
-    #[test]
-    fn corrupt_hook_produces_a_recoverable_tail() {
-        let path = temp("hooked");
-        let hooked = FitnessStore::open(&path, FP, &Tracer::disabled())
-            .with_corrupt_hook(Arc::new(|key: &str, _case: usize| key.contains("mul")));
-        hooked.append("(add x 1.0)", 0, 1.25);
-        hooked.append("(mul x x)", 0, 2.0); // corrupted checksum
-        hooked.append("(add x 2.0)", 0, 3.0); // after the corrupt record
-        drop(hooked);
-        let s = FitnessStore::open(&path, FP, &Tracer::disabled());
-        // Drop-the-tail: the corrupt record and everything after it go.
-        assert_eq!(s.health(), StoreHealth::Recovered);
-        assert_eq!(s.lookup("(add x 1.0)", 0), Some(1.25));
-        assert_eq!(s.lookup("(mul x x)", 0), None);
-        assert_eq!(s.lookup("(add x 2.0)", 0), None);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

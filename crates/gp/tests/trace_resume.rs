@@ -159,5 +159,5 @@ fn resumed_trace_continues_numbering_and_never_replays_cached_evals() {
     assert_eq!(resumed_evals, resumed.evaluations - prior_evaluations);
     assert_eq!(resumed.evaluations, resumed.successes + resumed.failures);
 
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
